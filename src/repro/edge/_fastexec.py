@@ -18,8 +18,11 @@ Kernels (float32 out; input may be f32 or quantised u8/u16 codes):
 * ``conv2d`` — per-sample im2col into a scratch panel, then a
   register-blocked GEMM (4 output channels x 32 columns per tile, float
   accumulators) with the op epilogue fused into the tile: affine scale
-  (folded dequantisation), bias, optional ReLU, optional per-row extra
-  add.  Single-position convs (``OH*OW == 1``) reroute to the dot kernel.
+  (folded dequantisation), bias, the optional folded eval-mode BatchNorm
+  ``(y − mean) / sd · gamma + beta``, optional ReLU, optional per-row
+  extra add.  One shared helper (``epi_apply``) applies this sequence in
+  every conv and linear kernel variant.  Single-position convs
+  (``OH*OW == 1``) reroute to the dot kernel.
 * ``conv2d direct`` — stride-1 convs in the :data:`repro.edge.ir` direct
   eligibility window skip im2col and convolve a zero-padded plane copy
   (4 output channels x 2 output rows x <= 128 columns per tile); the same
@@ -29,6 +32,13 @@ Kernels (float32 out; input may be f32 or quantised u8/u16 codes):
   lanes per row) with the same fused epilogue.
 * ``maxpool2d`` / ``relu`` — standalone passes for ops the rewrite
   pipeline could not fuse, each absorbing the extra add when flagged.
+* ``affine`` — a BatchNorm with no conv before it, per channel plane.
+* ``lrn`` — cross-channel local response normalisation per sample: the
+  squares' channel-window sum in numpy's order, then the power
+  ``base ** -beta`` as a vectorised ``exp2(e·log2 b)`` polynomial (libm's
+  ``powf`` does not vectorise); lanes whose base
+  is zero, subnormal or non-finite, or whose exponent leaves the
+  polynomial's range, fall back to ``powf``.
 
 Quantised ingest: when a record's input dtype is u8/u16, im2col panels
 and padded planes are widened to float *code values* in-register (padding
@@ -66,13 +76,15 @@ output element is produced by a *fixed* accumulation schedule — the GEMM
 accumulates over ``k`` sequentially per element, the dot kernel uses a
 fixed 16-lane split of ``k`` reduced in a fixed order — and conv/pool
 kernels loop samples independently.  The epilogue is a fixed op sequence
-(scale, bias, ReLU, pool max, extra add) whose disabled stages are exact
-identities (``1.0f*x == x``), so results are bit-identical no matter how
-requests are grouped into micro-batches (the batch-invariance property),
-and identical across runs.  The native backend is *not* bit-identical to
-the numpy backend (both are f32-exact to ~1e-6 relative of the float64
-result); a deployment picks one backend at executor construction and
-every path through it then agrees bitwise.
+(scale, bias, BatchNorm affine, ReLU, pool max, extra add) whose disabled
+stages are exact identities (``1.0f*x == x``) or skipped, so results are
+bit-identical no matter how requests are grouped into micro-batches (the
+batch-invariance property), and identical across runs.  The native
+backend is *not* bit-identical to the numpy backend (both are f32-exact
+to ~1e-6 relative of the float64 result; the library builds in GNU C
+mode, which contracts ``x̂·gamma + beta`` and ``sc·acc + bias`` into
+FMAs); a deployment picks one backend at executor construction and every
+path through it then agrees bitwise.
 
 ``REPRO_NO_C_KERNEL=1`` disables the library (callers keep the numpy
 interpreter); ``REPRO_KERNEL_DIR`` relocates the compiled artifact cache.
@@ -93,19 +105,29 @@ OP_LINEAR = 1
 OP_RELU = 2
 OP_MAXPOOL2D = 3
 OP_CONV2D_DIRECT = 4
+OP_AFFINE = 5
+OP_LRN = 6
 
 #: Direct-kernel eligibility window (owned by the IR; re-exported for the
 #: differential tests that pin which lowering a geometry takes).
 DIRECT_CONV_MIN_OW = ir.DIRECT_CONV_MIN_OW
 DIRECT_CONV_MAX_OW = ir.DIRECT_CONV_MAX_OW
 
-#: int64 fields per program record (op code + geometry + epilogue flags).
-RECORD_FIELDS = 24
+#: Program record fields, in the C interpreter's order (see run_program):
+#: op code, geometry, weight-table indices (-1: none) and epilogue flags.
+RECORD_LAYOUT = (
+    "op", "relu", "c_in", "h", "w", "c_out", "kh", "kw", "sh", "sw", "ph",
+    "pw", "oh", "ow", "weight", "bias", "in_dtype", "add_extra", "pool",
+    "pool_oh", "pool_ow", "pad_value", "wmode", "cscale", "affine",
+)
+RECORD_FIELDS = len(RECORD_LAYOUT)
+_TABLE_FIELDS = ("weight", "bias", "cscale", "affine")
 
 #: Record input-dtype codes (index 16): matches the C interpreter switch.
 _DTYPE_CODES = {"f32": 0, "u8": 1, "u16": 2}
 
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -212,9 +234,65 @@ static void pad_plane_u8_raw(const uint8_t *restrict x, int64_t c_in,
 }
 
 /* ------------------------------------------------------------------ */
-/* GEMM out(c_out, m) = wmat(c_out, K) @ cols(K, m), epilogue fused:   */
-/* scale (folded dequant — per-channel when cscale is non-NULL, the    */
-/* int8-weight path), bias, ReLU, extra add.  4x32 register tiles;     */
+/* The epilogue every conv/linear kernel variant shares, per output    */
+/* channel: scale (folded dequant — per-channel cscale on the int8-    */
+/* weight paths), bias, then the folded eval-mode BatchNorm affine     */
+/* (y - mean) / sd * gamma + beta when the record carries one (aff     */
+/* holds {mean, sd, gamma, beta} per channel), then ReLU.  The fused   */
+/* pool max and the extra add follow at the call site.  Disabled       */
+/* stages are skipped, never applied as identities.  Vector epilogue   */
+/* loops run inside EPI_SPLIT, which instantiates them once per value  */
+/* of the affine flag as a constant: a runtime flag inside the loop    */
+/* gets if-converted, paying the division on every record.             */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    float sc, bv, mean, sd, gamma, beta;
+    int affine, relu;
+} epi_t;
+
+static inline float bn_affine(float v, float mean, float sd, float gamma,
+                              float beta) {
+    return (v - mean) / sd * gamma + beta;
+}
+
+static inline epi_t epi_channel(float scale, const float *restrict cscale,
+                                const float *restrict bias,
+                                const float *restrict aff, int64_t ch,
+                                int relu) {
+    epi_t e = {cscale ? cscale[ch] : scale, bias ? bias[ch] : 0.0f,
+               0.0f, 1.0f, 1.0f, 0.0f, aff != 0, relu};
+    if (aff) {
+        e.mean = aff[4 * ch];
+        e.sd = aff[4 * ch + 1];
+        e.gamma = aff[4 * ch + 2];
+        e.beta = aff[4 * ch + 3];
+    }
+    return e;
+}
+
+static inline float epi_apply(epi_t e, float acc, int affine) {
+    float v = e.sc * acc + e.bv;
+    if (affine) v = bn_affine(v, e.mean, e.sd, e.gamma, e.beta);
+    if (e.relu && v < 0.0f) v = 0.0f;
+    return v;
+}
+
+/* The 2x2 pool max, in the standalone pool's compare order. */
+static inline float max4(float v00, float v01, float v10, float v11) {
+    float m0 = v00 > v01 ? v00 : v01;
+    float m1 = v10 > v11 ? v10 : v11;
+    return m0 > m1 ? m0 : m1;
+}
+
+#define EPI_SPLIT(E, ...)                                                   \
+    do {                                                                    \
+        if ((E).affine) { enum { AFF = 1 }; __VA_ARGS__ }                   \
+        else { enum { AFF = 0 }; __VA_ARGS__ }                              \
+    } while (0)
+
+/* ------------------------------------------------------------------ */
+/* GEMM out(c_out, m) = wmat(c_out, K) @ cols(K, m), with the shared   */
+/* epilogue (epi_apply) and the extra add fused.  4x32 register tiles; */
 /* every output element accumulates over k in fixed ascending order,   */
 /* so results never depend on tile neighbours.  scale == 1.0f is an    */
 /* exact identity, keeping the unquantised path bit-stable.  Generated */
@@ -228,7 +306,8 @@ static void pad_plane_u8_raw(const uint8_t *restrict x, int64_t c_in,
 static void NAME##_tile(const WTYPE *restrict wmat,                        \
                         const BTYPE *restrict cols,                        \
                         const float *restrict bias,                        \
-                        const float *restrict cscale, int64_t c_out,       \
+                        const float *restrict cscale,                      \
+                        const float *restrict aff, int64_t c_out,          \
                         int64_t K, int64_t m, int64_t oc, int64_t nr,      \
                         int64_t jb, int64_t mb, int relu, float scale,     \
                         const float *restrict extra,                       \
@@ -268,21 +347,20 @@ static void NAME##_tile(const WTYPE *restrict wmat,                        \
         }                                                                  \
     }                                                                      \
     for (int64_t r = 0; r < nr; r++) {                                     \
-        float bv = bias ? bias[oc + r] : 0.0f;                             \
-        float sc = cscale ? cscale[oc + r] : scale;                        \
+        epi_t e = epi_channel(scale, cscale, bias, aff, oc + r, relu);     \
         float *restrict dst = out + (oc + r) * m + jb;                     \
         const float *restrict ex = extra ? extra + (oc + r) * m + jb : 0;  \
         const ACC *restrict a = acc[r];                                    \
-        for (int64_t j = 0; j < mb; j++) {                                 \
-            float v = sc * (float)a[j] + bv;                               \
-            if (relu && v < 0.0f) v = 0.0f;                                \
+        EPI_SPLIT(e, for (int64_t j = 0; j < mb; j++) {                    \
+            float v = epi_apply(e, (float)a[j], AFF);                      \
             if (ex) v += ex[j];                                            \
             dst[j] = v;                                                    \
-        }                                                                  \
+        });                                                                \
     }                                                                      \
 }                                                                          \
 static void NAME(const WTYPE *restrict wmat, const BTYPE *restrict cols,   \
                  const float *restrict bias, const float *restrict cscale, \
+                 const float *restrict aff,                                \
                  int64_t c_out, int64_t K, int64_t m, int relu,            \
                  float scale, const float *restrict extra,                 \
                  float *restrict out) {                                    \
@@ -292,8 +370,8 @@ static void NAME(const WTYPE *restrict wmat, const BTYPE *restrict cols,   \
         for (int64_t oc = 0; oc < c_out; oc += 4) {                        \
             int64_t nr = c_out - oc;                                       \
             if (nr > 4) nr = 4;                                            \
-            NAME##_tile(wmat, cols, bias, cscale, c_out, K, m, oc, nr,     \
-                        jb, mb, relu, scale, extra, out);                  \
+            NAME##_tile(wmat, cols, bias, cscale, aff, c_out, K, m, oc,    \
+                        nr, jb, mb, relu, scale, extra, out);              \
         }                                                                  \
     }                                                                      \
 }
@@ -311,7 +389,8 @@ DEF_GEMM(gemm_u8w8, int8_t, uint8_t, int32_t)
 #define DEF_LINEAR(NAME, TYPE, WTYPE)                                      \
 static void NAME(const TYPE *restrict x, const WTYPE *restrict wmat,       \
                  const float *restrict bias, const float *restrict cscale, \
-                 int64_t n, int64_t in_f, int64_t out_f, int relu,         \
+                 const float *restrict aff, int64_t n, int64_t in_f,      \
+                 int64_t out_f, int relu,                                  \
                  float scale, const float *restrict extra,                 \
                  float *restrict out) {                                    \
     for (int64_t i = 0; i < n; i++) {                                      \
@@ -363,9 +442,9 @@ static void NAME(const TYPE *restrict x, const WTYPE *restrict wmat,       \
                 const float *a = lanes[r];                                 \
                 float s = 0.0f;                                            \
                 for (int64_t l = 0; l < 16; l++) s += a[l];                \
-                float sc = cscale ? cscale[oc + r] : scale;                \
-                s = sc * s + (bias ? bias[oc + r] : 0.0f);                 \
-                if (relu && s < 0.0f) s = 0.0f;                            \
+                epi_t e = epi_channel(scale, cscale, bias, aff, oc + r,    \
+                                      relu);                               \
+                s = epi_apply(e, s, e.affine);                             \
                 if (extra) s += extra[i * out_f + oc + r];                 \
                 out[i * out_f + oc + r] = s;                               \
             }                                                              \
@@ -391,7 +470,8 @@ DEF_LINEAR(linear_u16, uint16_t, float)
 #define DEF_LINEAR_W8(NAME, TYPE)                                           \
 static void NAME(const TYPE *restrict x, const int8_t *restrict wmat,      \
                  const float *restrict bias, const float *restrict cscale, \
-                 int64_t n, int64_t in_f, int64_t out_f, int relu,         \
+                 const float *restrict aff, int64_t n, int64_t in_f,      \
+                 int64_t out_f, int relu,                                  \
                  float scale, const float *restrict extra,                 \
                  float *restrict out) {                                    \
     for (int64_t ib = 0; ib < n; ib += 16) {                               \
@@ -456,9 +536,9 @@ static void NAME(const TYPE *restrict x, const int8_t *restrict wmat,      \
                     const float *a = lanes[ii][r];                         \
                     float s = 0.0f;                                        \
                     for (int64_t l = 0; l < 16; l++) s += a[l];            \
-                    float sc = cscale ? cscale[oc + r] : scale;            \
-                    s = sc * s + (bias ? bias[oc + r] : 0.0f);             \
-                    if (relu && s < 0.0f) s = 0.0f;                        \
+                    epi_t e = epi_channel(scale, cscale, bias, aff,        \
+                                          oc + r, relu);                   \
+                    s = epi_apply(e, s, e.affine);                         \
                     if (extra) s += extra[(ib + ii) * out_f + oc + r];     \
                     out[(ib + ii) * out_f + oc + r] = s;                   \
                 }                                                          \
@@ -477,7 +557,8 @@ DEF_LINEAR_W8(linear_u16_w8, uint16_t)
 static void linear_u8_i8(const uint8_t *restrict x,
                          const int8_t *restrict wmat,
                          const float *restrict bias,
-                         const float *restrict cscale, int64_t n,
+                         const float *restrict cscale,
+                         const float *restrict aff, int64_t n,
                          int64_t in_f, int64_t out_f, int relu, float scale,
                          const float *restrict extra, float *restrict out) {
     for (int64_t i = 0; i < n; i++) {
@@ -487,9 +568,8 @@ static void linear_u8_i8(const uint8_t *restrict x,
             int32_t acc = 0;
             for (int64_t k = 0; k < in_f; k++)
                 acc += (int32_t)wr[k] * (int32_t)row[k];
-            float sc = cscale ? cscale[oc] : scale;
-            float s = sc * (float)acc + (bias ? bias[oc] : 0.0f);
-            if (relu && s < 0.0f) s = 0.0f;
+            epi_t e = epi_channel(scale, cscale, bias, aff, oc, relu);
+            float s = epi_apply(e, (float)acc, e.affine);
             if (extra) s += extra[i * out_f + oc];
             out[i * out_f + oc] = s;
         }
@@ -516,6 +596,7 @@ static void NAME(const float *restrict xp,                                  \
                  const WTYPE *restrict wmat,                                \
                  const float *restrict bias,                                \
                  const float *restrict cscale,                              \
+                 const float *restrict aff,                                 \
                  int64_t c_in, int64_t hp, int64_t wp,                      \
                  int64_t kh, int64_t kw,                                    \
                  int64_t oh, int64_t ow, int64_t c_out,                     \
@@ -600,33 +681,39 @@ static void NAME(const float *restrict xp,                                  \
                         }                                                   \
             }                                                               \
             for (int64_t r = 0; r < nr; r++) {                              \
-                float bv = bias ? bias[oc + r] : 0.0f;                      \
-                float sc = cscale ? cscale[oc + r] : scale;                 \
+                epi_t e = epi_channel(scale, cscale, bias, aff, oc + r,     \
+                                      relu);                                \
                 if (pool) {                                                 \
                     int64_t py = oy / 2;                                    \
                     float *restrict dst =                                   \
                         out + ((oc + r) * poh + py) * pow_;                 \
                     const float *restrict ex =                              \
                         extra ? extra + ((oc + r) * poh + py) * pow_ : 0;   \
-                    const float *restrict a0 = acc[r][0];                   \
-                    const float *restrict a1 = acc[r][1];                   \
-                    for (int64_t j = 0; j < pow_; j++) {                    \
-                        float v00 = sc * a0[2 * j] + bv;                    \
-                        float v01 = sc * a0[2 * j + 1] + bv;                \
-                        float v10 = sc * a1[2 * j] + bv;                    \
-                        float v11 = sc * a1[2 * j + 1] + bv;                \
-                        if (relu) {                                         \
-                            if (v00 < 0.0f) v00 = 0.0f;                     \
-                            if (v01 < 0.0f) v01 = 0.0f;                     \
-                            if (v10 < 0.0f) v10 = 0.0f;                     \
-                            if (v11 < 0.0f) v11 = 0.0f;                     \
+                    float *restrict a0 = acc[r][0];                         \
+                    float *restrict a1 = acc[r][1];                         \
+                    if (e.affine) {                                         \
+                        /* The affine's divide vectorises only along the    \
+                           unit-stride rows, so the epilogue runs there,    \
+                           in place, ahead of the stride-2 max. */          \
+                        for (int64_t j = 0; j < 2 * pow_; j++) {            \
+                            a0[j] = epi_apply(e, a0[j], 1);                 \
+                            a1[j] = epi_apply(e, a1[j], 1);                 \
                         }                                                   \
-                        float m0 = v00 > v01 ? v00 : v01;                   \
-                        float m1 = v10 > v11 ? v10 : v11;                   \
-                        float v = m0 > m1 ? m0 : m1;                        \
-                        if (ex) v += ex[j];                                 \
-                        dst[j] = v;                                         \
-                    }                                                       \
+                        for (int64_t j = 0; j < pow_; j++) {                \
+                            float v = max4(a0[2 * j], a0[2 * j + 1],        \
+                                           a1[2 * j], a1[2 * j + 1]);       \
+                            if (ex) v += ex[j];                             \
+                            dst[j] = v;                                     \
+                        }                                                   \
+                    } else                                                  \
+                        for (int64_t j = 0; j < pow_; j++) {                \
+                            float v = max4(epi_apply(e, a0[2 * j], 0),      \
+                                           epi_apply(e, a0[2 * j + 1], 0),  \
+                                           epi_apply(e, a1[2 * j], 0),      \
+                                           epi_apply(e, a1[2 * j + 1], 0)); \
+                            if (ex) v += ex[j];                             \
+                            dst[j] = v;                                     \
+                        }                                                   \
                 } else {                                                    \
                     for (int64_t t = 0; t < tr; t++) {                      \
                         float *restrict dst =                               \
@@ -635,12 +722,11 @@ static void NAME(const float *restrict xp,                                  \
                             extra ? extra + ((oc + r) * oh + oy + t) * ow   \
                                   : 0;                                      \
                         const float *restrict a = acc[r][t];                \
-                        for (int64_t j = 0; j < ow; j++) {                  \
-                            float v = sc * a[j] + bv;                       \
-                            if (relu && v < 0.0f) v = 0.0f;                 \
+                        EPI_SPLIT(e, for (int64_t j = 0; j < ow; j++) {     \
+                            float v = epi_apply(e, a[j], AFF);              \
                             if (ex) v += ex[j];                             \
                             dst[j] = v;                                     \
-                        }                                                   \
+                        });                                                 \
                     }                                                       \
                 }                                                           \
             }                                                               \
@@ -688,6 +774,7 @@ static void conv_vnni_u8i8(const uint8_t *restrict xp,
                            const int8_t *restrict w4,
                            const float *restrict bias,
                            const float *restrict cscale,
+                           const float *restrict aff,
                            int64_t c_in, int64_t hp, int64_t wp,
                            int64_t kh, int64_t G,
                            int64_t oh, int64_t ow, int64_t c_out,
@@ -746,8 +833,8 @@ static void conv_vnni_u8i8(const uint8_t *restrict xp,
                     _mm512_store_si512(acc[r][1], a[r][1]);
                 }
                 for (int64_t r = 0; r < nr; r++) {
-                    float bv = bias ? bias[oc + r] : 0.0f;
-                    float sc = cscale ? cscale[oc + r] : scale;
+                    epi_t e = epi_channel(scale, cscale, bias, aff, oc + r,
+                                          relu);
                     if (pool) {
                         /* jb is even (16-col tiles), so 2x2 pool pairs
                            never straddle a tile. */
@@ -759,21 +846,15 @@ static void conv_vnni_u8i8(const uint8_t *restrict xp,
                                   : 0;
                         int64_t jend = (jb + nc) / 2;
                         if (jend > pow_) jend = pow_;
+                        float f0[16], f1[16];
+                        EPI_SPLIT(e, for (int64_t j = 0; j < nc; j++) {
+                            f0[j] = epi_apply(e, (float)acc[r][0][j], AFF);
+                            f1[j] = epi_apply(e, (float)acc[r][1][j], AFF);
+                        });
                         for (int64_t j = jb / 2; j < jend; j++) {
                             int64_t x0 = 2 * j - jb;
-                            float v00 = sc * (float)acc[r][0][x0] + bv;
-                            float v01 = sc * (float)acc[r][0][x0 + 1] + bv;
-                            float v10 = sc * (float)acc[r][1][x0] + bv;
-                            float v11 = sc * (float)acc[r][1][x0 + 1] + bv;
-                            if (relu) {
-                                if (v00 < 0.0f) v00 = 0.0f;
-                                if (v01 < 0.0f) v01 = 0.0f;
-                                if (v10 < 0.0f) v10 = 0.0f;
-                                if (v11 < 0.0f) v11 = 0.0f;
-                            }
-                            float m0 = v00 > v01 ? v00 : v01;
-                            float m1 = v10 > v11 ? v10 : v11;
-                            float v = m0 > m1 ? m0 : m1;
+                            float v = max4(f0[x0], f0[x0 + 1], f1[x0],
+                                           f1[x0 + 1]);
                             if (ex) v += ex[j];
                             dst[j] = v;
                         }
@@ -787,12 +868,11 @@ static void conv_vnni_u8i8(const uint8_t *restrict xp,
                                             jb
                                       : 0;
                             const int32_t *restrict av = acc[r][t];
-                            for (int64_t j = 0; j < nc; j++) {
-                                float v = sc * (float)av[j] + bv;
-                                if (relu && v < 0.0f) v = 0.0f;
+                            EPI_SPLIT(e, for (int64_t j = 0; j < nc; j++) {
+                                float v = epi_apply(e, (float)av[j], AFF);
                                 if (ex) v += ex[j];
                                 dst[j] = v;
-                            }
+                            });
                         }
                     }
                 }
@@ -875,11 +955,98 @@ static void maxpool_planes(const float *restrict x, int64_t planes,
 }
 
 /* ------------------------------------------------------------------ */
+/* b ** e for the LRN denominator as exp2(e * log2(b)): log2 from the */
+/* float's exponent field plus an atanh series on the mantissa folded */
+/* into [sqrt(1/2), sqrt(2)), exp2 as a degree-6 polynomial on the    */
+/* fraction scaled by 2^n built in the exponent field.  Branch-free,  */
+/* so gcc vectorises it (libm powf does not).  Only valid for a       */
+/* positive normal b with y = e * log2(b) in [-126, 127]; *y_out lets */
+/* the caller route every other lane to powf.                         */
+/* ------------------------------------------------------------------ */
+static inline float pow_fast(float b, float e, float *restrict y_out) {
+    union { float f; int32_t i; } u = {b};
+    float ex = (float)(((u.i >> 23) & 0xff) - 127);
+    u.i = (u.i & 0x007fffff) | 0x3f800000;
+    float m = u.f;
+    int hi = m > 1.41421356f;
+    m = hi ? 0.5f * m : m;
+    ex = hi ? ex + 1.0f : ex;
+    float t = (m - 1.0f) / (m + 1.0f), t2 = t * t;
+    float lg = ex + t * (2.88539008f + t2 * (0.961796694f +
+                    t2 * (0.577078016f + t2 * (0.412198583f +
+                    t2 * 0.320598898f))));
+    float y = e * lg;
+    *y_out = y;
+    y = y < -126.0f ? -126.0f : (y > 127.0f ? 127.0f : y);
+    float nf = (y + 12582912.0f) - 12582912.0f;  /* round to nearest */
+    float f = y - nf;
+    float p = 1.0f + f * (0.693147181f + f * (0.240226507f +
+                  f * (0.0555041087f + f * (0.00961812911f +
+                  f * (0.00133335581f + f * 0.000154035304f)))));
+    union { int32_t i; float f; } s = {((int32_t)nf + 127) << 23};
+    return p * s.f;
+}
+
+/* Lanes pow_fast cannot serve (bitwise &, so the test vectorises). */
+static inline int pow_slow_lane(float b, float y) {
+    return !((b >= FLT_MIN) & (b <= FLT_MAX) & (y >= -126.0f) &
+             (y <= 127.0f));
+}
+
+/* Local response normalisation of one sample (c channels of `plane`  */
+/* floats): out = x * (k + a * window) ** e with prm = {a, k, e} =     */
+/* {alpha/size, k, -beta} and window the sum of squares over the size  */
+/* channels centred on each channel, accumulated in ascending channel  */
+/* order like the numpy op (its zero-padded terms add exactly 0 to a   */
+/* non-negative sum, so they are skipped).  scratch holds (c + 3)      */
+/* planes: the squares, then the base, exponent and power rows.        */
+static void lrn_sample(const float *restrict x, int64_t c, int64_t plane,
+                       int64_t size, const float *restrict prm,
+                       float *restrict scratch, const float *restrict ex,
+                       float *restrict out) {
+    float a = prm[0], k = prm[1], e = prm[2];
+    float *restrict sq = scratch;
+    float *restrict base = sq + c * plane;
+    float *restrict yv = base + plane;
+    float *restrict pw = yv + plane;
+    for (int64_t j = 0; j < c * plane; j++) sq[j] = x[j] * x[j];
+    for (int64_t ch = 0; ch < c; ch++) {
+        int64_t lo = ch - size / 2, hi = lo + size;
+        if (lo < 0) lo = 0;
+        if (hi > c) hi = c;
+        memcpy(base, sq + lo * plane, (size_t)plane * sizeof(float));
+        for (int64_t t = lo + 1; t < hi; t++) {
+            const float *restrict row = sq + t * plane;
+            for (int64_t j = 0; j < plane; j++) base[j] += row[j];
+        }
+        int slow = 0;
+        for (int64_t j = 0; j < plane; j++) {
+            float b = base[j] * a + k, y;
+            base[j] = b;
+            pw[j] = pow_fast(b, e, &y);
+            yv[j] = y;
+            slow |= pow_slow_lane(b, y);
+        }
+        for (int64_t j = 0; slow && j < plane; j++)
+            if (pow_slow_lane(base[j], yv[j])) pw[j] = powf(base[j], e);
+        const float *restrict xs = x + ch * plane;
+        float *restrict dst = out + ch * plane;
+        const float *restrict exs = ex ? ex + ch * plane : 0;
+        for (int64_t j = 0; j < plane; j++) {
+            float v = xs[j] * pw[j];
+            if (exs) v += exs[j];
+            dst[j] = v;
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Program interpreter: one record per IR op, RECORD_FIELDS int64     */
 /* each, plus one float (the epilogue scale) per record in fscale.    */
 /* Fields: [op, relu, c_in, h, w, c_out, kh, kw, sh, sw, ph, pw, oh,  */
 /*          ow, weight_index, bias_index, in_dtype, add_extra, pool,  */
-/*          pool_oh, pool_ow, pad_value, wmode, cscale_index]         */
+/*          pool_oh, pool_ow, pad_value, wmode, cscale_index,         */
+/*          affine_index]                                             */
 /* in_dtype (0=f32, 1=u8, 2=u16) is nonzero only on the first record  */
 /* (quantised-code ingest); extra is the full-batch per-row tensor an */
 /* add_extra op folds into its output write (the noise add).  wmode   */
@@ -887,9 +1054,13 @@ static void maxpool_planes(const float *restrict x, int64_t planes,
 /* 2=i8 weight codes on the fully integer u8-act path, 3=the packed   */
 /* VNNI integer direct conv — only emitted when has_vnni()) selects   */
 /* the kernel variant; cscale_index points into the weight table at   */
-/* the per-output-channel f32 scale vector (-1: scalar fscale).       */
+/* the per-output-channel f32 scale vector (-1: scalar fscale), and   */
+/* affine_index at the (c_out, 4) {mean, sd, gamma, beta} table of a  */
+/* folded BatchNorm (-1: none).  The standalone affine record (op 5)  */
+/* reads the same table; the lrn record (op 6) takes its window size  */
+/* in kh and {alpha/size, k, -beta} at weight_index.                  */
 /* ------------------------------------------------------------------ */
-#define REC 24
+#define REC 25
 
 void run_program(const int64_t *restrict prog, const float *restrict fscale,
                  int64_t n_ops, int64_t n,
@@ -916,6 +1087,7 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
         float padv = (float)r[21];
         int wmode = (int)r[22];
         const float *cscale = r[23] >= 0 ? weights[r[23]] : 0;
+        const float *aff = r[24] >= 0 ? weights[r[24]] : 0;
         float scale = fscale[op];
         float *dst = (op == n_ops - 1) ? output : arenas[which];
         which ^= 1;
@@ -933,11 +1105,11 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                                padv, ucols);
                     if (m == 1)
                         linear_u8_i8(ucols, (const int8_t *)wmat, bias,
-                                     cscale, 1, K, c_out, relu, scale,
+                                     cscale, aff, 1, K, c_out, relu, scale,
                                      exs, os);
                     else
                         gemm_u8w8((const int8_t *)wmat, ucols, bias, cscale,
-                                  c_out, K, m, relu, scale, exs, os);
+                                  aff, c_out, K, m, relu, scale, exs, os);
                     continue;
                 }
                 if (dtype == 1)
@@ -955,17 +1127,17 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                 if (wmode == 1) {
                     if (m == 1)
                         linear_f32_w8(cols, (const int8_t *)wmat, bias,
-                                      cscale, 1, K, c_out, relu, scale,
+                                      cscale, aff, 1, K, c_out, relu, scale,
                                       exs, os);
                     else
                         gemm_w8((const int8_t *)wmat, cols, bias, cscale,
-                                c_out, K, m, relu, scale, exs, os);
+                                aff, c_out, K, m, relu, scale, exs, os);
                 } else if (m == 1)
-                    linear_f32(cols, wmat, bias, cscale, 1, K, c_out, relu,
-                               scale, exs, os);
+                    linear_f32(cols, wmat, bias, cscale, aff, 1, K, c_out,
+                               relu, scale, exs, os);
                 else
-                    gemm_f32(wmat, cols, bias, cscale, c_out, K, m, relu,
-                             scale, exs, os);
+                    gemm_f32(wmat, cols, bias, cscale, aff, c_out, K, m,
+                             relu, scale, exs, os);
             }
         } else if (kind == 4) { /* conv2d, direct stride-1 kernel */
             int64_t out_es = pool ? c_out * poh * pow_ : c_out * oh * ow;
@@ -977,8 +1149,9 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                                      c_in, h, w, ph, pw, (uint8_t)r[21],
                                      (uint8_t *)cols);
                     conv_vnni_u8i8((const uint8_t *)cols,
-                                   (const int8_t *)wmat, bias, cscale, c_in,
-                                   hp, wp, kh, (kw + 3) / 4, oh, ow, c_out,
+                                   (const int8_t *)wmat, bias, cscale, aff,
+                                   c_in, hp, wp, kh, (kw + 3) / 4, oh, ow,
+                                   c_out,
                                    relu, scale, pool, poh, pow_,
                                    ex ? ex + s * out_es : 0,
                                    dst + s * out_es);
@@ -996,13 +1169,14 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                                   c_in, h, w, ph, pw, 0.0f, cols);
                 if (wmode == 1)
                     conv_direct_sample_w8(cols, (const int8_t *)wmat, bias,
-                                          cscale, c_in, hp, wp, kh, kw, oh,
-                                          ow, c_out, relu, scale, pool, poh,
-                                          pow_, ex ? ex + s * out_es : 0,
+                                          cscale, aff, c_in, hp, wp, kh, kw,
+                                          oh, ow, c_out, relu, scale, pool,
+                                          poh, pow_,
+                                          ex ? ex + s * out_es : 0,
                                           dst + s * out_es);
                 else
-                    conv_direct_sample(cols, wmat, bias, cscale, c_in, hp,
-                                       wp, kh, kw, oh, ow, c_out, relu,
+                    conv_direct_sample(cols, wmat, bias, cscale, aff, c_in,
+                                       hp, wp, kh, kw, oh, ow, c_out, relu,
                                        scale, pool, poh, pow_,
                                        ex ? ex + s * out_es : 0,
                                        dst + s * out_es);
@@ -1010,28 +1184,28 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
         } else if (kind == 1) { /* linear: c_in = in_f, c_out = out_f */
             if (wmode == 2)
                 linear_u8_i8((const uint8_t *)src, (const int8_t *)wmat,
-                             bias, cscale, n, c_in, c_out, relu, scale, ex,
-                             dst);
+                             bias, cscale, aff, n, c_in, c_out, relu, scale,
+                             ex, dst);
             else if (wmode == 1) {
                 const int8_t *w8 = (const int8_t *)wmat;
                 if (dtype == 1)
-                    linear_u8_w8((const uint8_t *)src, w8, bias, cscale, n,
-                                 c_in, c_out, relu, scale, ex, dst);
+                    linear_u8_w8((const uint8_t *)src, w8, bias, cscale, aff,
+                                 n, c_in, c_out, relu, scale, ex, dst);
                 else if (dtype == 2)
                     linear_u16_w8((const uint16_t *)src, w8, bias, cscale,
-                                  n, c_in, c_out, relu, scale, ex, dst);
+                                  aff, n, c_in, c_out, relu, scale, ex, dst);
                 else
-                    linear_f32_w8((const float *)src, w8, bias, cscale, n,
-                                  c_in, c_out, relu, scale, ex, dst);
+                    linear_f32_w8((const float *)src, w8, bias, cscale, aff,
+                                  n, c_in, c_out, relu, scale, ex, dst);
             } else if (dtype == 1)
-                linear_u8((const uint8_t *)src, wmat, bias, cscale, n, c_in,
-                          c_out, relu, scale, ex, dst);
+                linear_u8((const uint8_t *)src, wmat, bias, cscale, aff, n,
+                          c_in, c_out, relu, scale, ex, dst);
             else if (dtype == 2)
-                linear_u16((const uint16_t *)src, wmat, bias, cscale, n,
+                linear_u16((const uint16_t *)src, wmat, bias, cscale, aff, n,
                            c_in, c_out, relu, scale, ex, dst);
             else
-                linear_f32((const float *)src, wmat, bias, cscale, n, c_in,
-                           c_out, relu, scale, ex, dst);
+                linear_f32((const float *)src, wmat, bias, cscale, aff, n,
+                           c_in, c_out, relu, scale, ex, dst);
         } else if (kind == 2) { /* standalone relu over c_in elems/sample */
             const float *restrict sf = (const float *)src;
             int64_t total = n * c_in;
@@ -1045,13 +1219,33 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                     float v = sf[j];
                     dst[j] = v > 0.0f ? v : 0.0f;
                 }
-        } else { /* maxpool2d over n*c_in planes */
+        } else if (kind == 3) { /* maxpool2d over n*c_in planes */
             maxpool_planes((const float *)src, n * c_in, h, w, kh, kw, sh,
                            sw, ph, pw, oh, ow, dst);
             if (ex) {
                 int64_t total = n * c_in * oh * ow;
                 for (int64_t j = 0; j < total; j++) dst[j] += ex[j];
             }
+        } else if (kind == 5) { /* standalone affine over n*c_in planes */
+            const float *restrict sf = (const float *)src;
+            int64_t plane = h * w;
+            for (int64_t p = 0; p < n * c_in; p++) {
+                const float *ac = aff + 4 * (p % c_in);
+                float mean = ac[0], sd = ac[1], gamma = ac[2], beta = ac[3];
+                const float *restrict xs = sf + p * plane;
+                const float *restrict exs = ex ? ex + p * plane : 0;
+                float *restrict d = dst + p * plane;
+                for (int64_t j = 0; j < plane; j++) {
+                    float v = bn_affine(xs[j], mean, sd, gamma, beta);
+                    if (exs) v += exs[j];
+                    d[j] = v;
+                }
+            }
+        } else { /* lrn, one sample at a time (kh = window size) */
+            int64_t es = c_in * h * w;
+            for (int64_t s = 0; s < n; s++)
+                lrn_sample((const float *)src + s * es, c_in, h * w, kh,
+                           wmat, cols, ex ? ex + s * es : 0, dst + s * es);
         }
         src = dst;
     }
@@ -1089,6 +1283,31 @@ def available() -> bool:
 def load() -> ctypes.CDLL | None:
     """The configured library (``None`` when unavailable or disabled)."""
     return _MODULE.load()
+
+
+def variant() -> str | None:
+    """The conv kernel set the loaded library compiled: ``"vnni"`` (the
+    packed AVX-512 VNNI integer conv is in) or ``"generic"``; ``None``
+    when the library is unavailable."""
+    lib = load()
+    if lib is None:
+        return None
+    return "vnni" if lib.has_vnni() else "generic"
+
+
+def _record(**fields: int) -> tuple[int, ...]:
+    """One program record; unnamed fields are 0, or -1 for table indices."""
+    values = {name: -1 if name in _TABLE_FIELDS else 0 for name in RECORD_LAYOUT}
+    values.update(fields)
+    if len(values) != RECORD_FIELDS:  # pragma: no cover - a misspelt field
+        raise ValueError(f"unknown record fields: {set(values) - set(RECORD_LAYOUT)}")
+    return tuple(values[name] for name in RECORD_LAYOUT)
+
+
+def _window(op: ir.IROp) -> dict[str, int]:
+    """The conv/pool window fields of a record."""
+    (kh, kw), (sh, sw), (ph, pw) = op.kernel, op.stride, op.padding
+    return dict(kh=kh, kw=kw, sh=sh, sw=sw, ph=ph, pw=pw, oh=op.oh, ow=op.ow)
 
 
 class CompiledProgram:
@@ -1148,10 +1367,8 @@ class CompiledProgram:
             if skip_next:  # merged into the previous record
                 skip_next = False
                 continue
-            dtype_code = _DTYPE_CODES[op.in_spec.dtype]
             add = int(op.add_rows)
             scale, cscale, bias = ir.epilogue_constants(op)
-            zero_point = 0 if op.dequant is None else int(op.dequant.zero_point)
             if op.wq is not None:
                 weight = op.wq.codes
                 wmode = 2 if ir.integer_matmul_eligible(op) else 1
@@ -1164,101 +1381,110 @@ class CompiledProgram:
                     # exactly the flattened sample in weight order, so it
                     # lowers to the linear record — one batched kernel
                     # call instead of an im2col + dot per sample.
-                    records.append(
-                        (OP_LINEAR, int(op.relu), op.in_spec.elements, 0, 0,
-                         op.out_spec.elements, 0, 0, 0, 0, 0, 0, 0, 0,
-                         _index(weight), _index(bias), dtype_code, add,
-                         0, 0, 0, zero_point, wmode, _index(cscale))
+                    fields = dict(op=OP_LINEAR, c_in=op.in_spec.elements,
+                                  c_out=op.out_spec.elements)
+                else:
+                    direct = ir.direct_conv_eligible(op)
+                    if op.pool and not direct:  # pragma: no cover - rewrite guard
+                        raise AssertionError("fused pool requires the direct kernel")
+                    fields = dict(
+                        op=OP_CONV2D_DIRECT if direct else OP_CONV2D,
+                        c_in=c_in, h=h, w=w, c_out=op.out_spec.shape[0],
+                        **_window(op), pool=int(op.pool),
                     )
-                    scales.append(scale)
-                    continue
-                direct = ir.direct_conv_eligible(op)
-                if op.pool and not direct:  # pragma: no cover - rewrite guard
-                    raise AssertionError("fused pool requires the direct kernel")
-                opcode = OP_CONV2D_DIRECT if direct else OP_CONV2D
-                pool = int(op.pool)
-                poh, pow_ = (op.out_spec.shape[1:] if op.pool else (0, 0))
-                if (
-                    wmode == 2
-                    and lib_vnni
-                    and op.stride == (1, 1)
-                    and op.kernel[1] <= 8
-                    and op.oh * op.ow > 1
-                ):
-                    # Upgrade the integer GEMM to the packed VNNI direct
-                    # kernel: exact i32 accumulation makes the two
-                    # schedules bit-identical, so this is purely a
-                    # record-level choice.  The weight operand becomes a
-                    # frozen (c_out, c_in*kh, G, 4) packing of the code
-                    # plane with kw zero-padded to 4G taps — still int8
-                    # codes, never a dequantised copy.
-                    wmode = 3
-                    opcode = OP_CONV2D_DIRECT
-                    kh, kw = op.kernel
-                    group_count = -(-kw // 4)
-                    codes3 = weight.reshape(-1, c_in * kh, kw)
-                    packed = np.zeros(
-                        (codes3.shape[0], c_in * kh, 4 * group_count),
-                        dtype=np.int8,
-                    )
-                    packed[:, :, :kw] = codes3
-                    weight = np.ascontiguousarray(
-                        packed.reshape(codes3.shape[0], -1)
-                    )
-                    nxt = compute[pos + 1] if pos + 1 < len(compute) else None
+                    if op.pool:
+                        fields["pool_oh"], fields["pool_ow"] = op.out_spec.shape[1:]
                     if (
-                        nxt is not None
-                        and nxt.kind == "maxpool2d"
-                        and nxt.kernel == (2, 2)
-                        and nxt.stride == (2, 2)
-                        and nxt.padding == (0, 0)
-                        and op.oh >= 2
-                        and op.ow >= 2
+                        wmode == 2
+                        and lib_vnni
+                        and op.stride == (1, 1)
+                        and op.kernel[1] <= 8
+                        and op.oh * op.ow > 1
                     ):
-                        # The rewrite pipeline keeps integer convs
-                        # unfused (the GEMM cannot pool); this kernel
-                        # pools like the direct one, so merge the
-                        # eval-mode 2x2/2 pool back at record level.
-                        pool = 1
-                        poh, pow_ = nxt.out_spec.shape[1:]
-                        add = int(nxt.add_rows)
-                        skip_next = True
-                records.append(
-                    (opcode, int(op.relu),
-                     c_in, h, w, op.out_spec.shape[0], *op.kernel, *op.stride,
-                     *op.padding, op.oh, op.ow, _index(weight),
-                     _index(bias), dtype_code, add, pool, poh, pow_,
-                     zero_point, wmode, _index(cscale))
-                )
+                        # Upgrade the integer GEMM to the packed VNNI direct
+                        # kernel: exact i32 accumulation makes the two
+                        # schedules bit-identical, so this is purely a
+                        # record-level choice.  The weight operand becomes a
+                        # frozen (c_out, c_in*kh, G, 4) packing of the code
+                        # plane with kw zero-padded to 4G taps — still int8
+                        # codes, never a dequantised copy.
+                        wmode = 3
+                        fields["op"] = OP_CONV2D_DIRECT
+                        kh, kw = op.kernel
+                        group_count = -(-kw // 4)
+                        codes3 = weight.reshape(-1, c_in * kh, kw)
+                        packed = np.zeros(
+                            (codes3.shape[0], c_in * kh, 4 * group_count),
+                            dtype=np.int8,
+                        )
+                        packed[:, :, :kw] = codes3
+                        weight = np.ascontiguousarray(
+                            packed.reshape(codes3.shape[0], -1)
+                        )
+                        nxt = compute[pos + 1] if pos + 1 < len(compute) else None
+                        if (
+                            nxt is not None
+                            and nxt.kind == "maxpool2d"
+                            and nxt.kernel == (2, 2)
+                            and nxt.stride == (2, 2)
+                            and nxt.padding == (0, 0)
+                            and op.oh >= 2
+                            and op.ow >= 2
+                        ):
+                            # The rewrite pipeline keeps integer convs
+                            # unfused (the GEMM cannot pool); this kernel
+                            # pools like the direct one, so merge the
+                            # eval-mode 2x2/2 pool back at record level.
+                            fields["pool"] = 1
+                            fields["pool_oh"], fields["pool_ow"] = nxt.out_spec.shape[1:]
+                            add = int(nxt.add_rows)
+                            skip_next = True
             elif op.kind == "linear":
-                records.append(
-                    (OP_LINEAR, int(op.relu), op.in_spec.elements, 0, 0,
-                     op.out_spec.elements, 0, 0, 0, 0, 0, 0, 0, 0,
-                     _index(weight), _index(bias), dtype_code, add,
-                     0, 0, 0, zero_point, wmode, _index(cscale))
-                )
+                fields = dict(op=OP_LINEAR, c_in=op.in_spec.elements,
+                              c_out=op.out_spec.elements)
             elif op.kind == "relu":
-                records.append(
-                    (OP_RELU, 0, op.in_spec.elements, 0, 0, 0, 0, 0, 0, 0,
-                     0, 0, 0, 0, -1, -1, dtype_code, add, 0, 0, 0, 0, 0, -1)
-                )
+                fields = dict(op=OP_RELU, c_in=op.in_spec.elements)
             elif op.kind == "maxpool2d":
                 c, h, w = op.in_spec.shape
-                records.append(
-                    (OP_MAXPOOL2D, 0, c, h, w, 0, *op.kernel, *op.stride,
-                     *op.padding, op.oh, op.ow, -1, -1, dtype_code, add,
-                     0, 0, 0, 0, 0, -1)
+                fields = dict(op=OP_MAXPOOL2D, c_in=c, h=h, w=w, **_window(op))
+            elif op.kind == "affine":
+                c, h, w = op.in_spec.shape
+                fields = dict(op=OP_AFFINE, c_in=c, h=h, w=w)
+            elif op.kind == "lrn":
+                c, h, w = op.in_spec.shape
+                lrn = op.lrn
+                fields = dict(op=OP_LRN, c_in=c, h=h, w=w, kh=lrn.size)
+                # The numpy op's f32 operands: alpha/size and k are cast
+                # at their use, -beta is the power's exponent.
+                weight = np.array(
+                    [lrn.alpha / lrn.size, lrn.k, -lrn.beta], dtype=np.float32
                 )
             else:  # pragma: no cover - lowering controls the op kinds
                 raise ValueError(f"IR op {op.kind!r} has no native lowering")
+            affine = None
+            if op.affine is not None:
+                a = op.affine
+                affine = np.ascontiguousarray(
+                    np.stack([a.mean, a.sd, a.gamma, a.beta], axis=1)
+                )
+            records.append(_record(
+                **fields,
+                relu=int(op.relu),
+                weight=_index(weight),
+                bias=_index(bias),
+                in_dtype=_DTYPE_CODES[op.in_spec.dtype],
+                add_extra=add,
+                pad_value=0 if op.dequant is None else int(op.dequant.zero_point),
+                wmode=wmode,
+                cscale=_index(cscale),
+                affine=_index(affine),
+            ))
             scales.append(scale)
 
         if not records:
             raise ValueError("cannot compile a program with no compute ops")
         plan = ir.plan_buffers(program)
         self._records = np.asarray(records, dtype=np.int64)
-        if self._records.shape[1] != RECORD_FIELDS:  # pragma: no cover
-            raise AssertionError("program record width drifted from the C side")
         self._scales = np.asarray(scales, dtype=np.float32)
         table = (ctypes.c_void_p * max(1, len(self._weight_arrays)))()
         for index, array in enumerate(self._weight_arrays):

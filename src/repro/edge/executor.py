@@ -12,11 +12,12 @@ dimension changes.
 :class:`~repro.nn.Sequential` into an inference-only plan in which every
 kernel's per-row arithmetic is independent of the batch geometry.  The
 layer list is split once by :func:`repro.edge.ir.segment_modules` into IR
-segments (Conv2d, Linear, ReLU, MaxPool2d, Flatten, eval-mode Dropout)
-and python-fallback runs (eval-mode BatchNorm2d, LocalResponseNorm,
-anything in training mode or unrecognised).  Each IR segment is lowered
-**once per input geometry** by :func:`repro.edge.ir.lower` — the single
-lowering + rewrite pipeline shared by every backend — and the resulting
+segments (Conv2d, Linear, ReLU, MaxPool2d, Flatten, LocalResponseNorm,
+eval-mode BatchNorm2d and Dropout) and python-fallback runs (anything in
+training mode or unrecognised), so every eval-mode half of the four
+backbones is a single IR segment.  Each IR segment is lowered **once per
+input geometry** by :func:`repro.edge.ir.lower` — the single lowering +
+rewrite pipeline shared by every backend — and the resulting
 :class:`~repro.edge.ir.Program` is interpreted by whichever backend the
 executor was constructed with.  Neither backend owns lowering or fusion
 logic of its own.
@@ -28,8 +29,9 @@ When a system C compiler is available, each lowered program runs in **one
 C call per segment** via :class:`repro.edge._fastexec.CompiledProgram`:
 per-sample im2col + register-blocked conv GEMM, a direct (im2col-free)
 kernel for eligible stride-1 convs, row-blocked linear dot products, fused
-scale/bias/ReLU/pool/noise-add epilogues, and quantised-code ingest — all
-over reusable ping-pong scratch arenas.
+scale/bias/BatchNorm/ReLU/pool/noise-add epilogues, standalone affine and
+LRN passes, and quantised-code ingest — all over reusable ping-pong
+scratch arenas.
 
 *Backend selection* happens **once, at executor construction**:
 ``"auto"`` picks the native backend when the kernel compiles (and the
@@ -73,6 +75,8 @@ batch-invariant numpy kernels:
   ``(1, K) @ (K, N)`` GEMM per row (:func:`batch_invariant_linear`);
 * **maxpool2d** — a window-max reduction over the strided im2col view
   (no argmax bookkeeping: serving never needs the pooling gradient);
+* **affine** (eval-mode BatchNorm, standalone or in a conv epilogue) and
+  **lrn** — the training-path functionals' own numpy op order;
 * quantised-code inputs are dequantised at the consuming op via
   :func:`repro.edge.quantization.dequantize` (numpy GEMMs cannot fold the
   affine map profitably, so this backend keeps the f32 materialisation
@@ -99,10 +103,9 @@ asserts stays 0 on the native backend).  Both backends remain bitwise
 batch-invariant and run-to-run deterministic with the rewrite on; the
 on↔off comparison is label-agreement-gated (see :mod:`repro.edge.ir`).
 
-Python-fallback layers run via per-module handlers (or the module's own
-forward under ``no_grad``), exactly as before.  Non-float32 float inputs
-(e.g. float64 probes) bypass the IR entirely and run the handler chain,
-preserving the input dtype.
+Python-fallback segments (training-mode or unrecognised modules) run each
+module's own forward under ``no_grad``.  So do non-float32 float inputs
+(e.g. float64 probes), which bypass the IR entirely and keep their dtype.
 
 Both backends reuse scratch across calls: a serving session runs the same
 geometry every micro-batch, and repeated malloc/mmap churn dominated the
@@ -132,14 +135,8 @@ import numpy as np
 from repro.edge import _fastexec, ir
 from repro.edge.quantization import QuantizationParams, dequantize
 from repro.errors import ChannelError, ConfigurationError
-from repro.nn import Linear, Sequential, Tensor, no_grad
-from repro.nn.im2col import conv_output_size, extract_windows
-from repro.nn.layers.activation import ReLU
-from repro.nn.layers.conv import Conv2d
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.norm import BatchNorm2d, LocalResponseNorm
-from repro.nn.layers.pooling import MaxPool2d
+from repro.nn import Sequential, Tensor, no_grad
+from repro.nn.im2col import extract_windows
 
 KERNEL_BACKENDS = ("auto", "native", "numpy")
 
@@ -162,14 +159,39 @@ def batch_invariant_linear(
     return out
 
 
+def _affine(x: np.ndarray, affine: ir.ChannelAffine) -> np.ndarray:
+    """Eval-mode BatchNorm in place on an NCHW batch, in the functional's
+    op order ``(x − mean) / sd · gamma + beta``; elementwise, hence
+    batch-invariant."""
+    x -= affine.mean[:, None, None]
+    x /= affine.sd[:, None, None]
+    x *= affine.gamma[:, None, None]
+    x += affine.beta[:, None, None]
+    return x
+
+
+def _local_response_norm(x: np.ndarray, params: ir.LRNParams) -> np.ndarray:
+    """Cross-channel LRN with the functional's accumulation order."""
+    n, c, h, w = x.shape
+    size = params.size
+    half = size // 2
+    padded = np.zeros((n, c + size - 1, h, w), dtype=x.dtype)
+    padded[:, half : half + c] = x * x
+    window = padded[:, 0:c].copy()
+    for offset in range(1, size):
+        window += padded[:, offset : offset + c]
+    denom = (window * (params.alpha / size) + params.k) ** (-params.beta)
+    return x * denom
+
+
 class _NumpyProgram:
     """Numpy interpreter for one lowered :class:`~repro.edge.ir.Program`.
 
-    Walks ``Program.ops`` with the executor's batch-invariant numpy
-    kernels, reusing the executor's shape-keyed scratch buffers.  Fused
-    epilogue flags run the *same* numpy ops the standalone lowering would
-    (an in-place ``np.maximum`` for ReLU, the identical window-max for a
-    fused pool, the identical ``+=`` for a folded add), so toggling
+    Walks ``Program.ops`` with batch-invariant numpy kernels, reusing the
+    executor's shape-keyed scratch buffers.  Fused epilogue steps run the
+    *same* numpy ops the standalone lowering would (the in-place BatchNorm
+    affine, an in-place ``np.maximum`` for ReLU, the identical window-max
+    for a fused pool, the identical ``+=`` for a folded add), so toggling
     rewrites never changes this backend's bits.  A ``dequant`` op
     dequantises its input here — numpy cannot fold the affine map into a
     GEMM profitably — which keeps this backend bitwise identical to the
@@ -228,11 +250,7 @@ class _NumpyProgram:
                     out = out3.reshape(n, c_out, op.oh, op.ow)
                     if op.bias is not None:
                         out += op.bias.reshape(1, c_out, 1, 1)
-                    if op.relu:
-                        np.maximum(out, 0.0, out=out)
-                    if op.pool:
-                        out = self._pool(position, out, (2, 2), (2, 2), (0, 0))
-                    x = out
+                    x = self._conv_tail(position, op, out)
             elif op.kind == "linear":
                 if op.wq is not None:
                     x = self._linear_wq(position, op, x, integer_op)
@@ -251,11 +269,27 @@ class _NumpyProgram:
                 x = np.maximum(x, 0.0, out=out)
             elif op.kind == "maxpool2d":
                 x = self._pool(position, x, op.kernel, op.stride, op.padding)
+            elif op.kind == "affine":
+                out = self._buffer(position, "out", x.shape, np.float32)
+                np.copyto(out, x)
+                x = _affine(out, op.affine)
+            elif op.kind == "lrn":
+                x = _local_response_norm(x, op.lrn)
             else:  # pragma: no cover - lowering controls the op kinds
                 raise ValueError(f"IR op {op.kind!r} has no numpy lowering")
             if op.add_rows:
                 x = x + extra.reshape(x.shape)
         return x
+
+    def _conv_tail(self, position, op, out) -> np.ndarray:
+        """A conv's epilogue after its bias: BatchNorm affine, ReLU, pool."""
+        if op.affine is not None:
+            _affine(out, op.affine)
+        if op.relu:
+            np.maximum(out, 0.0, out=out)
+        if op.pool:
+            out = self._pool(position, out, (2, 2), (2, 2), (0, 0))
+        return out
 
     def _conv_wq(self, position, op, x, integer_op) -> np.ndarray:
         """Conv with int8 weights: exact integer matmul on the composed
@@ -301,12 +335,7 @@ class _NumpyProgram:
         out3 *= cscale.reshape(1, c_out, 1)
         if bias is not None:
             out3 += bias.reshape(1, c_out, 1)
-        out = out3.reshape(n, c_out, op.oh, op.ow)
-        if op.relu:
-            np.maximum(out, 0.0, out=out)
-        if op.pool:
-            out = self._pool(position, out, (2, 2), (2, 2), (0, 0))
-        return out
+        return self._conv_tail(position, op, out3.reshape(n, c_out, op.oh, op.ow))
 
     def _linear_wq(self, position, op, x, integer_op) -> np.ndarray:
         """Linear with int8 weights (see :meth:`_conv_wq`)."""
@@ -424,12 +453,15 @@ class BatchInvariantExecutor:
         self._wq_i32_cache: dict[int, np.ndarray] = {}
         # (id(op), ingest) -> epilogue constants (shared per lowered op).
         self._epilogue_cache: dict[tuple[int, bool], tuple] = {}
-        self._plan = [
-            (index, module, self._handler(module))
-            for index, module in enumerate(net.layers())
-        ]
         self._scratch: dict[tuple, np.ndarray] = {}
-        self._segments = ir.segment_modules(self._plan)
+        self._segments = ir.segment_modules(list(enumerate(net.layers())))
+        # The epilogue add belongs to the final segment when it is an IR
+        # run; otherwise it is added after the last segment.
+        self._fold_index = (
+            len(self._segments) - 1
+            if self._segments and self._segments[-1][0] == "ir"
+            else None
+        )
         # (segment, in_shape, quantization, epilogue_add) -> ir.Program
         self._lowered: dict[tuple, ir.Program] = {}
         # (segment, n, in_shape, quantization, epilogue_add) -> interpreter
@@ -438,25 +470,6 @@ class BatchInvariantExecutor:
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def _handler(self, module):
-        if isinstance(module, Conv2d):
-            return self._conv2d
-        if isinstance(module, Linear):
-            return self._linear
-        if isinstance(module, ReLU):
-            return self._relu
-        if isinstance(module, MaxPool2d):
-            return self._max_pool2d
-        if isinstance(module, Flatten):
-            return self._flatten
-        if isinstance(module, Dropout):
-            return self._dropout
-        if isinstance(module, BatchNorm2d):
-            return self._batch_norm2d
-        if isinstance(module, LocalResponseNorm):
-            return self._local_response_norm
-        return None  # fall back to the module's own forward
-
     def _program(
         self,
         segment_index: int,
@@ -496,15 +509,11 @@ class BatchInvariantExecutor:
             self._programs[key] = interpreter
         return program, interpreter
 
-    def _run_python_rows(self, rows: list, x: np.ndarray) -> np.ndarray:
-        for index, module, handler in rows:
-            if handler is not None and not (
-                isinstance(module, BatchNorm2d) and module.training
-            ):
-                x = handler(index, module, x)
-            else:
-                with no_grad():
-                    x = module(Tensor(np.ascontiguousarray(x))).numpy()
+    def _run_modules(self, rows: list, x: np.ndarray) -> np.ndarray:
+        """The python fallback: each module's own forward, no tape."""
+        with no_grad():
+            for _index, module in rows:
+                x = module(Tensor(np.ascontiguousarray(x))).numpy()
         return x
 
     def _buffer(self, key: tuple, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -550,90 +559,6 @@ class BatchInvariantExecutor:
             cached = ir.epilogue_constants(op, ingest=ingest)
             self._epilogue_cache[key] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    # Kernels (each per-row invariant to the batch geometry)
-    # ------------------------------------------------------------------
-    def _conv2d(self, index: int, module: Conv2d, x: np.ndarray) -> np.ndarray:
-        n, c_in, h, w = x.shape
-        kh, kw = module.kernel_size
-        stride, padding = module.stride, module.padding
-        oh = conv_output_size(h, kh, stride[0], padding[0])
-        ow = conv_output_size(w, kw, stride[1], padding[1])
-        c_out = module.out_channels
-        windows = extract_windows(x, (kh, kw), stride, padding)
-        cols = self._buffer((index, "cols"), windows.shape, x.dtype)
-        np.copyto(cols, windows)
-        cols3 = cols.reshape(n, c_in * kh * kw, oh * ow)
-        w_mat = module.weight.data.reshape(c_out, c_in * kh * kw)
-        out3 = self._buffer((index, "out"), (n, c_out, oh * ow), x.dtype)
-        # Stacked per-sample GEMM: identical geometry for every sample, so
-        # the result is independent of n (and matches the training path).
-        np.matmul(w_mat, cols3, out=out3)
-        out = out3.reshape(n, c_out, oh, ow)
-        if module.bias is not None:
-            out += module.bias.data.reshape(1, c_out, 1, 1)
-        return out
-
-    def _linear(self, index: int, module: Linear, x: np.ndarray) -> np.ndarray:
-        out3 = self._buffer(
-            (index, "out"), (len(x), 1, module.out_features), x.dtype
-        )
-        np.matmul(x[:, None, :], module.weight.data.T, out=out3)
-        out = out3.reshape(len(x), module.out_features)
-        if module.bias is not None:
-            out += module.bias.data
-        return out
-
-    def _relu(self, index: int, module: ReLU, x: np.ndarray) -> np.ndarray:
-        out = self._buffer((index, "out"), x.shape, x.dtype)
-        return np.maximum(x, 0.0, out=out)
-
-    def _max_pool2d(self, index: int, module: MaxPool2d, x: np.ndarray) -> np.ndarray:
-        windows = extract_windows(x, module.kernel_size, module.stride, module.padding)
-        n, c, kh, kw, oh, ow = windows.shape
-        cols = self._buffer((index, "cols"), windows.shape, x.dtype)
-        np.copyto(cols, windows)
-        out = self._buffer((index, "out"), (n, c, oh, ow), x.dtype)
-        # Per-element window max on a contiguous copy (reducing the strided
-        # view directly is an order of magnitude slower); serving never
-        # needs the argmax the training path keeps for its gradient.
-        return cols.reshape(n, c, kh * kw, oh, ow).max(axis=2, out=out)
-
-    def _flatten(self, index: int, module: Flatten, x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(x).reshape(len(x), -1)
-
-    def _dropout(self, index: int, module: Dropout, x: np.ndarray) -> np.ndarray:
-        if module.training:  # pragma: no cover - serving nets are eval-mode
-            raise RuntimeError("serving executor requires eval-mode dropout")
-        return x
-
-    def _batch_norm2d(self, index: int, module: BatchNorm2d, x: np.ndarray) -> np.ndarray:
-        c = module.num_features
-        mean = module.running_mean.reshape(1, c, 1, 1)
-        var = module.running_var.reshape(1, c, 1, 1)
-        # Same op order as the training-path functional (eval branch), so
-        # the values match it exactly; elementwise, hence batch-invariant.
-        x_hat = (x - mean) / np.sqrt(var + module.eps)
-        return x_hat * module.gamma.data.reshape(1, c, 1, 1) + module.beta.data.reshape(
-            1, c, 1, 1
-        )
-
-    def _local_response_norm(
-        self, index: int, module: LocalResponseNorm, x: np.ndarray
-    ) -> np.ndarray:
-        n, c, h, w = x.shape
-        size, alpha, beta, k = module.size, module.alpha, module.beta, module.k
-        half = size // 2
-        squared = x * x
-        padded = np.zeros((n, c + size - 1, h, w), dtype=x.dtype)
-        padded[:, half : half + c] = squared
-        window = padded[:, 0:c].copy()
-        # Same accumulation order as the functional implementation.
-        for offset in range(1, size):
-            window += padded[:, offset : offset + c]
-        denom = (window * (alpha / size) + k) ** (-beta)
-        return x * denom
 
     # ------------------------------------------------------------------
     # Quantised-code ingest helpers
@@ -701,24 +626,6 @@ class BatchInvariantExecutor:
             )
         return out.shape
 
-    def _numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        return self._run_python_rows(self._plan, x)
-
-    def _replay_numpy(
-        self,
-        batch: np.ndarray,
-        quantization: QuantizationParams | None,
-        extra: np.ndarray | None,
-    ) -> np.ndarray:
-        """Whole-batch handler replay for mid-chain dtype surprises."""
-        x = np.ascontiguousarray(batch)
-        if quantization is not None and x.dtype != np.float32:
-            x = self._dequantize_input(x, quantization)
-        x = self._numpy_forward(x)
-        if extra is not None:
-            x = x + extra.reshape(x.shape)
-        return x
-
     def __call__(
         self,
         batch: np.ndarray,
@@ -749,51 +656,27 @@ class BatchInvariantExecutor:
             extra = np.ascontiguousarray(np.asarray(extra, dtype=np.float32))
         if quantization is not None and x.dtype == np.float32:
             quantization = None  # already dequantised upstream
-        if x.dtype not in _IR_DTYPES or (
-            x.dtype != np.float32 and quantization is None
-        ):
-            # Non-f32 float probes (e.g. float64) keep the historical
-            # handler path and their dtype.
-            out = self._numpy_forward(x)
-            if extra is not None:
-                out = out + extra.reshape(out.shape)
-            return self._finish(out)
         pending = quantization
-        # The epilogue add belongs to the final segment (when it is an IR
-        # run); everything else leaves `extra` for the post-loop add.
-        fold_index = (
-            len(self._segments) - 1
-            if self._segments and self._segments[-1][0] == "ir"
-            else None
-        )
         for segment_index, (kind, rows) in enumerate(self._segments):
-            if kind == "python":
+            if kind == "python" or x.dtype not in _IR_DTYPES or (
+                x.dtype != np.float32 and pending is None
+            ):
+                # Training-mode or unknown modules — and non-f32 float
+                # inputs such as float64 probes, which keep their dtype —
+                # run the modules' own forwards.
                 if pending is not None:
                     x = self._dequantize_input(x, pending)
                     pending = None
-                x = self._run_python_rows(rows, x)
+                x = self._run_modules(rows, x)
                 continue
-            if x.dtype not in _IR_DTYPES or (
-                x.dtype != np.float32 and pending is None
-            ):
-                # A python-fallback layer changed the dtype mid-chain;
-                # replay the whole batch on the handler plan rather than
-                # silently casting.
-                return self._finish(
-                    self._replay_numpy(batch, quantization, extra)
-                )
-            if not x.flags.c_contiguous:
-                x = np.ascontiguousarray(x)
-            want_extra = extra is not None and segment_index == fold_index
+            want_extra = extra is not None and segment_index == self._fold_index
             program, interpreter = self._program(
                 segment_index, rows, len(x), x.shape[1:], pending, want_extra
             )
             if program.consumes_codes:
                 x = self._check_codes(x, pending)
                 pending = None
-            elif pending is not None and any(
-                op.kind != "flatten" for op in program.ops
-            ):
+            elif pending is not None and interpreter is not None:
                 # Rewrite off (or first op not foldable): dequantise now.
                 # The same lowered program accepts the f32 batch.
                 x = self._dequantize_input(x, pending)
@@ -802,6 +685,8 @@ class BatchInvariantExecutor:
                 # Flatten-only segment: a free reshape (codes included).
                 x = np.ascontiguousarray(x).reshape(len(x), -1)
                 continue
+            if not x.flags.c_contiguous:
+                x = np.ascontiguousarray(x)
             if program.extra == ir.EXTRA_FOLDED:
                 x = interpreter(x, extra)
                 extra = None

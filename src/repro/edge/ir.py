@@ -10,8 +10,8 @@ dequantised by :mod:`repro.edge.quantization` before either saw them.
 This module is the **single lowering pass** that replaces all three:
 
 * :func:`segment_modules` splits a layer list into IR-lowerable runs and
-  python-fallback runs (eval-mode BatchNorm2d/LocalResponseNorm, anything
-  in training mode or unrecognised);
+  python-fallback runs (anything in training mode or unrecognised — every
+  eval-mode half of the four backbones is one IR run);
 * :func:`lower` turns one run into a :class:`Program` — a typed op list
   (:class:`IROp`: op kind, per-sample shapes, dtypes, weight references)
   plus input/output specs — and then applies the **rewrite pipeline**;
@@ -26,6 +26,25 @@ the numpy interpreter (:class:`repro.edge.executor._NumpyProgram`) walks
 (:class:`repro.edge._fastexec.CompiledProgram`) translates the same ops
 into the flat int64 record array its C interpreter executes.  There is no
 backend-private lowering path.
+
+Normalisation
+=============
+
+Canonical lowering — not a rewrite, so it also holds with the pipeline
+off — turns an eval-mode BatchNorm2d into a per-channel affine
+``(y − mean) / sd · gamma + beta`` with ``sd = sqrt(running_var + eps)``
+computed in f32, the training-path functional's op order
+(:class:`ChannelAffine`).  A BatchNorm that directly follows a conv folds
+into that conv's epilogue: the affine runs after the bias and after any
+dequant or int8-weight scale, and before ReLU, the fused pool and the
+folded noise add — so ``fuse_relu`` and ``fuse_conv_pool`` fire on
+conv→BN→ReLU→pool blocks.  Any other BatchNorm becomes a standalone
+``affine`` op, and LocalResponseNorm an ``lrn`` op.  The constants are
+frozen copies taken at lowering; serving nets are frozen, and a hot-swap
+replaces modules, which evicts the lowering cache.  Neither op costs MACs.
+The numpy interpreter runs the functionals' own numpy op order; the
+native backend is f32-close, because ``gcc`` contracts ``x̂·gamma + beta``
+into an FMA and computes the LRN power with a vectorised polynomial.
 
 Rewrites
 ========
@@ -125,6 +144,7 @@ from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
+from repro.nn.layers.norm import BatchNorm2d, LocalResponseNorm
 from repro.nn.layers.pooling import MaxPool2d
 
 #: Rewrite names, in pipeline order.
@@ -219,6 +239,42 @@ class TensorSpec:
         return np.dtype({"f32": np.float32, "u8": np.uint8, "u16": np.uint16}[self.dtype])
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelAffine:
+    """Frozen eval-mode BatchNorm2d constants, one entry per channel.
+
+    Applied as ``(y − mean) / sd · gamma + beta`` with
+    ``sd = sqrt(running_var + eps)`` computed in f32 — the training-path
+    functional's op order.  Copies taken at lowering (serving nets are
+    frozen; a hot-swap replaces modules, which evicts the lowering cache).
+    """
+
+    mean: np.ndarray
+    sd: np.ndarray
+    gamma: np.ndarray
+    beta: np.ndarray
+
+    @classmethod
+    def from_module(cls, module: BatchNorm2d) -> "ChannelAffine":
+        return cls(
+            mean=np.array(module.running_mean, dtype=np.float32),
+            sd=np.sqrt(module.running_var + module.eps).astype(np.float32),
+            gamma=np.array(module.gamma.data, dtype=np.float32),
+            beta=np.array(module.beta.data, dtype=np.float32),
+        )
+
+
+@dataclass(frozen=True)
+class LRNParams:
+    """Cross-channel local response normalisation, as the module holds it:
+    ``x · (k + alpha/size · Σ_window x²) ** −beta``."""
+
+    size: int
+    alpha: float
+    beta: float
+    k: float
+
+
 @dataclass(frozen=True)
 class IROp:
     """One op of a lowered program.
@@ -226,11 +282,12 @@ class IROp:
     Geometry is per-sample; the batch dimension is an interpreter
     parameter.  Epilogue state (``relu``, ``pool``, ``dequant``,
     ``add_rows``) is what the rewrite pipeline edits; canonical lowering
-    emits it all unset.
+    emits it all unset, except ``affine``, which canonical lowering sets on
+    a conv that an eval-mode BatchNorm2d directly follows.
 
     Attributes:
         kind: ``"conv2d"`` | ``"linear"`` | ``"relu"`` | ``"maxpool2d"``
-            | ``"flatten"``.
+            | ``"affine"`` | ``"lrn"`` | ``"flatten"``.
         in_spec / out_spec: Value specs around this op (``out_spec`` is
             the *pooled* shape when ``pool`` is set).
         kernel / stride / padding: Conv or pool window geometry.
@@ -246,6 +303,11 @@ class IROp:
             ``wq.scales`` applied in the epilogue; ``weight`` stays the
             live f32 reference for cost pricing only — backends must not
             touch it.
+        affine: Per-channel BatchNorm constants.  On a conv it is an
+            epilogue step after the bias and any dequant / int8-weight
+            scale, before ReLU, the fused pool and the folded add; on an
+            ``"affine"`` op it is the whole op.
+        lrn: The ``"lrn"`` op's parameters.
         add_rows: The op adds the program's extra per-row input tensor at
             its output write (the folded noise add).
         source: Layer indices (within the original Sequential) this op
@@ -266,6 +328,8 @@ class IROp:
     pool: bool = False
     dequant: QuantizationParams | None = None
     wq: WeightQuantization | None = None
+    affine: ChannelAffine | None = None
+    lrn: LRNParams | None = None
     add_rows: bool = False
     source: tuple[int, ...] = ()
 
@@ -473,6 +537,11 @@ def _plan_buffers_uncached(program: Program) -> BufferPlan:
         which ^= 1
         if not last:
             arena = max(arena, op.out_spec.elements)
+        if op.kind == "lrn":
+            # Per-sample squares of every channel, plus the base, exponent
+            # and power rows of the channel being normalised.
+            c, h, w = op.in_spec.shape
+            scratch = max(scratch, (c + 3) * h * w)
         if op.kind == "conv2d":
             c_in, h, w = op.in_spec.shape
             kh, kw = op.kernel
@@ -507,20 +576,22 @@ def _plan_buffers_uncached(program: Program) -> BufferPlan:
 def supported(module) -> bool:
     """Whether the IR can absorb this layer.
 
-    Eval-mode dropout is the identity; training-mode dropout must stay on
-    the python fallback so it raises exactly like the numpy handlers.
+    Eval-mode dropout is the identity and eval-mode BatchNorm2d a frozen
+    per-channel affine; in training mode both depend on more than the row
+    (random masks, batch statistics), so they stay on the python fallback
+    and run the module's own forward.
     """
-    if isinstance(module, (Conv2d, Linear, ReLU, MaxPool2d, Flatten)):
+    if isinstance(module, (Conv2d, Linear, ReLU, MaxPool2d, Flatten, LocalResponseNorm)):
         return True
-    return isinstance(module, Dropout) and not module.training
+    return isinstance(module, (Dropout, BatchNorm2d)) and not module.training
 
 
 def segment_modules(rows: list[tuple]) -> list[tuple[str, list[tuple]]]:
     """Split executor plan rows into ``("ir", rows)`` / ``("python", rows)``.
 
-    ``rows`` are the executor's ``(index, module, handler)`` tuples; the
-    split is purely by :func:`supported`, preserving order.  Lowering of
-    the ``"ir"`` runs happens later, per batch geometry.
+    ``rows`` are the executor's ``(index, module)`` tuples; the split is
+    purely by :func:`supported`, preserving order.  Lowering of the
+    ``"ir"`` runs happens later, per batch geometry.
     """
     segments: list[tuple[str, list[tuple]]] = []
     current_kind: str | None = None
@@ -540,6 +611,14 @@ def segment_modules(rows: list[tuple]) -> list[tuple[str, list[tuple]]]:
 # ----------------------------------------------------------------------
 # Lowering (one pass, shared by every backend)
 # ----------------------------------------------------------------------
+def _require_planes(module, shape: tuple[int, ...], channels: int | None = None) -> None:
+    """Normalisation layers need a (C, H, W) value, with C = ``channels``."""
+    if len(shape) != 3 or channels not in (None, shape[0]):
+        raise ConfigurationError(
+            f"{type(module).__name__} cannot normalise a segment carrying {shape}"
+        )
+
+
 def _lower_canonical(
     rows: list[tuple], input_shape: tuple[int, ...]
 ) -> list[IROp]:
@@ -638,6 +717,26 @@ def _lower_canonical(
                     out_spec=TensorSpec(shape),
                     source=(index,),
                 )
+            )
+        elif isinstance(module, BatchNorm2d):
+            _require_planes(module, shape, module.num_features)
+            affine = ChannelAffine.from_module(module)
+            if ops and ops[-1].kind == "conv2d" and ops[-1].affine is None:
+                # Folded into the conv's epilogue, after its bias.
+                ops[-1] = replace(
+                    ops[-1], affine=affine, source=ops[-1].source + (index,)
+                )
+            else:
+                ops.append(
+                    IROp(kind="affine", in_spec=in_spec, out_spec=in_spec,
+                         affine=affine, source=(index,))
+                )
+        elif isinstance(module, LocalResponseNorm):
+            _require_planes(module, shape)
+            lrn = LRNParams(module.size, module.alpha, module.beta, module.k)
+            ops.append(
+                IROp(kind="lrn", in_spec=in_spec, out_spec=in_spec, lrn=lrn,
+                     source=(index,))
             )
         elif isinstance(module, Dropout) and not module.training:
             continue  # identity at inference time
@@ -766,8 +865,6 @@ def _rewrite_fold_epilogue_add(ops: list[IROp]) -> tuple[list[IROp], bool]:
     while last >= 0 and ops[last].kind == "flatten":
         last -= 1
     if last < 0:
-        return ops, False
-    if ops[last].kind not in ("conv2d", "linear", "relu", "maxpool2d"):
         return ops, False
     rewritten = list(ops)
     rewritten[last] = replace(rewritten[last], add_rows=True)

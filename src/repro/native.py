@@ -10,9 +10,13 @@ life cycle, implemented once here:
    a portable retry) into a per-user cache directory;
 2. the resulting shared object is loaded with :mod:`ctypes` and its
    signatures configured by the owning module;
-3. subsequent processes reuse the cached ``.so`` keyed by the source hash,
-   so a source edit transparently rebuilds while an unchanged kernel costs
-   one ``stat``.
+3. subsequent processes reuse the cached ``.so`` keyed by the source, the
+   compile flags and the host's ISA flag set (the ``flags`` line of
+   ``/proc/cpuinfo``), so a source edit transparently rebuilds, a
+   ``-march=native`` artifact in a shared or copied cache is never loaded
+   on a host with a different ISA (which would die with SIGILL), and an
+   unchanged kernel costs one ``stat``.  The compiler version is left out:
+   reading it would cost a ``cc --version`` subprocess on every load.
 
 Environment contract (honoured by every kernel family):
 
@@ -32,6 +36,7 @@ staging path.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -41,6 +46,9 @@ from typing import Callable
 
 DISABLE_ENV_VAR = "REPRO_NO_C_KERNEL"
 DIR_ENV_VAR = "REPRO_KERNEL_DIR"
+
+#: Flags of the primary build (a portable retry drops ``-march=native``).
+COMPILE_FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 
 _compiler_cache: tuple[str | None] | None = None
 
@@ -85,21 +93,40 @@ def _is_private_to_us(path: Path) -> bool:
     return info.st_uid == os.getuid() and not (info.st_mode & 0o022)
 
 
-def source_digest(source: str) -> str:
-    """Short content hash keying a compiled artifact to its source."""
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
+@functools.lru_cache(maxsize=None)
+def host_isa_flags() -> str:
+    """The host's ISA feature set: the first ``flags`` line of
+    ``/proc/cpuinfo``, or ``""`` where there is none (memoised)."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                key, _, value = line.partition(":")
+                if key.strip() == "flags":
+                    return " ".join(value.split())
+    except OSError:
+        pass
+    return ""
+
+
+def artifact_path(name: str, source: str) -> Path:
+    """Where the compiled ``source`` lives: ``<kernel_dir>/<name>-<hash>.so``,
+    the hash covering the source, :data:`COMPILE_FLAGS` and
+    :func:`host_isa_flags`."""
+    identity = "\0".join((source, " ".join(COMPILE_FLAGS), host_isa_flags()))
+    digest = hashlib.sha256(identity.encode()).hexdigest()[:16]
+    return kernel_dir() / f"{name}-{digest}.so"
 
 
 def build_library(name: str, source: str) -> ctypes.CDLL | None:
     """Compile (or reuse) ``source`` and load it; ``None`` on any failure.
 
-    The artifact is ``<kernel_dir>/<name>-<hash>.so``; compilation goes
-    through a pid-suffixed staging file and an atomic rename so concurrent
-    processes never load a half-written library.
+    The artifact is :func:`artifact_path`; compilation goes through a
+    pid-suffixed staging file and an atomic rename so concurrent processes
+    never load a half-written library.
     """
-    directory = kernel_dir()
-    digest = source_digest(source)
-    library = directory / f"{name}-{digest}.so"
+    library = artifact_path(name, source)
+    directory = library.parent
+    stem = library.stem
     if not (
         library.exists()
         and _is_private_to_us(directory)
@@ -111,11 +138,12 @@ def build_library(name: str, source: str) -> ctypes.CDLL | None:
         directory.mkdir(parents=True, exist_ok=True, mode=0o700)
         if not _is_private_to_us(directory):
             return None
-        source_path = directory / f"{name}-{digest}.c"
+        source_path = directory / f"{stem}.c"
         source_path.write_text(source)
-        staging = directory / f"{name}-{digest}-{os.getpid()}.so.tmp"
-        base = [compiler, "-O3", "-shared", "-fPIC", "-o", str(staging), str(source_path)]
-        native = base[:2] + ["-march=native"] + base[2:]
+        staging = directory / f"{stem}-{os.getpid()}.so.tmp"
+        output = ["-o", str(staging), str(source_path)]
+        native = [compiler, *COMPILE_FLAGS, *output]
+        base = [compiler, *(f for f in COMPILE_FLAGS if f != "-march=native"), *output]
         try:
             subprocess.run(native, capture_output=True, check=True)
         except subprocess.CalledProcessError:

@@ -1,9 +1,12 @@
-"""Batch-invariance tests for the serving forward executor.
+"""Batch-invariance and oracle tests for the serving forward executor.
 
 The serving runtime's parity guarantee rests on one property: the
 executor's result for a row is a pure function of that row, independent of
 how many other rows share the batch.  These tests enforce it bitwise for
-all four backbones and every layer type they use.
+all four backbones and every layer type they use, and tie both halves of
+every split, on both backends, to the model the noise is trained against:
+the eval-mode ``repro.nn`` forward with trained (randomised) BatchNorm
+statistics.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.edge import BatchInvariantExecutor, batch_invariant_linear
+from repro.edge import BatchInvariantExecutor, _fastexec, batch_invariant_linear, ir
 from repro.models import build_model
 from repro.nn import Linear, Sequential, Tanh, Tensor, no_grad
+from tests.helpers import randomise_batch_norms
+
+#: The IR's f32 tolerance (native and numpy both straddle the f64 result).
+ATOL, RTOL = 2e-4, 2e-4
 
 
 def _random_batch(model, n, seed=0):
@@ -48,6 +55,48 @@ class TestBatchInvariance:
         with no_grad():
             plain = model.net(Tensor(batch)).numpy()
         np.testing.assert_allclose(executor(batch), plain, atol=1e-5, rtol=1e-5)
+
+
+@pytest.fixture(scope="module", params=["lenet", "svhn", "cifar", "alexnet"])
+def trained_model(request):
+    """A backbone whose BatchNorms carry non-trivial trained statistics."""
+    rng = np.random.default_rng(17)
+    model = build_model(request.param, rng, width=0.5).eval()
+    randomise_batch_norms(model.net, rng)
+    return model
+
+
+_BACKENDS = ["numpy"] + (["native"] if _fastexec.available() else [])
+
+
+class TestTrainedStatisticsOracle:
+    """Every split half, on both backends and with the rewrite pipeline
+    on and off, runs as IR segments only and matches the eval-mode
+    ``repro.nn`` forward of the same half within the IR tolerance."""
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("rewrites", [ir.ALL_REWRITES, ()], ids=["rewrites", "canonical"])
+    def test_halves_match_training_path_forward(self, trained_model, backend, rewrites):
+        x = _random_batch(trained_model, 4, seed=7)
+        for cut in trained_model.cut_names():
+            local, remote = trained_model.split(cut)
+            with no_grad():
+                # The tape promotes BN/LRN outputs to float64; the cloud
+                # half is served the f32 activation.
+                activation = local(Tensor(x)).numpy().astype(np.float32)
+                logits = remote(Tensor(activation)).numpy()
+            for half, inputs, expected in (
+                (local, x, activation),
+                (remote, activation, logits),
+            ):
+                executor = BatchInvariantExecutor(half, backend, ir_rewrites=rewrites)
+                assert {kind for kind, _ in executor._segments} <= {"ir"}, cut
+                out = executor(inputs)
+                np.testing.assert_allclose(out, expected, atol=ATOL, rtol=RTOL)
+                singles = np.concatenate(
+                    [executor(inputs[i : i + 1]) for i in range(len(inputs))]
+                )
+                np.testing.assert_array_equal(out, singles)
 
 
 class TestExecutorSafety:

@@ -18,10 +18,11 @@ from repro.edge import ir, layer_macs, plan_batch_window, profile_network
 from repro.edge.quantization import QuantizationParams
 from repro.errors import ConfigurationError
 from repro.models import build_model
-from repro.nn import Conv2d, Linear, MaxPool2d, ReLU, Sequential
+from repro.nn import Conv2d, Linear, MaxPool2d, ReLU, Sequential, Tanh
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.layers.norm import BatchNorm2d, LocalResponseNorm
+from tests.helpers import randomise_batch_norms
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +74,98 @@ class TestCanonicalLowering:
     def test_segmentation_splits_on_unsupported(self):
         net = Sequential(
             Conv2d(1, 4, 3, rng=np.random.default_rng(0)),
-            BatchNorm2d(4),
+            Tanh(),
             ReLU(),
         ).eval()
-        rows = [(i, m, None) for i, m in enumerate(net.layers())]
-        kinds = [kind for kind, _ in ir.segment_modules(rows)]
+        kinds = [kind for kind, _ in ir.segment_modules(_rows(net))]
         assert kinds == ["ir", "python", "ir"]
+
+    def test_segmentation_splits_on_training_mode_batch_norm(self):
+        bn = BatchNorm2d(4)
+        net = Sequential(
+            Conv2d(1, 4, 3, rng=np.random.default_rng(0)), bn, ReLU()
+        ).eval()
+        assert [kind for kind, _ in ir.segment_modules(_rows(net))] == ["ir"]
+        bn.train()
+        kinds = [kind for kind, _ in ir.segment_modules(_rows(net))]
+        assert kinds == ["ir", "python", "ir"]
+
+
+def _randomised_bn(channels: int, seed: int) -> BatchNorm2d:
+    net = Sequential(BatchNorm2d(channels)).eval()
+    return randomise_batch_norms(net, np.random.default_rng(seed))[0]
+
+
+class TestNormalisationLowering:
+    def test_batch_norm_after_conv_folds_into_its_epilogue(self):
+        bn = _randomised_bn(4, 0)
+        net = Sequential(
+            Conv2d(1, 4, 3, padding=1, rng=np.random.default_rng(0)), bn,
+            ReLU(), MaxPool2d(2, 2),
+        ).eval()
+        canonical = ir.lower(_rows(net), (1, 16, 16), rewrites=())
+        assert [op.kind for op in canonical.ops] == ["conv2d", "relu", "maxpool2d"]
+        conv = canonical.ops[0]
+        assert conv.source == (0, 1)
+        np.testing.assert_array_equal(
+            conv.affine.sd, np.sqrt(bn.running_var + bn.eps)
+        )
+        # Frozen copies, not live references.
+        assert not np.shares_memory(conv.affine.mean, bn.running_mean)
+        assert not np.shares_memory(conv.affine.gamma, bn.gamma.data)
+        # With BN folded, ReLU and the 2x2 pool fuse into the conv again.
+        fused = ir.lower(
+            _rows(net), (1, 16, 16), rewrites=(ir.FUSE_RELU, ir.FUSE_CONV_POOL)
+        )
+        assert [op.kind for op in fused.ops] == ["conv2d"]
+        assert fused.ops[0].relu and fused.ops[0].pool
+        np.testing.assert_array_equal(fused.ops[0].affine.beta, conv.affine.beta)
+
+    def test_batch_norm_without_a_conv_is_a_standalone_affine(self):
+        net = Sequential(
+            Conv2d(1, 4, 3, rng=np.random.default_rng(0)), ReLU(),
+            _randomised_bn(4, 1),
+        ).eval()
+        program = ir.lower(_rows(net), (1, 8, 8), rewrites=(ir.FUSE_RELU,))
+        assert [op.kind for op in program.ops] == ["conv2d", "affine"]
+        assert program.ops[0].affine is None
+        assert program.ops[1].source == (2,)
+
+    def test_lrn_lowers_to_its_own_op(self):
+        lrn = LocalResponseNorm(size=3, alpha=1e-3, beta=0.5, k=1.5)
+        program = ir.lower([(0, lrn)], (6, 5, 5), rewrites=())
+        (op,) = program.ops
+        assert op.kind == "lrn"
+        assert op.lrn == ir.LRNParams(3, 1e-3, 0.5, 1.5)
+        assert op.out_spec == op.in_spec
+        # Squares of every channel plus three rows of the one in hand.
+        assert ir.plan_buffers(program).scratch_elements == (6 + 3) * 25
+
+    def test_normalisation_costs_no_macs(self):
+        for module in (_randomised_bn(4, 2), LocalResponseNorm()):
+            op = ir.lower_module(module, (4, 8, 8))
+            assert op.kind in ("affine", "lrn") and op.macs == 0
+            assert layer_macs(module, (1, 4, 8, 8), (1, 4, 8, 8)) == 0
+
+    def test_noise_add_folds_into_a_trailing_normalisation(self):
+        net = Sequential(
+            Conv2d(1, 4, 3, rng=np.random.default_rng(0)), ReLU(),
+            LocalResponseNorm(size=3),
+        ).eval()
+        program = ir.lower(
+            _rows(net), (1, 8, 8), epilogue_add=True,
+            rewrites=(ir.FOLD_EPILOGUE_ADD,),
+        )
+        assert program.extra == ir.EXTRA_FOLDED
+        assert program.ops[-1].kind == "lrn" and program.ops[-1].add_rows
+
+    @pytest.mark.parametrize("name", ["svhn", "cifar", "alexnet"])
+    def test_eval_mode_halves_are_single_ir_segments(self, name):
+        model = build_model(name, np.random.default_rng(0), width=0.5).eval()
+        for cut in model.cut_names():
+            for half in model.split(cut):
+                kinds = [kind for kind, _ in ir.segment_modules(_rows(half))]
+                assert kinds in (["ir"], []), (cut, kinds)
 
     def test_geometry_mismatch_raises(self):
         net = Sequential(Conv2d(3, 4, 3, rng=np.random.default_rng(0))).eval()

@@ -16,11 +16,14 @@ both backends and compare:
   native kernels are disabled;
 * **per-rewrite axis** (``TestRewriteDifferential``): every IR rewrite
   toggled on/off — including quantised-code inputs and the noise-add
-  epilogue — must be f32-close across backends and across togglings, and
-  bitwise batch-invariant / run-to-run deterministic within one backend
-  at a fixed toggling.
+  epilogue, on a net carrying folded and standalone BatchNorm and LRN —
+  must be f32-close across backends and across togglings, and bitwise
+  batch-invariant / run-to-run deterministic within one backend at a
+  fixed toggling;
+* the native ``lrn`` record against the numpy op, including bases the
+  vectorised power cannot serve (zero, subnormal, huge, NaN).
 
-Shared-infrastructure checks for :mod:`repro.native` (source-hash caching,
+Shared-infrastructure checks for :mod:`repro.native` (artifact identity,
 ``REPRO_KERNEL_DIR``) ride along at the bottom.
 """
 
@@ -39,7 +42,9 @@ from repro.nn.im2col import conv_output_size
 from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.flatten import Flatten
+from repro.nn.layers.norm import BatchNorm2d, LocalResponseNorm
 from repro.nn.layers.pooling import MaxPool2d
+from tests.helpers import randomise_batch_norms
 
 requires_kernel = pytest.mark.skipif(
     not _fastexec.available(), reason="no C compiler for the native kernels"
@@ -238,7 +243,8 @@ class TestDeterminism:
         assert out_shape == (8, 3, 10, 10)
         assert executor._programs  # program exists before the first batch
 
-    def test_float64_input_falls_back_to_numpy_plan(self):
+    def test_float64_input_runs_module_forward(self):
+        """Non-f32 float probes skip the IR and keep their dtype."""
         rng = np.random.default_rng(10)
         net = Sequential(("fc", Linear(6, 4, rng=rng))).eval()
         executor = BatchInvariantExecutor(net, kernel_backend="native")
@@ -249,22 +255,28 @@ class TestDeterminism:
 
 
 def _rewrite_net(rng):
-    """A split-backbone-shaped stack on which every rewrite can fire."""
+    """A split-backbone-shaped stack on which every rewrite can fire: a
+    conv→BN→ReLU→pool block (BN folds into the conv's epilogue), an LRN,
+    and a BN with no conv before it (a standalone affine)."""
     c_in = int(rng.integers(1, 4))
     c_mid = int(rng.integers(3, 8))
     h = w = int(rng.integers(14, 26))
     oh = (conv_output_size(h, 3, 1, 1)) // 2
     oh = conv_output_size(oh, 3, 1, 0)
     features = (c_mid + 2) * oh * oh
-    return Sequential(
+    net = Sequential(
         ("conv0", Conv2d(c_in, c_mid, 3, 1, 1, rng=rng)),
+        ("bn0", BatchNorm2d(c_mid)),
         ("relu0", ReLU()),
         ("pool0", MaxPool2d(2)),
+        ("lrn0", LocalResponseNorm(size=3, alpha=0.1, beta=0.75, k=1.0)),
         ("conv1", Conv2d(c_mid, c_mid + 2, 3, 1, 0, rng=rng)),
         ("relu1", ReLU()),
+        ("bn1", BatchNorm2d(c_mid + 2)),
         ("flat", Flatten()),
         ("head", Linear(features, 10, rng=rng)),
-    ).eval(), (c_in, h, w)
+    ).eval()
+    return randomise_batch_norms(net, rng), (c_in, h, w)
 
 
 def _rewrite_backends():
@@ -354,6 +366,11 @@ class TestRewriteDifferential:
             rewrites=ir.ALL_REWRITES,
         )
         assert set(program.rewrites) == set(ir.ALL_REWRITES)
+        kinds = [op.kind for op in program.ops]
+        assert kinds == ["conv2d", "lrn", "conv2d", "affine", "flatten", "linear"]
+        conv0 = program.ops[0]
+        assert conv0.affine is not None and conv0.dequant is not None
+        assert conv0.relu and conv0.pool
 
     @requires_kernel
     def test_int8_ingest_skips_the_dequant_copy(self):
@@ -488,6 +505,72 @@ class TestRewriteDifferential:
             BatchInvariantExecutor(net, "numpy", ir_rewrites=("fuse_everything",))
 
 
+def _lrn_case(case, rng):
+    """``(x, LocalResponseNorm)`` for one LRN property case."""
+    c = int(rng.integers(1, 12))
+    h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    n = int(rng.integers(1, 4))
+    size = int(rng.integers(1, 8))
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    if case == "random":
+        return x, LocalResponseNorm(
+            size=size,
+            alpha=float(rng.uniform(1e-4, 2.0)),
+            beta=float(rng.uniform(0.1, 2.0)),
+            k=float(rng.uniform(0.5, 3.0)),
+        )
+    if case == "zero":  # k=0 and an all-zero window: base exactly 0
+        x[:, : max(1, c // 2)] = 0.0
+        return x, LocalResponseNorm(size=size, alpha=1e-3, beta=0.75, k=0.0)
+    if case == "subnormal":  # x² and the base fall below FLT_MIN
+        return x * np.float32(1e-20), LocalResponseNorm(
+            size=size, alpha=float(size), beta=0.75, k=0.0
+        )
+    if case == "huge":  # bases near FLT_MAX, squares overflowing to inf
+        x = x * np.float32(1e17)
+        x.reshape(-1)[:: 5] *= np.float32(1e4)
+        return x, LocalResponseNorm(size=size, alpha=1e-4, beta=0.75, k=2.0)
+    if case == "exponent_range":  # e·log2(base) below the polynomial's range
+        return x * np.float32(3e16), LocalResponseNorm(
+            size=1, alpha=1.0, beta=1.2, k=0.0
+        )
+    assert case == "nan"
+    x.reshape(-1)[:: 7] = np.nan
+    return x, LocalResponseNorm(size=size, alpha=1e-4, beta=0.75, k=2.0)
+
+
+@requires_kernel
+class TestLocalResponseNormRecord:
+    """The native ``lrn`` record against the numpy op.
+
+    Lanes with a base that is zero, subnormal or non-finite, or whose
+    ``e·log2(base)`` leaves the vectorised polynomial's range, must take
+    libm's ``powf`` and match numpy's power (non-finite results in the
+    same places)."""
+
+    CASES = [
+        (case, seed)
+        for case in ("random", "zero", "subnormal", "huge", "exponent_range", "nan")
+        for seed in range(4)
+    ]
+
+    @pytest.mark.parametrize("case,seed", CASES)
+    def test_native_matches_numpy(self, case, seed):
+        rng = np.random.default_rng(3000 + seed)
+        x, lrn = _lrn_case(case, rng)
+        net = Sequential(("lrn", lrn)).eval()
+        native_ex, numpy_ex = _executor_pair(net)
+        with np.errstate(all="ignore"):
+            expected = numpy_ex(x)
+            got = native_ex(x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        np.testing.assert_allclose(got, expected, atol=ATOL, rtol=RTOL)
+        singles = np.concatenate(
+            [native_ex(x[i : i + 1]) for i in range(len(x))]
+        )
+        np.testing.assert_array_equal(got, singles)
+
+
 class TestBackendSelection:
     def test_invalid_backend_rejected(self):
         net = Sequential(("fc", Linear(3, 2, rng=np.random.default_rng(0)))).eval()
@@ -514,8 +597,46 @@ class TestBackendSelection:
 
 
 class TestSharedBuildPipeline:
-    def test_source_digest_keys_artifacts(self):
-        assert native.source_digest("int main;") != native.source_digest("int main2;")
+    def test_source_keys_artifacts(self):
+        assert native.artifact_path("k", "int main;") != native.artifact_path(
+            "k", "int main2;"
+        )
+
+    def test_host_isa_and_flags_key_artifacts(self, monkeypatch, tmp_path):
+        """A shared kernel dir never hands an AVX-512/VNNI build to a
+        host without those instructions, nor one compiled differently."""
+        monkeypatch.setenv(native.DIR_ENV_VAR, str(tmp_path))
+        source = "int f(void) { return 1; }\n"
+        monkeypatch.setattr(native, "host_isa_flags", lambda: "fpu sse2 avx2")
+        generic = native.artifact_path("k", source)
+        monkeypatch.setattr(
+            native, "host_isa_flags",
+            lambda: "fpu sse2 avx2 avx512f avx512bw avx512_vnni avx512vbmi",
+        )
+        vnni = native.artifact_path("k", source)
+        assert generic != vnni
+        assert generic.parent == vnni.parent == tmp_path
+        monkeypatch.setattr(native, "COMPILE_FLAGS", ("-O2", "-shared", "-fPIC"))
+        assert native.artifact_path("k", source) != vnni
+
+    def test_host_isa_flags_reads_cpuinfo(self):
+        flags = native.host_isa_flags()
+        assert flags == " ".join(flags.split())
+        try:
+            with open("/proc/cpuinfo") as handle:
+                has_flags = any(line.startswith("flags") for line in handle)
+        except OSError:
+            has_flags = False
+        assert bool(flags) == has_flags
+
+    def test_fastexec_variant(self, monkeypatch):
+        lib = _fastexec.load()
+        if lib is None:
+            assert _fastexec.variant() is None
+        else:
+            assert _fastexec.variant() == ("vnni" if lib.has_vnni() else "generic")
+        monkeypatch.setenv(native.DISABLE_ENV_VAR, "1")
+        assert _fastexec.variant() is None
 
     def test_kernel_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(native.DIR_ENV_VAR, str(tmp_path / "kcache"))
@@ -527,10 +648,8 @@ class TestSharedBuildPipeline:
         source = "int add_one(int x) { return x + 1; }\n"
         lib = native.build_library("testkernel", source)
         assert lib is not None
-        artifact = (
-            tmp_path / "kcache"
-            / f"testkernel-{native.source_digest(source)}.so"
-        )
+        artifact = native.artifact_path("testkernel", source)
+        assert artifact.parent == tmp_path / "kcache"
         assert artifact.exists()
         assert lib.add_one(41) == 42
         # Second load comes from the cache (same digest, no recompile).

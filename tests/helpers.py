@@ -6,6 +6,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.tensor import Tensor
 
 
@@ -43,3 +44,17 @@ def assert_gradcheck(
     numeric = numeric_gradient(f, x, eps=eps)
     error = np.abs(numeric - x.grad).max()
     assert error < tol, f"gradcheck failed: max error {error:.3e} >= {tol:.0e}"
+
+
+def randomise_batch_norms(net, rng: np.random.Generator):
+    """Draw every BatchNorm2d's running statistics, gamma and beta at
+    random, in place; returns ``net``.  With the default statistics BN is
+    nearly the identity, so a swapped operand would go unnoticed."""
+    for module in net.layers():
+        if isinstance(module, BatchNorm2d):
+            c = module.num_features
+            module.running_mean[:] = rng.normal(size=c)
+            module.running_var[:] = rng.uniform(0.2, 3.0, size=c)
+            module.gamma.data[:] = rng.normal(1.0, 0.5, size=c)
+            module.beta.data[:] = rng.normal(0.0, 0.5, size=c)
+    return net
