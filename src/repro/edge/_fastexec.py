@@ -691,29 +691,19 @@ static void NAME(const float *restrict xp,                                  \
                         extra ? extra + ((oc + r) * poh + py) * pow_ : 0;   \
                     float *restrict a0 = acc[r][0];                         \
                     float *restrict a1 = acc[r][1];                         \
-                    if (e.affine) {                                         \
-                        /* The affine's divide vectorises only along the    \
-                           unit-stride rows, so the epilogue runs there,    \
-                           in place, ahead of the stride-2 max. */          \
-                        for (int64_t j = 0; j < 2 * pow_; j++) {            \
-                            a0[j] = epi_apply(e, a0[j], 1);                 \
-                            a1[j] = epi_apply(e, a1[j], 1);                 \
-                        }                                                   \
-                        for (int64_t j = 0; j < pow_; j++) {                \
-                            float v = max4(a0[2 * j], a0[2 * j + 1],        \
-                                           a1[2 * j], a1[2 * j + 1]);       \
-                            if (ex) v += ex[j];                             \
-                            dst[j] = v;                                     \
-                        }                                                   \
-                    } else                                                  \
-                        for (int64_t j = 0; j < pow_; j++) {                \
-                            float v = max4(epi_apply(e, a0[2 * j], 0),      \
-                                           epi_apply(e, a0[2 * j + 1], 0),  \
-                                           epi_apply(e, a1[2 * j], 0),      \
-                                           epi_apply(e, a1[2 * j + 1], 0)); \
-                            if (ex) v += ex[j];                             \
-                            dst[j] = v;                                     \
-                        }                                                   \
+                    /* The epilogue runs in place along the unit-stride     \
+                       rows (where the affine's divide vectorises), ahead   \
+                       of the stride-2 max. */                              \
+                    EPI_SPLIT(e, for (int64_t j = 0; j < 2 * pow_; j++) {   \
+                        a0[j] = epi_apply(e, a0[j], AFF);                   \
+                        a1[j] = epi_apply(e, a1[j], AFF);                   \
+                    });                                                     \
+                    for (int64_t j = 0; j < pow_; j++) {                    \
+                        float v = max4(a0[2 * j], a0[2 * j + 1], a1[2 * j], \
+                                       a1[2 * j + 1]);                      \
+                        if (ex) v += ex[j];                                 \
+                        dst[j] = v;                                         \
+                    }                                                       \
                 } else {                                                    \
                     for (int64_t t = 0; t < tr; t++) {                      \
                         float *restrict dst =                               \

@@ -41,7 +41,10 @@ folded noise add — so ``fuse_relu`` and ``fuse_conv_pool`` fire on
 conv→BN→ReLU→pool blocks.  Any other BatchNorm becomes a standalone
 ``affine`` op, and LocalResponseNorm an ``lrn`` op.  The constants are
 frozen copies taken at lowering; serving nets are frozen, and a hot-swap
-replaces modules, which evicts the lowering cache.  Neither op costs MACs.
+replaces modules, which evicts the lowering cache.  An in-place update of
+a BatchNorm (a training-mode forward, statistics loaded into the same
+arrays) is invisible to programs cached for it until the module object
+is replaced.  Neither op costs MACs.
 The numpy interpreter runs the functionals' own numpy op order; the
 native backend is f32-close, because ``gcc`` contracts ``x̂·gamma + beta``
 into an FMA and computes the LRN power with a vectorised polynomial.
@@ -897,10 +900,15 @@ def _lower_cache_key(
 ) -> tuple | None:
     """Cache key for one lowering request, or ``None`` if uncacheable.
 
-    Module *identity* stands in for the module fingerprint: weights are
-    live references, so the same module object always lowers to the same
-    program.  A weakref callback per module evicts its keys on collection,
-    which makes id reuse by a later module harmless.
+    Module *identity* stands in for the module fingerprint, which holds
+    for frozen serving nets only.  f32 conv/linear weights are live
+    references, but BatchNorm constants and ``int8_weights`` codes are
+    frozen copies taken at lowering.  A module updated in place after any
+    executor lowered it (a training-mode forward, statistics loaded into
+    the same arrays) therefore keeps its old constants in every later
+    program of this process, next to the new live weights, until the
+    module object is replaced.  A weakref callback per module evicts its
+    keys on collection, which makes id reuse by a later module harmless.
     """
     try:
         for row in rows:

@@ -254,19 +254,24 @@ class TestDeterminism:
         assert executor(x64).dtype == np.float64
 
 
-def _rewrite_net(rng):
+def _rewrite_net(rng, conv_bn=True):
     """A split-backbone-shaped stack on which every rewrite can fire: a
-    conv→BN→ReLU→pool block (BN folds into the conv's epilogue), an LRN,
-    and a BN with no conv before it (a standalone affine)."""
+    conv→BN→ReLU→pool block (BN folds into the conv's epilogue; plain
+    conv→ReLU→pool when ``conv_bn`` is false), an LRN, and a BN with no
+    conv before it (a standalone affine).  The fuzz axes alternate
+    ``conv_bn`` by seed parity, so the fused-pool epilogue runs with and
+    without the affine under every rewrite."""
     c_in = int(rng.integers(1, 4))
     c_mid = int(rng.integers(3, 8))
     h = w = int(rng.integers(14, 26))
     oh = (conv_output_size(h, 3, 1, 1)) // 2
     oh = conv_output_size(oh, 3, 1, 0)
     features = (c_mid + 2) * oh * oh
+    layers = [("conv0", Conv2d(c_in, c_mid, 3, 1, 1, rng=rng))]
+    if conv_bn:
+        layers.append(("bn0", BatchNorm2d(c_mid)))
     net = Sequential(
-        ("conv0", Conv2d(c_in, c_mid, 3, 1, 1, rng=rng)),
-        ("bn0", BatchNorm2d(c_mid)),
+        *layers,
         ("relu0", ReLU()),
         ("pool0", MaxPool2d(2)),
         ("lrn0", LocalResponseNorm(size=3, alpha=0.1, beta=0.75, k=1.0)),
@@ -289,11 +294,14 @@ def _rewrite_backends():
 class TestRewriteDifferential:
     """The per-rewrite fuzz axis: each rewrite toggled on/off.
 
-    ``baseline`` is the rewrite-free lowering; each case runs it against
-    the single-rewrite lowering on the same inputs.  Quantised codes (for
-    ``int8_ingest``) and the noise-add epilogue (for
-    ``fold_epilogue_add``) are exercised for *every* rewrite so toggling
-    one never perturbs the others' operands.
+    Each case toggles its rewrite twice on the same inputs: alone (the
+    single-rewrite lowering against the rewrite-free one) and in context
+    (every rewrite against every rewrite but this one).  The second pair
+    reaches what only fires behind another rewrite: ``fuse_conv_pool``
+    needs the ReLU already fused, so the fused-pool epilogue runs only
+    there.  Quantised codes (for ``int8_ingest``) and the noise-add
+    epilogue (for ``fold_epilogue_add``) are exercised for *every*
+    rewrite so toggling one never perturbs the others' operands.
     """
 
     CASES = [(name, seed) for name in ir.ALL_REWRITES for seed in range(3)]
@@ -308,7 +316,7 @@ class TestRewriteDifferential:
     @pytest.mark.parametrize("rewrite,seed", CASES)
     def test_rewrite_toggling_is_f32_close_and_invariant(self, rewrite, seed):
         rng = np.random.default_rng(1000 + 31 * seed)
-        net, (c_in, h, w) = _rewrite_net(rng)
+        net, (c_in, h, w) = _rewrite_net(rng, conv_bn=seed % 2 == 0)
         n = int(rng.integers(2, 7))
         x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
         params = calibrate(x, bits=8)
@@ -317,60 +325,74 @@ class TestRewriteDifferential:
             x[:1]
         ).shape[1:]
         noise = rng.normal(size=(n, *out_shape)).astype(np.float32)
-        per_backend = {}
-        for backend in _rewrite_backends():
-            on = BatchInvariantExecutor(net, backend, ir_rewrites=(rewrite,))
-            off = BatchInvariantExecutor(net, backend, ir_rewrites=())
-            results_on = self._run(on, x, codes, params, noise)
-            results_off = self._run(off, x, codes, params, noise)
-            # Toggling a rewrite only moves results within f32 round-off.
-            for a, b in zip(results_on, results_off):
-                np.testing.assert_allclose(a, b, atol=ATOL, rtol=RTOL)
-            # Bitwise batch invariance at the fixed (on) toggling,
-            # quantised + noise path included.
-            fresh = BatchInvariantExecutor(net, backend, ir_rewrites=(rewrite,))
-            singles = np.concatenate(
-                [
-                    fresh(
-                        codes[i : i + 1],
-                        quantization=params,
-                        epilogue_add=noise[i : i + 1],
-                    )
-                    for i in range(n)
-                ]
-            )
-            np.testing.assert_array_equal(results_on[2], singles)
-            # Bitwise run-to-run determinism across fresh executors.
-            again = BatchInvariantExecutor(net, backend, ir_rewrites=(rewrite,))
-            for a, b in zip(results_on, self._run(again, x, codes, params, noise)):
-                np.testing.assert_array_equal(a, b)
-            per_backend[backend] = results_on
-        if len(per_backend) == 2:
-            for a, b in zip(per_backend["native"], per_backend["numpy"]):
-                np.testing.assert_allclose(a, b, atol=ATOL, rtol=RTOL)
+        others = tuple(r for r in ir.ALL_REWRITES if r != rewrite)
+        for on_rewrites, off_rewrites in (
+            ((rewrite,), ()),
+            (ir.ALL_REWRITES, others),
+        ):
+            per_backend = {}
+            for backend in _rewrite_backends():
+                on = BatchInvariantExecutor(net, backend, ir_rewrites=on_rewrites)
+                off = BatchInvariantExecutor(net, backend, ir_rewrites=off_rewrites)
+                results_on = self._run(on, x, codes, params, noise)
+                results_off = self._run(off, x, codes, params, noise)
+                # Toggling a rewrite only moves results within f32 round-off.
+                for a, b in zip(results_on, results_off):
+                    np.testing.assert_allclose(a, b, atol=ATOL, rtol=RTOL)
+                # Bitwise batch invariance at the fixed (on) toggling,
+                # quantised + noise path included.
+                fresh = BatchInvariantExecutor(
+                    net, backend, ir_rewrites=on_rewrites
+                )
+                singles = np.concatenate(
+                    [
+                        fresh(
+                            codes[i : i + 1],
+                            quantization=params,
+                            epilogue_add=noise[i : i + 1],
+                        )
+                        for i in range(n)
+                    ]
+                )
+                np.testing.assert_array_equal(results_on[2], singles)
+                # Bitwise run-to-run determinism across fresh executors.
+                again = BatchInvariantExecutor(
+                    net, backend, ir_rewrites=on_rewrites
+                )
+                for a, b in zip(
+                    results_on, self._run(again, x, codes, params, noise)
+                ):
+                    np.testing.assert_array_equal(a, b)
+                per_backend[backend] = results_on
+            if len(per_backend) == 2:
+                for a, b in zip(per_backend["native"], per_backend["numpy"]):
+                    np.testing.assert_allclose(a, b, atol=ATOL, rtol=RTOL)
 
     def test_each_rewrite_actually_fires_on_the_fuzz_net(self):
         """Guards the axis against vacuity: the fuzz net must trigger
-        every rewrite it claims to toggle."""
-        rng = np.random.default_rng(77)
-        net, (c_in, h, w) = _rewrite_net(rng)
-        rows = [(i, m) for i, m in enumerate(net.layers())]
-        params = calibrate(
-            rng.normal(size=(4, c_in, h, w)).astype(np.float32), bits=8
-        )
-        program = ir.lower(
-            rows,
-            (c_in, h, w),
-            quantization=params,
-            epilogue_add=True,
-            rewrites=ir.ALL_REWRITES,
-        )
-        assert set(program.rewrites) == set(ir.ALL_REWRITES)
-        kinds = [op.kind for op in program.ops]
-        assert kinds == ["conv2d", "lrn", "conv2d", "affine", "flatten", "linear"]
-        conv0 = program.ops[0]
-        assert conv0.affine is not None and conv0.dequant is not None
-        assert conv0.relu and conv0.pool
+        every rewrite it claims to toggle, in both of its variants."""
+        for conv_bn in (True, False):
+            rng = np.random.default_rng(77)
+            net, (c_in, h, w) = _rewrite_net(rng, conv_bn=conv_bn)
+            rows = [(i, m) for i, m in enumerate(net.layers())]
+            params = calibrate(
+                rng.normal(size=(4, c_in, h, w)).astype(np.float32), bits=8
+            )
+            program = ir.lower(
+                rows,
+                (c_in, h, w),
+                quantization=params,
+                epilogue_add=True,
+                rewrites=ir.ALL_REWRITES,
+            )
+            assert set(program.rewrites) == set(ir.ALL_REWRITES)
+            kinds = [op.kind for op in program.ops]
+            assert kinds == [
+                "conv2d", "lrn", "conv2d", "affine", "flatten", "linear"
+            ]
+            conv0 = program.ops[0]
+            assert (conv0.affine is not None) == conv_bn
+            assert conv0.dequant is not None and conv0.relu and conv0.pool
 
     @requires_kernel
     def test_int8_ingest_skips_the_dequant_copy(self):
@@ -404,7 +426,7 @@ class TestRewriteDifferential:
         monkeypatch.delenv(ir.DISABLE_REWRITES_ENV_VAR, raising=False)
         monkeypatch.delenv(ir.SELECT_REWRITES_ENV_VAR, raising=False)
         rng = np.random.default_rng(2000 + 31 * seed)
-        net, (c_in, h, w) = _rewrite_net(rng)
+        net, (c_in, h, w) = _rewrite_net(rng, conv_bn=seed % 2 == 0)
         n = int(rng.integers(2, 7))
         x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
         params = calibrate(x, bits=8)
