@@ -2,18 +2,24 @@
 
 Every :class:`~repro.core.trainer.NoiseTrainer` (and several eval paths)
 starts by pushing an entire dataset through the frozen local half of the
-split network.  Benchmarks and sweeps construct many pipelines over the
-same ``(model, cut, dataset)`` triple — λ sweeps, layerwise panels,
-repeated collection training — and each used to recompute the identical
+split network, on the edge device's executor
+(:meth:`~repro.core.split.SplitInferenceModel.materialize_activations`).
+Benchmarks and sweeps construct many pipelines over the same
+``(model, cut, dataset)`` triple — λ sweeps, layerwise panels, repeated
+collection training — and each used to recompute the identical
 activations from scratch.  This module memoises them.
 
 Entries are keyed on the identity of the frozen model and dataset plus the
-cut name and batch size.  Each entry keeps strong references to the model
-and dataset it was computed from, which both pins the arrays' provenance
-and guarantees the ``id()``-based key can never be recycled while the
-entry lives.  The cache is bounded LRU; the arrays it returns are shared,
-so callers must treat them as read-only (every current consumer does —
-training and eval code index or add, never mutate in place).
+cut name, batch size and a fingerprint of the model's parameters and
+buffers.  A changed fingerprint recomputes, and the executor that
+recomputes lowers BatchNorm with the current statistics, because the IR's
+lowering cache keys them by content.  Each entry keeps strong references
+to the model and dataset it was computed from, which both pins the
+arrays' provenance and guarantees the ``id()``-based key can never be
+recycled while the entry lives.  The cache is bounded LRU; the arrays it
+returns are shared, so callers must treat them as read-only (every
+current consumer does — training and eval code index or add, never
+mutate in place).
 """
 
 from __future__ import annotations

@@ -35,15 +35,29 @@ class SplitInferenceModel:
     # Forward paths
     # ------------------------------------------------------------------
     def activations(self, images: np.ndarray) -> np.ndarray:
-        """Clean activations ``a = L(x, θ₁)`` (no autograd, eval mode)."""
+        """Clean activations ``a = L(x, θ₁)``, computed as the edge computes them.
+
+        The eval-mode local half runs through a
+        :class:`~repro.edge.executor.BatchInvariantExecutor` with the
+        defaults :class:`~repro.edge.device.EdgeDevice` uses.  For float32
+        ``images`` the result is float32, batch-invariant, and bitwise
+        equal to ``EdgeDevice.forward_batch`` on the same normalised
+        images, so noise is learned on exactly the tensor the device
+        sends.  Other float inputs run the modules' own forwards and keep
+        their dtype.  The executor is built per call: its segmentation
+        follows the training flags and its lowered BatchNorm constants the
+        current statistics.  The model's training flag is restored
+        afterwards, and the caller owns the result.
+        """
+        # Lazy: repro.edge imports repro.core.sampler.
+        from repro.edge.executor import BatchInvariantExecutor
+
         was_training = self.model.training
         self.model.eval()
         try:
-            with no_grad():
-                out = self.local(Tensor(images))
+            return BatchInvariantExecutor(self.local)(images)
         finally:
             self.model.train(was_training)
-        return out.numpy()
 
     def predict_from_activations(
         self, activations: np.ndarray, noise: np.ndarray | None = None
@@ -73,7 +87,9 @@ class SplitInferenceModel:
 
         The local network is frozen and independent of the noise, so noise
         training can run entirely on cached activations — this is the big
-        CPU saving that makes the reproduction tractable.
+        CPU saving that makes the reproduction tractable.  Each batch goes
+        through :meth:`activations`, so the rows are the edge device's
+        float32 activations and do not depend on ``batch_size``.
         """
         if len(dataset) == 0:
             raise TrainingError("cannot materialise activations of an empty dataset")

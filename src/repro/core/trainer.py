@@ -7,6 +7,14 @@ and not a function of the noise, its activations are precomputed once and
 the loop only evaluates the remote half — mathematically identical to
 running the full network (``∂L/∂n`` does not involve ``L(x, θ₁)``).
 
+The precomputed activations come from
+:meth:`~repro.core.split.SplitInferenceModel.activations`: the edge
+executor's float32 output, bitwise equal to what
+:class:`~repro.edge.device.EdgeDevice` sends for the same normalised
+input, so the noise is learned on exactly the tensor it is added to at
+deployment.  The remote half runs on ``repro.nn``, whose tape training
+needs.
+
 Two training entry points share that machinery:
 
 Intermediate held-out accuracy probes can run on a rotating eval subset

@@ -119,11 +119,15 @@ freshly owned, safe to hold across calls.
 Invariance across the four backbones and both backends is enforced by
 ``tests/edge/test_executor.py`` and the kernel-vs-numpy differential fuzz
 suite in ``tests/edge/test_native_kernels.py`` (which also toggles every
-IR rewrite on/off).  Used by both
+IR rewrite on/off).  Used by
 :class:`~repro.edge.device.EdgeDevice` (single-request ``process`` *and*
 stacked ``forward_batch``) and :class:`~repro.edge.device.CloudServer`,
 which is what makes the batched session's parity guarantee hold by
-construction.
+construction, and by
+:meth:`~repro.core.split.SplitInferenceModel.activations`, which builds
+one per call with the edge device's defaults so the noise trainer, the
+activation cache, layerwise evaluation and the attack evaluations all see
+the activations the device sends.
 """
 
 from __future__ import annotations

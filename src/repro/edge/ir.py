@@ -40,11 +40,11 @@ dequant or int8-weight scale, and before ReLU, the fused pool and the
 folded noise add — so ``fuse_relu`` and ``fuse_conv_pool`` fire on
 conv→BN→ReLU→pool blocks.  Any other BatchNorm becomes a standalone
 ``affine`` op, and LocalResponseNorm an ``lrn`` op.  The constants are
-frozen copies taken at lowering; serving nets are frozen, and a hot-swap
-replaces modules, which evicts the lowering cache.  An in-place update of
-a BatchNorm (a training-mode forward, statistics loaded into the same
-arrays) is invisible to programs cached for it until the module object
-is replaced.  Neither op costs MACs.
+frozen copies taken at lowering, and the lowering cache keys them by
+content, so a new lowering sees a BatchNorm updated in place (a
+training-mode forward, statistics loaded into the same arrays).  A
+program an executor already holds keeps the constants it was lowered
+with.  Neither op costs MACs.
 The numpy interpreter runs the functionals' own numpy op order; the
 native backend is f32-close, because ``gcc`` contracts ``x̂·gamma + beta``
 into an FMA and computes the LRN power with a vectorised polynomial.
@@ -109,12 +109,14 @@ Lowered-program cache
 =====================
 
 :func:`lower` memoises its result per (module identities, per-sample
-geometry, quantisation, epilogue-add, rewrite set) so ``warm()``, healing
-respawns, and hot-swapped deployments stop re-lowering — and re-quantising
-— the same segment; :func:`plan_buffers` memoises per program.  Entries
-are evicted by weakref callback the moment a source module is collected,
-so a hot-swap that *replaces* modules can never hit a stale entry.
-:func:`lower_cache_info` exposes hit/miss counters.
+geometry, quantisation, epilogue-add, rewrite set, BatchNorm constants) so
+``warm()``, healing respawns, hot-swapped deployments and the noise
+trainer's per-call executors stop re-lowering — and re-quantising — the
+same segment; :func:`plan_buffers` memoises per program.  Entries are
+evicted by weakref callback the moment a source module is collected, so a
+hot-swap that *replaces* modules can never hit a stale entry, and a
+program lowered from newer BatchNorm statistics replaces its
+predecessor's entry.  :func:`lower_cache_info` exposes hit/miss counters.
 
 Environment
 ===========
@@ -248,8 +250,8 @@ class ChannelAffine:
 
     Applied as ``(y − mean) / sd · gamma + beta`` with
     ``sd = sqrt(running_var + eps)`` computed in f32 — the training-path
-    functional's op order.  Copies taken at lowering (serving nets are
-    frozen; a hot-swap replaces modules, which evicts the lowering cache).
+    functional's op order.  Copies taken at lowering; the lowering cache
+    keys them by the module's content (see :func:`_lower_cache_key`).
     """
 
     mean: np.ndarray
@@ -877,7 +879,8 @@ def _rewrite_fold_epilogue_add(ops: list[IROp]) -> tuple[list[IROp], bool]:
 # ----------------------------------------------------------------------
 # Lowered-program cache
 # ----------------------------------------------------------------------
-_LOWER_CACHE: dict[tuple, Program] = {}
+#: slot -> (frozen BatchNorm constants, program); see _lower_cache_key.
+_LOWER_CACHE: dict[tuple, tuple[tuple, Program]] = {}
 _MODULE_REFS: dict[int, weakref.ref] = {}
 _MODULE_KEYS: dict[int, set[tuple]] = {}
 _PLAN_CACHE: dict[int, tuple[weakref.ref, BufferPlan]] = {}
@@ -897,18 +900,21 @@ def _lower_cache_key(
     quantization: QuantizationParams | None,
     epilogue_add: bool,
     rewrites: tuple[str, ...],
-) -> tuple | None:
-    """Cache key for one lowering request, or ``None`` if uncacheable.
+) -> tuple[tuple, tuple] | None:
+    """Cache slot and frozen constants of one lowering request, or ``None``
+    if uncacheable.
 
-    Module *identity* stands in for the module fingerprint, which holds
-    for frozen serving nets only.  f32 conv/linear weights are live
-    references, but BatchNorm constants and ``int8_weights`` codes are
-    frozen copies taken at lowering.  A module updated in place after any
-    executor lowered it (a training-mode forward, statistics loaded into
-    the same arrays) therefore keeps its old constants in every later
-    program of this process, next to the new live weights, until the
-    module object is replaced.  A weakref callback per module evicts its
-    keys on collection, which makes id reuse by a later module harmless.
+    The slot is (module identities, geometry, quantisation, epilogue-add,
+    rewrites).  Identity stands in for the f32 conv/linear weights, which
+    programs reference live.  BatchNorm constants are copies taken at
+    lowering, so the content of each BatchNorm's ``running_mean``,
+    ``running_var``, ``gamma``, ``beta`` and ``eps`` completes the key: after
+    a training-mode forward or statistics loaded in place the next lowering
+    misses, and its program replaces the slot's old one.  ``int8_weights``
+    codes are copies too but are not keyed, so an in-place update of a
+    quantised weight stays invisible to later programs until the module
+    object is replaced.  A weakref callback per module evicts its slots on
+    collection, which makes id reuse by a later module harmless.
     """
     try:
         for row in rows:
@@ -919,13 +925,25 @@ def _lower_cache_key(
                 )
     except TypeError:  # pragma: no cover - all repro layers are weakrefable
         return None
-    return (
+    slot = (
         tuple((int(row[0]), id(row[1])) for row in rows),
         tuple(int(s) for s in input_shape),
         quantization,
         bool(epilogue_add),
         tuple(rewrites),
     )
+    constants = tuple(
+        (
+            module.running_mean.tobytes(),
+            module.running_var.tobytes(),
+            module.gamma.data.tobytes(),
+            module.beta.data.tobytes(),
+            module.eps,
+        )
+        for module in (row[1] for row in rows)
+        if isinstance(module, BatchNorm2d)
+    )
+    return slot, constants
 
 
 def lower_cache_info() -> dict[str, int]:
@@ -979,17 +997,18 @@ def lower(
     between the sequential reference and any batched path.
 
     Results are memoised per (module identities, geometry, quantisation,
-    epilogue-add, rewrites); see the module docstring and
-    :func:`lower_cache_info`.
+    epilogue-add, rewrites, BatchNorm constants); see
+    :func:`_lower_cache_key` and :func:`lower_cache_info`.
     """
     if rewrites is None:
         rewrites = default_rewrites()
     key = _lower_cache_key(rows, input_shape, quantization, epilogue_add, rewrites)
     if key is not None:
-        cached = _LOWER_CACHE.get(key)
-        if cached is not None:
+        slot, constants = key
+        entry = _LOWER_CACHE.get(slot)
+        if entry is not None and entry[0] == constants:
             _CACHE_COUNTERS["hits"] += 1
-            return cached
+            return entry[1]
         _CACHE_COUNTERS["misses"] += 1
     program = _lower_uncached(
         rows,
@@ -999,9 +1018,10 @@ def lower(
         rewrites=rewrites,
     )
     if key is not None:
-        _LOWER_CACHE[key] = program
-        for _index, module_id in key[0]:
-            _MODULE_KEYS.setdefault(module_id, set()).add(key)
+        # Newer BatchNorm constants supersede the slot's old program.
+        _LOWER_CACHE[slot] = (constants, program)
+        for _index, module_id in slot[0]:
+            _MODULE_KEYS.setdefault(module_id, set()).add(slot)
     return program
 
 

@@ -223,7 +223,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -237,7 +237,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -249,7 +249,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other).__sub__(self)
+        return _operand(other, self).__sub__(self)
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
@@ -258,7 +258,7 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -272,7 +272,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -284,7 +284,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other).__truediv__(self)
+        return _operand(other, self).__truediv__(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -513,6 +513,18 @@ def as_tensor(value: "Tensor | np.ndarray | float | int") -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
+
+
+def _operand(value: "Tensor | np.ndarray | float | int", like: Tensor) -> Tensor:
+    """The other operand of a binary op on ``like``.
+
+    A Python scalar takes ``like``'s float dtype.  As a 0-d float64 array
+    it would be a strong operand under NumPy 2 promotion (NEP 50) and turn
+    a float32 result into float64; float64 tensors stay float64.
+    """
+    if isinstance(value, (int, float)):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return as_tensor(value)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

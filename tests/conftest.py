@@ -6,10 +6,20 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Tests always run at tiny scale and cache into a throwaway directory so
 # they never pollute (or depend on) a user's experiment cache.
 os.environ.setdefault("REPRO_SCALE", "tiny")
+
+#: Any non-empty value makes every property test draw a fixed example
+#: sequence instead of fresh examples each run (CI sets it).  Per-test
+#: ``@settings(...)`` inherit it from the loaded profile.
+HYPOTHESIS_DERANDOMIZE_ENV_VAR = "REPRO_HYPOTHESIS_DERANDOMIZE"
+settings.register_profile(
+    "repro", derandomize=bool(os.environ.get(HYPOTHESIS_DERANDOMIZE_ENV_VAR))
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture()

@@ -16,6 +16,9 @@ from repro.core import (
     get_activation_cache,
 )
 from repro.errors import ConfigurationError
+from repro.models import build_model
+from repro.nn import Tensor, TensorDataset, no_grad
+from tests.helpers import randomise_batch_norms
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +141,27 @@ class TestGlobalCacheIntegration:
         assert get_activation_cache().stats.hits == baseline + 2
         assert second.train_activations is first.train_activations
         np.testing.assert_array_equal(second.eval_labels, first.eval_labels)
+
+    def test_batch_norm_update_reaches_new_trainer(self):
+        # The activation cache misses on the changed statistics; the
+        # executor it materialises through must then not reuse the program
+        # lowered with the old BatchNorm constants.
+        rng = np.random.default_rng(5)
+        model = build_model("cifar", rng, width=0.5).eval()
+        randomise_batch_norms(model.net, rng)
+        images = rng.normal(size=(8, *model.input_shape)).astype(np.float32)
+        data = TensorDataset(images, np.arange(8) % 10)
+        split = SplitInferenceModel(model)
+        kwargs = dict(loss=ShredderLoss(1e-3), rng=np.random.default_rng(0))
+        before = NoiseTrainer(split, data, data, **kwargs).train_activations
+        model.train()
+        with no_grad():
+            model(Tensor(2.0 * images + 1.0))  # BN statistics move in place
+        after = NoiseTrainer(split, data, data, **kwargs).train_activations
+        with no_grad():
+            expected = split.local(Tensor(images)).numpy()
+        np.testing.assert_allclose(after, expected, atol=2e-4, rtol=2e-4)
+        assert np.abs(after - before).max() > 0.1
 
     def test_pipelines_share_materialisation(self, lenet_bundle):
         config = Config(scale=TINY)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import SplitInferenceModel
+from repro.edge import EdgeDevice, _fastexec
 from repro.errors import ModelError, TrainingError
+from repro.models import build_model
 from repro.nn import Tensor, TensorDataset, no_grad
 from repro.privacy import estimate_leakage
+from tests.helpers import randomise_batch_norms
 
 
 @pytest.fixture()
@@ -83,6 +86,64 @@ class TestDatasetHelpers:
         wild = rng.laplace(0, 1000, size=(1, *split.activation_shape)).astype(np.float32)
         noisy = split.accuracy_from_activations(activations, labels, wild)
         assert noisy < clean
+
+
+def _backbone_split(name: str, seed: int = 11):
+    """A width-0.5 backbone with randomised BN statistics, left in training
+    mode, plus a float32 dataset of its inputs."""
+    rng = np.random.default_rng(seed)
+    model = build_model(name, rng, width=0.5)
+    randomise_batch_norms(model.net, rng)
+    images = rng.normal(size=(9, *model.input_shape)).astype(np.float32)
+    return SplitInferenceModel(model), TensorDataset(images, np.arange(9) % 10)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def backend(request, monkeypatch):
+    """Run the test on one executor backend: "auto" (the default that both
+    the split and the edge device use) picks numpy when native is off."""
+    if request.param == "native" and not _fastexec.available():
+        pytest.skip("native kernels unavailable")
+    if request.param == "numpy":
+        monkeypatch.setattr(_fastexec, "available", lambda: False)
+    return request.param
+
+
+class TestExecutorMaterialisation:
+    """Training activations are the edge device's activations."""
+
+    @pytest.mark.parametrize("name", ["lenet", "svhn", "cifar", "alexnet"])
+    def test_bitwise_equal_to_edge_device(self, name, backend):
+        split, dataset = _backbone_split(name)
+        activations, _ = split.materialize_activations(dataset)
+        assert activations.dtype == np.float32
+        channels = split.model.input_shape[0]
+        device = EdgeDevice(
+            split.local, np.zeros(channels, np.float32), np.ones(channels, np.float32)
+        )
+        sent = device.forward_batch([dataset.images]).tensor
+        np.testing.assert_array_equal(activations, sent)
+
+    def test_independent_of_batch_size(self, backend):
+        split, dataset = _backbone_split("cifar")
+        reference, _ = split.materialize_activations(dataset, batch_size=128)
+        for batch_size in (1, 7):
+            activations, _ = split.materialize_activations(dataset, batch_size=batch_size)
+            np.testing.assert_array_equal(activations, reference)
+
+    def test_training_mode_model_runs_eval_and_is_restored(self):
+        split, dataset = _backbone_split("cifar")
+        statistics = {k: v.copy() for k, v in split.model.state_dict().items()}
+        assert split.model.training
+        activations = split.activations(dataset.images)
+        assert split.model.training
+        assert all(module.training for module in split.model.net.layers())
+        for name, array in split.model.state_dict().items():
+            np.testing.assert_array_equal(array, statistics[name])
+        split.model.eval()
+        with no_grad():
+            expected = split.local(Tensor(dataset.images)).numpy()
+        np.testing.assert_allclose(activations, expected, atol=2e-4, rtol=2e-4)
 
 
 class TestInformationInvariance:

@@ -81,10 +81,11 @@ class TestTrainedStatisticsOracle:
         for cut in trained_model.cut_names():
             local, remote = trained_model.split(cut)
             with no_grad():
-                # The tape promotes BN/LRN outputs to float64; the cloud
-                # half is served the f32 activation.
-                activation = local(Tensor(x)).numpy().astype(np.float32)
+                # The tape keeps float32 through BN and LRN, so the cloud
+                # half is served the activation exactly as computed.
+                activation = local(Tensor(x)).numpy()
                 logits = remote(Tensor(activation)).numpy()
+            assert activation.dtype == logits.dtype == np.float32
             for half, inputs, expected in (
                 (local, x, activation),
                 (remote, activation, logits),
@@ -97,6 +98,51 @@ class TestTrainedStatisticsOracle:
                     [executor(inputs[i : i + 1]) for i in range(len(inputs))]
                 )
                 np.testing.assert_array_equal(out, singles)
+
+
+class TestInPlaceStatisticsUpdate:
+    """The process-global lowering cache keys BatchNorm constants by
+    content: an executor built after a BN is updated in place serves the
+    new statistics, and the new program takes over the old one's slot."""
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_new_executor_sees_updated_statistics(self, backend):
+        rng = np.random.default_rng(23)
+        model = build_model("cifar", rng, width=0.5).eval()
+        randomise_batch_norms(model.net, rng)
+        local, _ = model.split(model.last_conv_cut())
+        x = _random_batch(model, 3, seed=29)
+
+        def train_forward():
+            model.train()
+            with no_grad():
+                local(Tensor(2.0 * x + 1.0))
+            model.eval()
+
+        def load_statistics():
+            state = model.state_dict()
+            model.load_state_dict({
+                name: array + 0.5 if name.endswith("running_mean") else array
+                for name, array in state.items()
+            })
+
+        def served():
+            out = BatchInvariantExecutor(local, backend)(x)
+            with no_grad():
+                expected = local(Tensor(x)).numpy()
+            np.testing.assert_allclose(out, expected, atol=ATOL, rtol=RTOL)
+            return out
+
+        ir.lower_cache_clear()
+        previous = served()
+        size = ir.lower_cache_info()["size"]
+        for update in (train_forward, load_statistics, train_forward):
+            update()
+            out = served()
+            assert ir.lower_cache_info()["size"] == size
+            # Each update moves the output, so a stale program would show.
+            assert np.abs(out - previous).max() > 100 * ATOL
+            previous = out
 
 
 class TestExecutorSafety:

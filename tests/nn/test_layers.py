@@ -129,6 +129,13 @@ class TestBatchNormLayer:
         x = Tensor(rng.standard_normal((1, 8, 3, 3)))
         assert lrn(x).shape == (1, 8, 3, 3)
 
+    @pytest.mark.parametrize("layer", [BatchNorm2d(8), LocalResponseNorm(size=5)],
+                             ids=["batch_norm", "lrn"])
+    def test_eval_forward_keeps_float32(self, layer, rng):
+        # eps and k are Python scalars; they must not promote the output.
+        x = Tensor(rng.standard_normal((2, 8, 3, 3)).astype(np.float32))
+        assert layer.eval()(x).dtype == np.float32
+
 
 class TestSequential:
     def test_positional_autonaming(self, rng):

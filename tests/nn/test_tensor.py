@@ -89,6 +89,35 @@ class TestArithmetic:
             Tensor(np.zeros((2, 3, 4))).matmul(Tensor(np.zeros((4, 2))))
 
 
+_SCALAR_OPS = {
+    "add": lambda t, s: t + s,
+    "radd": lambda t, s: s + t,
+    "sub": lambda t, s: t - s,
+    "rsub": lambda t, s: s - t,
+    "mul": lambda t, s: t * s,
+    "rmul": lambda t, s: s * t,
+    "truediv": lambda t, s: t / s,
+    "rtruediv": lambda t, s: s / t,
+}
+
+
+class TestScalarOperandDtype:
+    """A Python scalar operand takes the tensor's float dtype: NumPy 2
+    would promote a float32 tensor combined with a float64 0-d array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scalar", [3, 1e-5], ids=["int", "float"])
+    @pytest.mark.parametrize("op", list(_SCALAR_OPS), ids=list(_SCALAR_OPS))
+    def test_result_keeps_tensor_dtype(self, op, scalar, dtype):
+        t = Tensor(np.array([0.5, 2.0, -4.0], dtype=dtype), requires_grad=True)
+        out = _SCALAR_OPS[op](t, scalar)
+        assert out.dtype == dtype
+        expected = _SCALAR_OPS[op](t.data, dtype(scalar))
+        np.testing.assert_array_equal(out.numpy(), expected)
+        out.sum().backward()
+        assert t.grad.dtype == dtype
+
+
 class TestBackward:
     def test_backward_requires_grad(self):
         with pytest.raises(GradientError):
