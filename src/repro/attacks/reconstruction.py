@@ -37,7 +37,7 @@ class NearestNeighbourInverter:
 
     Candidate matching runs as blocked matrix ops (the ``||a-b||²``
     expansion) rather than a per-sample Python loop; the loop form is kept
-    as :meth:`reconstruct_reference` for parity testing.
+    in ``tests/oracles.py`` for parity testing.
 
     Args:
         corpus_inputs: ``(N, ...)`` attacker-known inputs.
@@ -74,20 +74,6 @@ class NearestNeighbourInverter:
     def reconstruct(self, activations: np.ndarray) -> np.ndarray:
         """Best-match inputs for each observed activation."""
         return self._inputs[self.match_indices(activations)]
-
-    def reconstruct_reference(self, activations: np.ndarray) -> np.ndarray:
-        """Per-sample loop implementation (pre-vectorisation reference).
-
-        Kept for parity tests and benchmarking; computes each observation's
-        distances to the whole corpus one sample at a time.
-        """
-        observed = _flatten(activations)
-        self._check_width(observed)
-        best = np.empty(len(observed), dtype=np.int64)
-        for index, row in enumerate(observed):
-            deltas = self._activations - row[None, :]
-            best[index] = (deltas**2).sum(axis=1).argmin()
-        return self._inputs[best]
 
 
 class LinearInverter:

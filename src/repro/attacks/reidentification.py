@@ -95,8 +95,8 @@ class ReidentificationAttack:
         The distance matrix is computed in observation blocks — one GEMM
         per block via the shared ``||a-b||²`` expansion helper — so memory
         stays flat in the number of observations while the matching itself
-        is a single matrix op (no per-sample Python loop; see
-        :meth:`rank_candidates_reference` for the retained loop form).
+        is a single matrix op (no per-sample Python loop; the loop form is
+        kept in ``tests/oracles.py`` as the parity reference).
         """
         flat = self._flat_observed(observed)
         pool_norms = (self._pool**2).sum(axis=1)
@@ -105,20 +105,6 @@ class ReidentificationAttack:
             ranking[start : start + len(distances)] = np.argsort(
                 distances, axis=1, kind="stable"
             )
-        return ranking
-
-    def rank_candidates_reference(self, observed: np.ndarray) -> np.ndarray:
-        """Per-observation loop implementation (pre-vectorisation reference).
-
-        Kept for parity tests and benchmarking.
-        """
-        flat = self._flat_observed(observed)
-        pool_norms = (self._pool**2).sum(axis=1)
-        ranking = np.empty((len(flat), self.pool_size), dtype=np.int64)
-        for index, row in enumerate(flat):
-            cross = self._pool @ row
-            distances = (row @ row) + pool_norms - 2.0 * cross
-            ranking[index] = np.argsort(distances, kind="stable")
         return ranking
 
     def evaluate(

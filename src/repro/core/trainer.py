@@ -7,6 +7,11 @@ and not a function of the noise, its activations are precomputed once and
 the loop only evaluates the remote half — mathematically identical to
 running the full network (``∂L/∂n`` does not involve ``L(x, θ₁)``).
 
+The trainer freezes the network itself: for the length of a ``train`` or
+``train_many`` call every backbone parameter has ``requires_grad`` off, so
+the backward pass computes only the noise's gradient, and afterwards each
+parameter gets its own flag back.
+
 The precomputed activations come from
 :meth:`~repro.core.split.SplitInferenceModel.activations`: the edge
 executor's float32 output, bitwise equal to what
@@ -38,8 +43,9 @@ full-set).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +60,7 @@ from repro.core.snr import (
 )
 from repro.core.split import SplitInferenceModel
 from repro.errors import TrainingError
-from repro.nn import Adam, Dataset, Tensor
+from repro.nn import Adam, Dataset, Module, Tensor
 
 
 @dataclass
@@ -111,6 +117,25 @@ def _member_noisy_batch(activations: np.ndarray, bank: MultiNoiseTensor) -> Tens
     return Tensor._make(out, (bank,), backward)
 
 
+@contextmanager
+def _gradients_off(model: Module) -> Iterator[None]:
+    """Turn off ``requires_grad`` on every parameter of ``model`` for the
+    block, then restore each parameter's own flag, also on error.
+
+    Noise training never updates the weights (paper §2.1), so weight
+    gradients are work nothing reads; the noise's gradient is unchanged.
+    """
+    parameters = model.parameters()
+    flags = [parameter.requires_grad for parameter in parameters]
+    for parameter in parameters:
+        parameter.requires_grad = False
+    try:
+        yield
+    finally:
+        for parameter, flag in zip(parameters, flags):
+            parameter.requires_grad = flag
+
+
 class _StreamingEvalPlan:
     """Rotating eval-subset index stream for cheap accuracy probes.
 
@@ -146,7 +171,8 @@ class NoiseTrainer:
     """Trains noise tensors for a split model.
 
     Args:
-        split: The split backbone (weights frozen by the caller).
+        split: The split backbone.  Its weights are never updated, and
+            ``train``/``train_many`` switch their gradients off for the call.
         train_set: Dataset whose activations drive the optimisation.
         eval_set: Held-out dataset for accuracy tracking.
         loss: The Shredder loss (λ inside is overridden by ``schedule``).
@@ -299,34 +325,35 @@ class NoiseTrainer:
         history = NoiseTrainingHistory()
         n = len(self.train_labels)
         plan = self._batch_plan(iterations)
-        for step, batch in enumerate(plan):
-            privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
-            lambda_now = self.schedule.coefficient(step, privacy)
-            loss_fn = self.loss.with_lambda(lambda_now)
+        with _gradients_off(self.split.model):
+            for step, batch in enumerate(plan):
+                privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
+                lambda_now = self.schedule.coefficient(step, privacy)
+                loss_fn = self.loss.with_lambda(lambda_now)
 
-            activations = Tensor(self.train_activations[batch])
-            logits = self.split.remote(activations + noise)
-            total, parts = loss_fn(logits, self.train_labels[batch], noise)
-            if not np.isfinite(parts.total):
-                raise TrainingError(
-                    f"noise training diverged at iteration {step} "
-                    f"(loss={parts.total})"
-                )
-            optimizer.zero_grad()
-            total.backward()
-            optimizer.step()
+                activations = Tensor(self.train_activations[batch])
+                logits = self.split.remote(activations + noise)
+                total, parts = loss_fn(logits, self.train_labels[batch], noise)
+                if not np.isfinite(parts.total):
+                    raise TrainingError(
+                        f"noise training diverged at iteration {step} "
+                        f"(loss={parts.total})"
+                    )
+                optimizer.zero_grad()
+                total.backward()
+                optimizer.step()
 
-            history.iterations.append(step)
-            history.losses.append(parts.total)
-            history.cross_entropies.append(parts.cross_entropy)
-            history.in_vivo_privacies.append(privacy)
-            history.lambdas.append(lambda_now)
-            if step % self.eval_every == 0 or step == iterations - 1:
-                accuracy = self._probe_accuracy(
-                    noise.data, final=step == iterations - 1
-                )
-                history.accuracies.append(accuracy)
-                history.accuracy_iterations.append(step)
+                history.iterations.append(step)
+                history.losses.append(parts.total)
+                history.cross_entropies.append(parts.cross_entropy)
+                history.in_vivo_privacies.append(privacy)
+                history.lambdas.append(lambda_now)
+                if step % self.eval_every == 0 or step == iterations - 1:
+                    accuracy = self._probe_accuracy(
+                        noise.data, final=step == iterations - 1
+                    )
+                    history.accuracies.append(accuracy)
+                    history.accuracy_iterations.append(step)
 
         final_privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
         return NoiseTrainingResult(
@@ -409,47 +436,48 @@ class NoiseTrainer:
             fixed_lambdas = [schedule.value for schedule in schedules]
             lambda_col[:] = fixed_lambdas
             bank_snapshots = np.empty((iterations, *bank.data.shape), dtype=np.float32)
-        for step in range(iterations):
-            if constant_lambda:
-                bank_snapshots[step] = bank.data
-                lambdas = fixed_lambdas
-            else:
-                privacies = in_vivo_privacy_members(self.signal_power, bank.data)
-                privacy_col[step] = privacies
-                lambdas = [
-                    schedules[i].coefficient(step, privacies[i]) for i in range(m)
-                ]
-                lambda_col[step] = lambdas
-            indices = plan_matrix[step]
-            noisy = _member_noisy_batch(self.train_activations[indices], bank)
-            logits = self.split.remote(noisy)
-            targets = self.train_labels[indices].reshape(-1)
-            total, cross_entropies, reg_terms, reg_sign = self.loss.many_arrays(
-                logits, targets, bank, lambdas
-            )
-            if not math.isfinite(float(total.data)):
-                raise TrainingError(
-                    f"noise training diverged at iteration {step} "
-                    f"(member losses {cross_entropies + reg_sign * np.asarray(lambdas) * reg_terms})"
+        with _gradients_off(self.split.model):
+            for step in range(iterations):
+                if constant_lambda:
+                    bank_snapshots[step] = bank.data
+                    lambdas = fixed_lambdas
+                else:
+                    privacies = in_vivo_privacy_members(self.signal_power, bank.data)
+                    privacy_col[step] = privacies
+                    lambdas = [
+                        schedules[i].coefficient(step, privacies[i]) for i in range(m)
+                    ]
+                    lambda_col[step] = lambdas
+                indices = plan_matrix[step]
+                noisy = _member_noisy_batch(self.train_activations[indices], bank)
+                logits = self.split.remote(noisy)
+                targets = self.train_labels[indices].reshape(-1)
+                total, cross_entropies, reg_terms, reg_sign = self.loss.many_arrays(
+                    logits, targets, bank, lambdas
                 )
-            optimizer.zero_grad()
-            total.backward()
-            optimizer.step()
-
-            ce_col[step] = cross_entropies
-            reg_col[step] = reg_terms
-            if step % self.eval_every == 0 or step == iterations - 1:
-                # Fewer, fuller remote passes are the whole point of the
-                # multi-member evaluator; cap total rows to bound memory
-                # on wide activations.
-                eval_steps.append(step)
-                eval_rows.append(
-                    self._probe_accuracy_multi(
-                        bank.data,
-                        batch_size=min(4096, 1024 * m),
-                        final=step == iterations - 1,
+                if not math.isfinite(float(total.data)):
+                    raise TrainingError(
+                        f"noise training diverged at iteration {step} "
+                        f"(member losses {cross_entropies + reg_sign * np.asarray(lambdas) * reg_terms})"
                     )
-                )
+                optimizer.zero_grad()
+                total.backward()
+                optimizer.step()
+
+                ce_col[step] = cross_entropies
+                reg_col[step] = reg_terms
+                if step % self.eval_every == 0 or step == iterations - 1:
+                    # Fewer, fuller remote passes are the whole point of the
+                    # multi-member evaluator; cap total rows to bound memory
+                    # on wide activations.
+                    eval_steps.append(step)
+                    eval_rows.append(
+                        self._probe_accuracy_multi(
+                            bank.data,
+                            batch_size=min(4096, 1024 * m),
+                            final=step == iterations - 1,
+                        )
+                    )
 
         if constant_lambda:
             # Two-pass variance over every (step, member) snapshot,

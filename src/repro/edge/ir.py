@@ -93,7 +93,9 @@ round-off.  The pipeline (fixed order, each individually toggleable):
     construction (or by naming it in ``REPRO_IR_REWRITES``).  Its
     differential gate is ≥99% label agreement vs the f32 reference, not
     f32 closeness; bitwise batch-invariance and run-to-run determinism per
-    backend still hold unconditionally.
+    backend still hold unconditionally.  The codes are copies taken at
+    lowering, so under this rewrite the lowering cache keys the weights
+    they quantise by content, as it keys BatchNorm constants.
 
 Determinism contract (inherited from PR 4, enforced by the per-rewrite
 differential fuzz in ``tests/edge/test_native_kernels.py``): for any fixed
@@ -109,14 +111,16 @@ Lowered-program cache
 =====================
 
 :func:`lower` memoises its result per (module identities, per-sample
-geometry, quantisation, epilogue-add, rewrite set, BatchNorm constants) so
+geometry, quantisation, epilogue-add, rewrite set, BatchNorm constants and,
+under ``int8_weights``, the quantised weights) so
 ``warm()``, healing respawns, hot-swapped deployments and the noise
 trainer's per-call executors stop re-lowering — and re-quantising — the
 same segment; :func:`plan_buffers` memoises per program.  Entries are
 evicted by weakref callback the moment a source module is collected, so a
 hot-swap that *replaces* modules can never hit a stale entry, and a
-program lowered from newer BatchNorm statistics replaces its
-predecessor's entry.  :func:`lower_cache_info` exposes hit/miss counters.
+program lowered from newer BatchNorm statistics or int8-quantised weights
+replaces its predecessor's entry.  :func:`lower_cache_info` exposes
+hit/miss counters.
 
 Environment
 ===========
@@ -879,7 +883,7 @@ def _rewrite_fold_epilogue_add(ops: list[IROp]) -> tuple[list[IROp], bool]:
 # ----------------------------------------------------------------------
 # Lowered-program cache
 # ----------------------------------------------------------------------
-#: slot -> (frozen BatchNorm constants, program); see _lower_cache_key.
+#: slot -> (frozen constants, program); see _lower_cache_key.
 _LOWER_CACHE: dict[tuple, tuple[tuple, Program]] = {}
 _MODULE_REFS: dict[int, weakref.ref] = {}
 _MODULE_KEYS: dict[int, set[tuple]] = {}
@@ -906,15 +910,15 @@ def _lower_cache_key(
 
     The slot is (module identities, geometry, quantisation, epilogue-add,
     rewrites).  Identity stands in for the f32 conv/linear weights, which
-    programs reference live.  BatchNorm constants are copies taken at
-    lowering, so the content of each BatchNorm's ``running_mean``,
-    ``running_var``, ``gamma``, ``beta`` and ``eps`` completes the key: after
-    a training-mode forward or statistics loaded in place the next lowering
-    misses, and its program replaces the slot's old one.  ``int8_weights``
-    codes are copies too but are not keyed, so an in-place update of a
-    quantised weight stays invisible to later programs until the module
-    object is replaced.  A weakref callback per module evicts its slots on
-    collection, which makes id reuse by a later module harmless.
+    programs reference live.  Everything a program copies at lowering is
+    keyed by content instead and completes the key: each BatchNorm's
+    ``running_mean``, ``running_var``, ``gamma``, ``beta`` and ``eps``, and,
+    when ``int8_weights`` is among the rewrites, the conv/linear weights it
+    quantises into int8 codes.  After a training-mode forward, statistics
+    loaded in place or, under ``int8_weights``, a weight updated in place,
+    the next lowering misses, and its program replaces the slot's old one.  A weakref callback per
+    module evicts its slots on collection, which makes id reuse by a later
+    module harmless.
     """
     try:
         for row in rows:
@@ -943,6 +947,12 @@ def _lower_cache_key(
         for module in (row[1] for row in rows)
         if isinstance(module, BatchNorm2d)
     )
+    if INT8_WEIGHTS in rewrites:
+        constants += tuple(
+            module.weight.data.tobytes()
+            for module in (row[1] for row in rows)
+            if isinstance(module, (Conv2d, Linear))
+        )
     return slot, constants
 
 
@@ -997,8 +1007,9 @@ def lower(
     between the sequential reference and any batched path.
 
     Results are memoised per (module identities, geometry, quantisation,
-    epilogue-add, rewrites, BatchNorm constants); see
-    :func:`_lower_cache_key` and :func:`lower_cache_info`.
+    epilogue-add, rewrites, BatchNorm constants, and int8-quantised
+    weights under ``int8_weights``); see :func:`_lower_cache_key` and
+    :func:`lower_cache_info`.
     """
     if rewrites is None:
         rewrites = default_rewrites()
@@ -1018,7 +1029,7 @@ def lower(
         rewrites=rewrites,
     )
     if key is not None:
-        # Newer BatchNorm constants supersede the slot's old program.
+        # Newer copied constants supersede the slot's old program.
         _LOWER_CACHE[slot] = (constants, program)
         for _index, module_id in slot[0]:
             _MODULE_KEYS.setdefault(module_id, set()).add(slot)

@@ -26,7 +26,6 @@ from repro.privacy.entropy import (
     gaussian_entropy,
     histogram_entropy,
     kl_entropy,
-    kl_entropy_reference,
     kth_neighbor_distances,
     unit_ball_log_volume,
 )
@@ -48,7 +47,6 @@ from repro.privacy.mutual_information import (
     discrete_mutual_information,
     entropy_sum_mi,
     ksg_mutual_information,
-    ksg_mutual_information_reference,
 )
 from repro.privacy.reduction import PCAReducer, flatten_batch, randomized_svd
 from repro.privacy.shuffle_eval import (
@@ -96,9 +94,7 @@ __all__ = [
     "information_loss_bits",
     "information_loss_percent",
     "kl_entropy",
-    "kl_entropy_reference",
     "ksg_mutual_information",
-    "ksg_mutual_information_reference",
     "kth_neighbor_distances",
     "mi_to_ex_vivo_privacy",
     "multivariate_gaussian_mi_bits",

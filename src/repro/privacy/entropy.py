@@ -18,8 +18,8 @@ backends: a compiled cache-blocked kernel (:mod:`repro.privacy._fastknn`,
 several times faster than tree traversal in the post-PCA regime) and a
 ``cKDTree`` path whose queries run chunked (flat memory in ``N``) and
 parallelised across all cores via ``workers=-1``.  Both produce the same
-distances; :func:`kl_entropy_reference` preserves the original
-unvectorised implementation for parity tests and benchmarks.
+distances; the original unvectorised implementation is kept in
+``tests/oracles.py`` for parity tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -145,33 +145,6 @@ def kl_entropy(
         kth_neighbor_distances(samples, k, backend=backend, chunk_size=chunk_size),
         1e-300,
     )
-    nats = (
-        digamma(n)
-        - digamma(k)
-        + unit_ball_log_volume(d)
-        + d * float(np.mean(np.log(eps)))
-    )
-    return nats / _LN2
-
-
-def kl_entropy_reference(
-    samples: np.ndarray, k: int = 3, jitter: float = 1e-10
-) -> float:
-    """The pre-vectorisation KL estimator (single unparallelised query).
-
-    Retained verbatim as the parity baseline for :func:`kl_entropy` and as
-    the "before" side of the hot-path benchmark.
-    """
-    samples = _validate_samples(samples, minimum=k + 2)
-    n, d = samples.shape
-    if k < 1 or k >= n:
-        raise EstimatorError(f"k must be in [1, N); got k={k}, N={n}")
-    if jitter:
-        rng = np.random.default_rng(0)
-        samples = samples + rng.normal(0.0, jitter, size=samples.shape)
-    tree = cKDTree(samples)
-    distances, _ = tree.query(samples, k=k + 1)
-    eps = np.maximum(distances[:, k], 1e-300)
     nats = (
         digamma(n)
         - digamma(k)

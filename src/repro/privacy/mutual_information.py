@@ -17,8 +17,8 @@ scipy path using a ``workers=-1`` parallel tree query plus a single
 vectorised ``query_ball_point(points, radii, return_length=True)`` call,
 chunked over query points so memory stays flat at large sample counts.
 Both backends reproduce the original implementation's results exactly;
-:func:`ksg_mutual_information_reference` preserves the pre-vectorisation
-per-point-loop code as the parity baseline and benchmark "before" side.
+the pre-vectorisation per-point loop is kept in ``tests/oracles.py`` as the
+parity baseline and benchmark "before" side.
 """
 
 from __future__ import annotations
@@ -171,50 +171,6 @@ def ksg_mutual_information(
         _, nx, ny = _fastknn.ksg_counts(x, y, k, tol=_RADIUS_TOL)
     else:
         nx, ny = _ksg_counts_scipy(x, y, k, chunk_size)
-    nats = (
-        digamma(k)
-        + digamma(n)
-        - float(np.mean(digamma(nx + 1) + digamma(ny + 1)))
-    )
-    return max(nats, 0.0) / _LN2
-
-
-def ksg_mutual_information_reference(
-    x: np.ndarray,
-    y: np.ndarray,
-    k: int = 3,
-    jitter: float = 1e-10,
-    jitter_rng: np.random.Generator | int | None = None,
-) -> float:
-    """The pre-vectorisation KSG implementation (per-point Python loop).
-
-    Retained verbatim as the parity baseline for the fast backends and as
-    the "before" side of the hot-path benchmark.  ``jitter_rng`` matches
-    :func:`ksg_mutual_information` so parity checks can pin the jitter.
-    """
-    x, y = _paired(x, y, k)
-    n = len(x)
-    if k < 1 or k >= n:
-        raise EstimatorError(f"k must be in [1, N); got k={k}, N={n}")
-    x, y = _jittered(x, y, jitter, jitter_rng)
-    joint = np.concatenate([x, y], axis=1)
-    joint_tree = cKDTree(joint)
-    distances, _ = joint_tree.query(joint, k=k + 1, p=np.inf)
-    radius = distances[:, k]
-    x_tree = cKDTree(x)
-    y_tree = cKDTree(y)
-    nx = np.array(
-        [
-            len(x_tree.query_ball_point(x[i], radius[i] - _RADIUS_TOL, p=np.inf)) - 1
-            for i in range(n)
-        ]
-    )
-    ny = np.array(
-        [
-            len(y_tree.query_ball_point(y[i], radius[i] - _RADIUS_TOL, p=np.inf)) - 1
-            for i in range(n)
-        ]
-    )
     nats = (
         digamma(k)
         + digamma(n)

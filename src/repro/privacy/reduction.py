@@ -5,13 +5,16 @@ kNN information estimators are unusable in the raw pixel/activation space
 measurement pipeline — we project both variables to a small number of
 principal components first, then estimate MI in the reduced space.
 
-At ``paper`` scale the fit matrix is ``(N≈1000, D≈3-12k)`` and the exact
-economy SVD dominates the reduction step while only the top ~16 components
-are kept.  :class:`PCAReducer` therefore switches to a randomized
-range-finder SVD (Halko, Martinsson & Tropp 2011) once the input is large
-enough — ``O(N·D·k)`` instead of ``O(N·D·min(N, D))`` — and keeps the exact
-economy SVD both as the small-input path and as the parity reference the
-seeded randomized path is tested against.
+:class:`PCAReducer` keeps the top ``k`` principal components of the
+centred ``(N, D)`` data ``C``.  Its exact path is a symmetric
+eigendecomposition: of the ``N×N`` Gram matrix ``C Cᵀ`` when ``N ≤ D``
+(components ``Cᵀu / σ``), of the ``D×D`` scatter matrix ``Cᵀ C``
+otherwise.  That costs about ``min(N, D)³``, a few milliseconds for the
+96-row fits of a leakage audit.  Once ``min(N, D)`` reaches
+:data:`RANDOMIZED_SVD_MIN_RANK` — ``paper`` scale fits are ``(N≈1000,
+D≈3-12k)`` — a seeded randomized range-finder SVD (Halko, Martinsson &
+Tropp 2011), ``O(N·D·k)``, is faster and takes over.  The tests hold both
+paths to the economy SVD of ``C``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ import numpy as np
 
 from repro.errors import EstimatorError
 
-#: Elements of the fit matrix above which ``svd="auto"`` goes randomized.
-RANDOMIZED_SVD_MIN_ELEMENTS = 1_000_000
+#: ``min(N, D)`` from which :class:`PCAReducer` fits by randomized SVD.
+#: The crossover moves with ``max(N, D)``: on one OpenBLAS thread of a
+#: 2-vCPU AVX-512 Xeon, keeping 12 components, it lay below 288 at
+#: ``D = 1024``, near 420 at ``D = 3072`` and near 1000 at ``D = 12288``.
+RANDOMIZED_SVD_MIN_RANK = 400
 
 #: Extra random probe directions beyond ``k`` (oversampling parameter p).
 RANDOMIZED_SVD_OVERSAMPLES = 10
@@ -73,18 +79,71 @@ def randomized_svd(
     return u[:, :k], singular_values[:k], vt[:k]
 
 
+def _use_randomized(n: int, d: int, k: int) -> bool:
+    """Whether an ``(n, d)`` fit keeping ``k`` components goes randomized:
+    only at scale, and only when the kept subspace (plus oversampling) is a
+    small fraction of ``min(n, d)``."""
+    return (
+        min(n, d) >= RANDOMIZED_SVD_MIN_RANK
+        and (k + RANDOMIZED_SVD_OVERSAMPLES) * 4 <= min(n, d)
+    )
+
+
+def _top_eigenpairs(
+    centered: np.ndarray, mean: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``k`` squared singular values and right singular vectors of the
+    centred data, by eigendecomposition of its Gram or scatter matrix.
+
+    Args:
+        centered: ``(n, d)`` data minus ``mean``.
+        mean: The ``(d,)`` column means that were subtracted.
+        k: Components to return (``k <= min(n - 1, d)``).
+
+    Returns:
+        ``(λ, V)``: eigenvalues ``λ = σ²`` in descending order and the
+        ``(k, d)`` unit components.  An eigenvalue within rounding error
+        of zero comes back as 0 with a zero component row; for a tiny
+        ``σ``, ``Cᵀu / σ`` is a rounding-error direction inside the data's
+        row space that whitening would amplify.
+    """
+    n, d = centered.shape
+    gram = centered @ centered.T if n <= d else centered.T @ centered
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    eigenvalues = eigenvalues[::-1][:k]
+    eigenvectors = eigenvectors[:, ::-1][:, :k]
+    # The product resolves eigenvalues to about max(n, d)·eps·λ_max.
+    # Centring leaves up to about n·eps·|mean| of rounding in each entry
+    # (the column sums accumulate row by row), an eigenvalue of up to
+    # n³·eps²·|mean|², so the floor also covers data whose only spread is
+    # that rounding (constant columns).
+    eps = np.finfo(np.float64).eps
+    floor = max(n, d) * eps * max(eigenvalues[0], eps * n**2 * float(mean @ mean))
+    kept = eigenvalues > floor
+    eigenvalues = np.where(kept, eigenvalues, 0.0)
+    components = np.zeros((k, d))
+    if n <= d:
+        components[kept] = (
+            (centered.T @ eigenvectors[:, kept]) / np.sqrt(eigenvalues[kept])
+        ).T
+    else:
+        components[kept] = eigenvectors[:, kept].T
+    return eigenvalues, components
+
+
 class PCAReducer:
-    """Principal component projection fitted by SVD.
+    """Principal component projection.
+
+    Fits by eigendecomposition of the centred data's Gram (``N ≤ D``) or
+    scatter (``N > D``) matrix, or by seeded randomized SVD when
+    :func:`_use_randomized` says the input is large enough.  Components
+    whose variance is within rounding error of zero are zero rows, so
+    they project every sample to exactly 0.
 
     Args:
         n_components: Output dimensionality.
         whiten: Scale components to unit variance — recommended before
             kNN estimation so all dimensions contribute comparably.
-        svd: ``"exact"`` (economy SVD), ``"randomized"`` (seeded Halko
-            sketch), or ``"auto"`` (default): randomized once the fit
-            matrix exceeds :data:`RANDOMIZED_SVD_MIN_ELEMENTS` elements and
-            the component count is small relative to the matrix, exact
-            otherwise.
         rng: Randomness for the randomized path; defaults to a fixed seed
             so repeated fits of the same data agree.
     """
@@ -93,35 +152,17 @@ class PCAReducer:
         self,
         n_components: int,
         whiten: bool = True,
-        svd: str = "auto",
         rng: np.random.Generator | None = None,
     ) -> None:
         if n_components < 1:
             raise EstimatorError(f"n_components must be >= 1, got {n_components}")
-        if svd not in ("auto", "exact", "randomized"):
-            raise EstimatorError(
-                f"svd must be 'auto', 'exact', or 'randomized', got {svd!r}"
-            )
         self.n_components = n_components
         self.whiten = whiten
-        self.svd = svd
         self._rng = rng
         self.mean_: np.ndarray | None = None
         self.components_: np.ndarray | None = None
         self.scales_: np.ndarray | None = None
         self.explained_variance_: np.ndarray | None = None
-
-    def _use_randomized(self, n: int, d: int, k: int) -> bool:
-        if self.svd == "exact":
-            return False
-        if self.svd == "randomized":
-            return True
-        # auto: only worthwhile when the exact SVD is large and the kept
-        # subspace (plus oversampling) is a small fraction of it.
-        return (
-            n * d >= RANDOMIZED_SVD_MIN_ELEMENTS
-            and (k + RANDOMIZED_SVD_OVERSAMPLES) * 4 <= min(n, d)
-        )
 
     def fit(self, data: np.ndarray) -> "PCAReducer":
         """Fit the projection on ``(N, D)`` data (rows = samples)."""
@@ -134,14 +175,15 @@ class PCAReducer:
         k = min(self.n_components, d, n - 1)
         self.mean_ = data.mean(axis=0)
         centered = data - self.mean_
-        if self._use_randomized(n, d, k):
+        if _use_randomized(n, d, k):
             rng = self._rng or np.random.default_rng(0)
-            _, singular_values, vt = randomized_svd(centered, k, rng=rng)
+            _, singular_values, self.components_ = randomized_svd(
+                centered, k, rng=rng
+            )
+            squared = singular_values**2
         else:
-            # Economy SVD; components are right singular vectors.
-            _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
-        self.components_ = vt[:k]
-        variance = (singular_values[:k] ** 2) / max(n - 1, 1)
+            squared, self.components_ = _top_eigenpairs(centered, self.mean_, k)
+        variance = squared / (n - 1)
         self.explained_variance_ = variance
         self.scales_ = np.sqrt(np.maximum(variance, 1e-12))
         return self

@@ -23,6 +23,7 @@ from repro.core import (
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn import Tensor
 from repro.nn import functional as F
+from tests.helpers import mixed_flag_trainer, requires_grad_flags
 
 
 def make_trainer(bundle, **kwargs):
@@ -249,6 +250,43 @@ class TestTrainManyParity:
         trainer.train_many(fresh_noises(trainer, 2), 15)
         for name, param in lenet_bundle.model.named_parameters():
             np.testing.assert_array_equal(param.numpy(), before[name])
+
+
+class TestGradientFreeTrainMany:
+    """``train_many`` computes no weight gradients and leaves every
+    parameter's ``requires_grad`` as it found it."""
+
+    def test_no_parameter_gradients_and_flags_restored(self):
+        trainer = mixed_flag_trainer()
+        model = trainer.split.model
+        flags = requires_grad_flags(model)
+        assert any(flags) and not all(flags)
+        trainer.train_many(fresh_noises(trainer, 2), 6)
+        assert all(parameter.grad is None for parameter in model.parameters())
+        assert requires_grad_flags(model) == flags
+
+    def test_flags_restored_when_training_raises(self):
+        trainer = mixed_flag_trainer()
+        model = trainer.split.model
+        flags = requires_grad_flags(model)
+        with pytest.raises(TrainingError):
+            trainer.train_many(MultiNoiseTensor(np.zeros((2, 3, 2, 2))), 6)
+        assert requires_grad_flags(model) == flags
+        diverging = MultiNoiseTensor(
+            np.full((2, *trainer.split.activation_shape), np.nan)
+        )
+        with pytest.raises(TrainingError, match="diverged"):
+            trainer.train_many(diverging, 6)
+        assert requires_grad_flags(model) == flags
+
+    def test_noise_matches_a_model_frozen_beforehand(self):
+        trainer = mixed_flag_trainer()
+        learned = trainer.train_many(fresh_noises(trainer, 2), 6)
+        frozen = mixed_flag_trainer()
+        frozen.split.model.freeze()
+        expected = frozen.train_many(fresh_noises(frozen, 2), 6)
+        for ours, reference in zip(learned, expected):
+            np.testing.assert_array_equal(ours.noise, reference.noise)
 
 
 class TestPipelineCollectBatched:

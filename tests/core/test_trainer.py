@@ -14,6 +14,7 @@ from repro.core import (
     SplitInferenceModel,
 )
 from repro.errors import TrainingError
+from tests.helpers import mixed_flag_trainer, requires_grad_flags
 
 
 @pytest.fixture()
@@ -112,6 +113,43 @@ class TestValidation:
         trainer.train(fresh_noise(trainer), iterations=30)
         for name, param in lenet_bundle.model.named_parameters():
             np.testing.assert_array_equal(param.numpy(), before[name]), name
+
+
+class TestGradientFreeTraining:
+    """``train`` computes no weight gradients and leaves every parameter's
+    ``requires_grad`` as it found it."""
+
+    def test_no_parameter_gradients_and_flags_restored(self):
+        trainer = mixed_flag_trainer()
+        model = trainer.split.model
+        flags = requires_grad_flags(model)
+        assert any(flags) and not all(flags)
+        trainer.train(fresh_noise(trainer), iterations=6)
+        assert all(parameter.grad is None for parameter in model.parameters())
+        assert requires_grad_flags(model) == flags
+
+    def test_flags_restored_when_training_raises(self):
+        trainer = mixed_flag_trainer()
+        model = trainer.split.model
+        flags = requires_grad_flags(model)
+        bad = NoiseTensor.from_array(np.zeros((3, 2, 2), dtype=np.float32))
+        with pytest.raises(TrainingError):
+            trainer.train(bad, iterations=6)
+        assert requires_grad_flags(model) == flags
+        diverging = NoiseTensor.from_array(
+            np.full(trainer.split.activation_shape, np.nan, dtype=np.float32)
+        )
+        with pytest.raises(TrainingError, match="diverged"):
+            trainer.train(diverging, iterations=6)
+        assert requires_grad_flags(model) == flags
+
+    def test_noise_matches_a_model_frozen_beforehand(self):
+        trainer = mixed_flag_trainer()
+        learned = trainer.train(fresh_noise(trainer), iterations=6).noise
+        frozen = mixed_flag_trainer()
+        frozen.split.model.freeze()
+        expected = frozen.train(fresh_noise(frozen), iterations=6).noise
+        np.testing.assert_array_equal(learned, expected)
 
 
 class TestStreamingEvalSubset:

@@ -101,9 +101,10 @@ class TestTrainedStatisticsOracle:
 
 
 class TestInPlaceStatisticsUpdate:
-    """The process-global lowering cache keys BatchNorm constants by
-    content: an executor built after a BN is updated in place serves the
-    new statistics, and the new program takes over the old one's slot."""
+    """The process-global lowering cache keys what a program copies at
+    lowering by content (BatchNorm constants, and int8 weight codes'
+    source weights): an executor built after an in-place update serves the
+    new values, and the new program takes over the old one's slot."""
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_new_executor_sees_updated_statistics(self, backend):
@@ -143,6 +144,29 @@ class TestInPlaceStatisticsUpdate:
             # Each update moves the output, so a stale program would show.
             assert np.abs(out - previous).max() > 100 * ATOL
             previous = out
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_new_executor_sees_updated_int8_weights(self, backend):
+        rng = np.random.default_rng(31)
+        model = build_model("lenet", rng, width=0.5).eval()
+        cut = model.last_conv_cut()
+        _, remote = model.split(cut)
+        x = rng.normal(size=(5, *model.activation_shape(cut)[1:])).astype(np.float32)
+        linear = next(layer for layer in remote.layers() if isinstance(layer, Linear))
+
+        def served():
+            return BatchInvariantExecutor(remote, backend, weight_bits=8)(x)
+
+        ir.lower_cache_clear()
+        previous = served()
+        size = ir.lower_cache_info()["size"]
+        linear.weight.data *= 1.5
+        out = served()
+        assert ir.lower_cache_info()["size"] == size
+        assert np.abs(out - previous).max() > 100 * ATOL
+        # A fresh lowering of the updated module serves the same bits.
+        ir.lower_cache_clear()
+        np.testing.assert_array_equal(out, served())
 
 
 class TestExecutorSafety:

@@ -6,6 +6,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import NoiseTrainer, ShredderLoss, SplitInferenceModel
+from repro.models import build_model
+from repro.nn import TensorDataset
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.tensor import Tensor
 
@@ -58,3 +61,29 @@ def randomise_batch_norms(net, rng: np.random.Generator):
             module.gamma.data[:] = rng.normal(1.0, 0.5, size=c)
             module.beta.data[:] = rng.normal(0.0, 0.5, size=c)
     return net
+
+
+def mixed_flag_trainer(seed: int = 0):
+    """A noise trainer over an unfrozen ``build_model`` lenet whose
+    parameters alternate between ``requires_grad`` on and off, with random
+    train and eval sets."""
+    rng = np.random.default_rng(seed)
+    model = build_model("lenet", rng, width=0.5).eval()
+    for index, parameter in enumerate(model.parameters()):
+        parameter.requires_grad = index % 2 == 0
+    images = rng.standard_normal((48, *model.input_shape)).astype(np.float32)
+    labels = rng.integers(0, 10, size=48)
+    return NoiseTrainer(
+        SplitInferenceModel(model),
+        TensorDataset(images[:32], labels[:32]),
+        TensorDataset(images[32:], labels[32:]),
+        loss=ShredderLoss(1e-3),
+        batch_size=8,
+        eval_every=4,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def requires_grad_flags(model) -> list[bool]:
+    """Every parameter's ``requires_grad``, in parameter order."""
+    return [parameter.requires_grad for parameter in model.parameters()]

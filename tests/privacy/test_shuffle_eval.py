@@ -22,11 +22,11 @@ from repro.privacy import (
     estimate_leakage,
     evaluate_shuffle_leakage,
     ksg_mutual_information,
-    ksg_mutual_information_reference,
     subsampled_mi_interval,
     sweep_mixing_tradeoff,
     tap_wire_batches,
 )
+from tests.oracles import ksg_mutual_information_reference
 
 
 @pytest.fixture(scope="module")
