@@ -9,8 +9,10 @@ running the full network (``∂L/∂n`` does not involve ``L(x, θ₁)``).
 
 The trainer freezes the network itself: for the length of a ``train`` or
 ``train_many`` call every backbone parameter has ``requires_grad`` off, so
-the backward pass computes only the noise's gradient, and afterwards each
-parameter gets its own flag back.
+the backward pass computes only the noise's gradient, and the backbone is
+in eval mode, so BatchNorm uses its running statistics and Dropout is the
+identity, as at deployment.  Afterwards each parameter gets its own flag
+back and the model its own training flag, also on error.
 
 The precomputed activations come from
 :meth:`~repro.core.split.SplitInferenceModel.activations`: the edge
@@ -20,13 +22,26 @@ input, so the noise is learned on exactly the tensor it is added to at
 deployment.  The remote half runs on ``repro.nn``, whose tape training
 needs.
 
-Two training entry points share that machinery:
+With the weights frozen, the remote half's first affine layer splits as
+``W(a + n) + b = (W a + b) + W n``, and only ``W n`` changes from step to
+step.  Where the remote half starts with ``Flatten`` (and ``Dropout``,
+the identity in eval mode) and then a ``Linear`` — the paper's default
+cut of every backbone — each call computes ``pre = W a + b`` once for
+all training rows, and a step runs the rest of the remote half on
+``pre[rows] + W n``: the noise projection is one ``(M × in)·(in × out)``
+product instead of pushing every row through ``W``.  ``pre`` is computed
+per call, so an in-place weight update between calls reaches the next
+one.  Where the remote half starts with any other module (a ``Conv2d``),
+nothing is hoisted: ``pre`` is the activations, the projection is the
+identity and the step is the plain ``R(a + n)``, bit for bit.  At
+``Linear``-head cuts the two forms round differently and agree to
+float32 precision, not bitwise.  Accuracy probes stay on the plain
+remote forward (``SplitInferenceModel.accuracy_from_activations`` and
+its ``_multi`` form), so ``final_accuracy`` does not depend on the
+hoist: an untrained backbone's near-tied logits could flip an argmax
+under merely float32-close logits.
 
-Intermediate held-out accuracy probes can run on a rotating eval subset
-(``eval_subset``) instead of the full eval set — probing only reads, so the
-trained noise is unchanged while collection training stops paying the
-full-eval-set cost every ``eval_every`` steps (the final probe stays
-full-set).
+Two training entry points share that machinery:
 
 * :meth:`NoiseTrainer.train` — one noise tensor, the paper's loop.
 * :meth:`NoiseTrainer.train_many` — all M members of a §2.5 noise
@@ -38,6 +53,12 @@ full-set).
   per-member loss hands each member's noise slice precisely its own
   gradient, so batched results match sequential training (same seeds)
   within floating-point tolerance at a fraction of the wall clock.
+
+Intermediate held-out accuracy probes can run on a rotating eval subset
+(``eval_subset``) instead of the full eval set — probing only reads, so the
+trained noise is unchanged while collection training stops paying the
+full-eval-set cost every ``eval_every`` steps (the final probe stays
+full-set).
 """
 
 from __future__ import annotations
@@ -60,7 +81,8 @@ from repro.core.snr import (
 )
 from repro.core.split import SplitInferenceModel
 from repro.errors import TrainingError
-from repro.nn import Adam, Dataset, Module, Tensor
+from repro.nn import Adam, Dataset, Dropout, Flatten, Linear, Module, Sequential, Tensor
+from repro.nn import functional as F
 
 
 @dataclass
@@ -97,41 +119,80 @@ class NoiseTrainingResult:
     epochs: float
 
 
-def _member_noisy_batch(activations: np.ndarray, bank: MultiNoiseTensor) -> Tensor:
-    """Member-stacked noisy activations as one fused tape node.
+def _member_noisy_batch(gathered: np.ndarray, projected: Tensor) -> Tensor:
+    """Member-stacked noisy rows as one fused tape node.
 
-    Forward: broadcast-add each member's noise slice to its own
-    ``(rows, ...)`` block of the ``(M, rows, ...)`` gathered activations
-    and flatten to ``(M*rows, ...)``.  Backward: the adjoint of the
-    broadcast — sum the incoming gradient over each member's rows — lands
-    directly on the bank.  One tape node instead of a reshape/add/reshape
-    chain; this runs once per training step.
+    Forward: broadcast-add each member's projected noise ``projected[m]``
+    to its own ``(rows, ...)`` block of the ``(M, rows, ...)`` rows
+    gathered from ``pre`` and flatten to ``(M*rows, ...)``.  Backward: the
+    adjoint of the broadcast — sum the incoming gradient over each
+    member's rows — lands on ``projected``.  One tape node instead of a
+    reshape/add/reshape chain; this runs once per training step.
     """
-    m, rows = activations.shape[:2]
-    shape = bank.activation_shape
-    out = (activations + bank.data[:, None]).reshape(m * rows, *shape)
+    m, rows = gathered.shape[:2]
+    shape = projected.shape[1:]
+    out = (gathered + projected.data[:, None]).reshape(m * rows, *shape)
 
     def backward(grad: np.ndarray) -> None:
-        bank.accumulate_grad(grad.reshape(m, rows, *shape).sum(axis=1))
+        projected.accumulate_grad(grad.reshape(m, rows, *shape).sum(axis=1))
 
-    return Tensor._make(out, (bank,), backward)
+    return Tensor._make(out, (projected,), backward)
+
+
+class _HoistedRemote:
+    """The remote half as one call's training steps run it.
+
+    The head is the remote half's leading ``Flatten``/``Dropout`` modules
+    through its first ``Linear``, or nothing when another module comes
+    first.  ``pre`` is the head applied once to ``activations``, bias
+    included; a step adds each member's noise, projected by the head's
+    weight, to its rows of ``pre`` and runs the rest of the remote half.
+    Valid only while the backbone is frozen and in eval mode, where
+    ``Dropout`` is the identity.
+    """
+
+    def __init__(self, remote: Sequential, activations: np.ndarray) -> None:
+        self.linear: Linear | None = None
+        split_at = 0
+        for index, module in enumerate(remote):
+            if isinstance(module, Linear):
+                self.linear, split_at = module, index + 1
+                break
+            if not isinstance(module, (Flatten, Dropout)):
+                break
+        self.pre = remote.slice(0, split_at)(Tensor(activations)).data
+        self.rest = remote.slice(split_at, len(remote))
+
+    def __call__(self, indices: np.ndarray, noise: Tensor) -> Tensor:
+        """Logits of the ``(M, rows)`` training rows ``indices``, member
+        ``m``'s rows under the noise ``noise[m]``."""
+        projected = noise
+        if self.linear is not None:
+            projected = F.linear(noise.flatten_batch(), self.linear.weight)
+        return self.rest(_member_noisy_batch(self.pre[indices], projected))
 
 
 @contextmanager
-def _gradients_off(model: Module) -> Iterator[None]:
-    """Turn off ``requires_grad`` on every parameter of ``model`` for the
-    block, then restore each parameter's own flag, also on error.
+def _frozen_eval(model: Module) -> Iterator[None]:
+    """Hold ``model`` frozen and in eval mode for the block, then restore
+    each parameter's ``requires_grad`` and the model's training flag, also
+    on error.
 
     Noise training never updates the weights (paper §2.1), so weight
     gradients are work nothing reads; the noise's gradient is unchanged.
+    Eval mode trains the noise on the network as it is deployed, and is
+    what makes the hoisted head exact across ``Dropout``.
     """
     parameters = model.parameters()
     flags = [parameter.requires_grad for parameter in parameters]
+    was_training = model.training
     for parameter in parameters:
         parameter.requires_grad = False
+    model.eval()
     try:
         yield
     finally:
+        model.train(was_training)
         for parameter, flag in zip(parameters, flags):
             parameter.requires_grad = flag
 
@@ -213,9 +274,9 @@ class NoiseTrainer:
         self.eval_subset = eval_subset
         self._eval_rng = eval_rng or np.random.default_rng(0)
         self._eval_plan: _StreamingEvalPlan | None = None
-        # The backbone is frozen *and* in eval mode throughout noise
-        # training: BatchNorm uses its running statistics and dropout is
-        # inactive, exactly as at deployment time.
+        # Each ``train``/``train_many`` call holds the backbone frozen and
+        # in eval mode and then restores the caller's flags.  Construction
+        # also leaves the model in eval mode, as it is served.
         split.model.eval()
         # Materialisation goes through the process-wide activation cache:
         # repeated pipelines over the same (model, cut, dataset) — λ sweeps,
@@ -325,14 +386,14 @@ class NoiseTrainer:
         history = NoiseTrainingHistory()
         n = len(self.train_labels)
         plan = self._batch_plan(iterations)
-        with _gradients_off(self.split.model):
+        with _frozen_eval(self.split.model):
+            remote = _HoistedRemote(self.split.remote, self.train_activations)
             for step, batch in enumerate(plan):
                 privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
                 lambda_now = self.schedule.coefficient(step, privacy)
                 loss_fn = self.loss.with_lambda(lambda_now)
 
-                activations = Tensor(self.train_activations[batch])
-                logits = self.split.remote(activations + noise)
+                logits = remote(batch[None], noise)
                 total, parts = loss_fn(logits, self.train_labels[batch], noise)
                 if not np.isfinite(parts.total):
                     raise TrainingError(
@@ -376,13 +437,15 @@ class NoiseTrainer:
         """Train M noise members simultaneously in one batched loop.
 
         Every step stacks the members' mini-batches into one ``(M*B, ...)``
-        activation batch, adds each member's noise slice to its own rows,
-        runs a single remote forward/backward, and applies one Adam step to
-        the ``(M, ...)`` noise bank.  The summed per-member loss (see
-        :meth:`ShredderLoss.many`) makes each slice's gradient — and hence
-        Adam's elementwise update — identical to what M sequential
-        :meth:`train` calls would produce from the same initialisations,
-        while amortising all per-op overhead M-fold.
+        batch of ``pre`` rows (the activations through the hoisted head,
+        see the module docstring), adds each member's projected noise to
+        its own rows, runs the rest of the remote half forward and
+        backward once, and applies one Adam step to the ``(M, ...)`` noise
+        bank.  The summed per-member loss (see :meth:`ShredderLoss.many`)
+        makes each slice's gradient — and hence Adam's elementwise update —
+        identical to what M sequential :meth:`train` calls would produce
+        from the same initialisations, while amortising all per-op
+        overhead M-fold.
 
         Per-member λ schedules are independent clones of ``self.schedule``,
         so decay-on-target members trigger individually.
@@ -436,7 +499,8 @@ class NoiseTrainer:
             fixed_lambdas = [schedule.value for schedule in schedules]
             lambda_col[:] = fixed_lambdas
             bank_snapshots = np.empty((iterations, *bank.data.shape), dtype=np.float32)
-        with _gradients_off(self.split.model):
+        with _frozen_eval(self.split.model):
+            remote = _HoistedRemote(self.split.remote, self.train_activations)
             for step in range(iterations):
                 if constant_lambda:
                     bank_snapshots[step] = bank.data
@@ -449,8 +513,7 @@ class NoiseTrainer:
                     ]
                     lambda_col[step] = lambdas
                 indices = plan_matrix[step]
-                noisy = _member_noisy_batch(self.train_activations[indices], bank)
-                logits = self.split.remote(noisy)
+                logits = remote(indices, bank)
                 targets = self.train_labels[indices].reshape(-1)
                 total, cross_entropies, reg_terms, reg_sign = self.loss.many_arrays(
                     logits, targets, bank, lambdas

@@ -8,13 +8,18 @@ import pytest
 from repro.core import (
     ConstantLambda,
     DecayOnTarget,
+    MultiNoiseTensor,
     NoiseTensor,
     NoiseTrainer,
     ShredderLoss,
     SplitInferenceModel,
 )
 from repro.errors import TrainingError
-from tests.helpers import mixed_flag_trainer, requires_grad_flags
+from tests.helpers import (
+    mixed_flag_trainer,
+    random_data_trainer,
+    requires_grad_flags,
+)
 
 
 @pytest.fixture()
@@ -150,6 +155,43 @@ class TestGradientFreeTraining:
         frozen.split.model.freeze()
         expected = frozen.train(fresh_noise(frozen), iterations=6).noise
         np.testing.assert_array_equal(learned, expected)
+
+
+class TestEvalModeDuringTraining:
+    """``train`` and ``train_many`` run the backbone in eval mode and give
+    the model its own training flag back.  cifar's remote half holds a
+    Dropout after its first Linear, alexnet's one before it."""
+
+    @staticmethod
+    def _learn(trainer, method, noise):
+        # The noise tensors wrap their array, and Adam updates it in place.
+        if method == "train":
+            return [trainer.train(NoiseTensor(noise[:1].copy()), 4).noise]
+        return [r.noise for r in trainer.train_many(MultiNoiseTensor(noise.copy()), 4)]
+
+    @pytest.mark.parametrize("method", ["train", "train_many"])
+    @pytest.mark.parametrize("network", ["cifar", "alexnet"])
+    def test_training_mode_model_learns_as_in_eval_mode(self, network, method):
+        reference = random_data_trainer(network)
+        shape = reference.split.activation_shape
+        noise = np.random.default_rng(7).laplace(size=(3, *shape)).astype(np.float32)
+        expected = self._learn(reference, method, noise)
+        trainer = random_data_trainer(network)
+        model = trainer.split.model.train()
+        learned = self._learn(trainer, method, noise)
+        assert model.training
+        assert all(module.training for _, module in model.named_modules())
+        for ours, theirs in zip(learned, expected):
+            np.testing.assert_array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("method", ["train", "train_many"])
+    def test_training_flag_restored_when_training_raises(self, method):
+        trainer = random_data_trainer("cifar")
+        model = trainer.split.model.train()
+        diverging = np.full((2, *trainer.split.activation_shape), np.nan, np.float32)
+        with pytest.raises(TrainingError, match="diverged"):
+            self._learn(trainer, method, diverging)
+        assert all(module.training for _, module in model.named_modules())
 
 
 class TestStreamingEvalSubset:

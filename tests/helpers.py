@@ -63,14 +63,11 @@ def randomise_batch_norms(net, rng: np.random.Generator):
     return net
 
 
-def mixed_flag_trainer(seed: int = 0):
-    """A noise trainer over an unfrozen ``build_model`` lenet whose
-    parameters alternate between ``requires_grad`` on and off, with random
-    train and eval sets."""
+def random_data_trainer(network: str = "lenet", seed: int = 0) -> NoiseTrainer:
+    """A noise trainer over an untrained ``build_model`` backbone at width
+    0.5, in eval mode, with random train and eval sets."""
     rng = np.random.default_rng(seed)
-    model = build_model("lenet", rng, width=0.5).eval()
-    for index, parameter in enumerate(model.parameters()):
-        parameter.requires_grad = index % 2 == 0
+    model = build_model(network, rng, width=0.5).eval()
     images = rng.standard_normal((48, *model.input_shape)).astype(np.float32)
     labels = rng.integers(0, 10, size=48)
     return NoiseTrainer(
@@ -82,6 +79,15 @@ def mixed_flag_trainer(seed: int = 0):
         eval_every=4,
         rng=np.random.default_rng(seed),
     )
+
+
+def mixed_flag_trainer(seed: int = 0) -> NoiseTrainer:
+    """A :func:`random_data_trainer` lenet whose parameters alternate
+    between ``requires_grad`` on and off."""
+    trainer = random_data_trainer("lenet", seed)
+    for index, parameter in enumerate(trainer.split.model.parameters()):
+        parameter.requires_grad = index % 2 == 0
+    return trainer
 
 
 def requires_grad_flags(model) -> list[bool]:

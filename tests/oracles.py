@@ -2,7 +2,9 @@
 
 Each oracle is the straightforward form of a computation the library
 runs faster: the per-point KSG and Kozachenko-Leonenko loops, the
-per-observation attack loops, and the PCA fitted by an economy SVD.
+per-observation attack loops, the PCA fitted by an economy SVD, and the
+plain noise-training step, which pushes every noisy row through the
+whole remote half.
 Parity tests compare the library with them, and
 ``benchmarks/bench_hotpaths.py`` times the estimator oracles as its
 "before" side.  This module imports only numpy, scipy and ``repro`` so
@@ -17,7 +19,9 @@ from scipy.special import digamma
 
 from repro.attacks.reconstruction import NearestNeighbourInverter, _flatten
 from repro.attacks.reidentification import ReidentificationAttack
+from repro.core.noise_tensor import MultiNoiseTensor
 from repro.errors import EstimatorError
+from repro.nn import Sequential, Tensor
 from repro.privacy.entropy import _LN2, _validate_samples, unit_ball_log_volume
 from repro.privacy.mutual_information import _RADIUS_TOL, _jittered, _paired
 from repro.privacy.reduction import PCAReducer
@@ -156,3 +160,42 @@ class SVDPCAReducer(PCAReducer):
         self.explained_variance_ = variance
         self.scales_ = np.sqrt(np.maximum(variance, 1e-12))
         return self
+
+
+def member_noisy_batch_reference(
+    activations: np.ndarray, bank: MultiNoiseTensor
+) -> Tensor:
+    """Member-stacked noisy activations as one fused tape node.
+
+    Forward: broadcast-add each member's noise slice to its own
+    ``(rows, ...)`` block of the ``(M, rows, ...)`` gathered activations
+    and flatten to ``(M*rows, ...)``.  Backward: the adjoint of the
+    broadcast — sum the incoming gradient over each member's rows — lands
+    directly on the bank.  One tape node instead of a reshape/add/reshape
+    chain; this runs once per training step.
+    """
+    m, rows = activations.shape[:2]
+    shape = bank.activation_shape
+    out = (activations + bank.data[:, None]).reshape(m * rows, *shape)
+
+    def backward(grad: np.ndarray) -> None:
+        bank.accumulate_grad(grad.reshape(m, rows, *shape).sum(axis=1))
+
+    return Tensor._make(out, (bank,), backward)
+
+
+def plain_step_reference(
+    remote: Sequential,
+    activations: np.ndarray,
+    indices: np.ndarray,
+    bank: MultiNoiseTensor,
+) -> Tensor:
+    """Logits of one noise-training step without the hoisted head.
+
+    Row ``m`` of the ``(M, rows)`` matrix ``indices`` picks member ``m``'s
+    rows of ``activations``; they get ``bank[m]`` added, and every row runs
+    through the whole ``remote`` half, as ``NoiseTrainer.train_many``
+    stepped before the remote half's first ``Linear`` was hoisted out of
+    the step.
+    """
+    return remote(member_noisy_batch_reference(activations[indices], bank))
