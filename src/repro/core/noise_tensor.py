@@ -28,11 +28,12 @@ class NoiseTensor(Parameter):
     The leading singleton dimension broadcasts the same noise tensor over a
     batch of activations; the autograd engine sums the incoming gradient
     over the batch, which is exactly the mini-batch gradient of the loss
-    with respect to the shared noise.
+    with respect to the shared noise.  The tensor owns a float32 copy of
+    ``data``: training updates it in place, never the caller's array.
     """
 
     def __init__(self, data: np.ndarray) -> None:
-        super().__init__(np.asarray(data, dtype=np.float32), name="shredder_noise")
+        super().__init__(np.array(data, dtype=np.float32), name="shredder_noise")
 
     @classmethod
     def from_laplace(
@@ -65,7 +66,7 @@ class NoiseTensor(Parameter):
     def from_array(cls, array: np.ndarray) -> "NoiseTensor":
         """Wrap a previously trained noise tensor (adds the batch dim
         when given a per-sample array)."""
-        array = np.asarray(array, dtype=np.float32)
+        array = np.asarray(array)
         if array.ndim >= 1 and array.shape[0] != 1:
             array = array[None]
         return cls(array)
@@ -93,11 +94,12 @@ class MultiNoiseTensor(Parameter):
     per-member terms, so the gradient landing on each slice is exactly the
     gradient an independently trained :class:`NoiseTensor` would receive.
     Adam's elementwise state then evolves every slice identically to M
-    sequential runs.
+    sequential runs.  Like :class:`NoiseTensor`, the bank owns a float32
+    copy of ``data``.
     """
 
     def __init__(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float32)
+        data = np.array(data, dtype=np.float32)
         if data.ndim < 2:
             raise ConfigurationError(
                 f"expected (M, *activation_shape) data, got shape {data.shape}"
@@ -114,7 +116,8 @@ class MultiNoiseTensor(Parameter):
             raise ConfigurationError(
                 f"members must share one activation shape, got {sorted(map(str, shapes))}"
             )
-        return cls(np.stack([member.per_sample for member in members]))
+        # The constructor's copy stacks the members.
+        return cls([member.per_sample for member in members])
 
     @classmethod
     def from_laplace(

@@ -15,19 +15,24 @@ the IR, which the numpy interpreter executes identically.
 
 Kernels (float32 out; input may be f32 or quantised u8/u16 codes):
 
-* ``conv2d`` — per-sample im2col into a scratch panel, then a
-  register-blocked GEMM (4 output channels x 32 columns per tile, float
-  accumulators) with the op epilogue fused into the tile: affine scale
-  (folded dequantisation), bias, the optional folded eval-mode BatchNorm
-  ``(y − mean) / sd · gamma + beta``, optional ReLU, optional per-row
-  extra add.  One shared helper (``epi_apply``) applies this sequence in
-  every conv and linear kernel variant.  Single-position convs
-  (``OH*OW == 1``) reroute to the dot kernel.
-* ``conv2d direct`` — stride-1 convs in the :data:`repro.edge.ir` direct
-  eligibility window skip im2col and convolve a zero-padded plane copy
-  (4 output channels x 2 output rows x <= 128 columns per tile); the same
-  epilogue, plus an optional fused eval-mode 2x2/2 max pool reduced
-  in-register over the 2-row tile before anything is stored.
+* ``conv2d`` — one flat-plane kernel for every float conv (f32 or int8
+  weights, on f32 input or widened u8/u16 codes).  Per sample it copies
+  the padded input into ``sh·sw`` phase (polyphase) planes — one padded
+  plane at stride 1 — and takes its vector lanes from consecutive
+  positions ``p = oy·wq + ox`` of the flattened plane, so every tap
+  ``(c, ki, kj)`` is one contiguous load from phase plane
+  ``(ki mod sh, kj mod sw)`` at offset ``(ki/sh, kj/sw)`` whatever the
+  plane width; the ``wq − ow`` wrap-around lanes of each row are computed
+  and dropped.  Tiles of 4 output channels x up to 64 lanes land in a
+  staging area of the scratch panel, where the op epilogue runs: affine
+  scale (folded dequantisation), bias, the optional folded eval-mode
+  BatchNorm ``(y − mean) / sd · gamma + beta``, optional ReLU, an
+  optional fused eval-mode 2x2/2 max pool over row pairs, and the
+  optional per-row extra add.  One shared helper
+  (``epi_apply``) applies the epilogue in every conv and linear kernel
+  variant.  im2col remains in two places only: single-position convs
+  (``OH*OW == 1``) feed one im2col column to the dot kernel, and the fully
+  integer path runs im2col + an integer GEMM (below).
 * ``linear`` — row-blocked dot products (4 output features x 16 fixed
   lanes per row) with the same fused epilogue.
 * ``maxpool2d`` / ``relu`` — standalone passes for ops the rewrite
@@ -40,21 +45,22 @@ Kernels (float32 out; input may be f32 or quantised u8/u16 codes):
   is zero, subnormal or non-finite, or whose exponent leaves the
   polynomial's range, fall back to ``powf``.
 
-Quantised ingest: when a record's input dtype is u8/u16, im2col panels
-and padded planes are widened to float *code values* in-register (padding
-carries the zero point, which dequantises to exactly 0.0) and the affine
+Quantised ingest: when a record's input dtype is u8/u16, phase planes and
+im2col columns are widened to float *code values* (padding carries the
+zero point, which dequantises to exactly 0.0) and the affine
 dequantisation rides the epilogue as ``out = scale·acc + bias`` — the
 bias having been pre-corrected by ``−scale·zp·Σw`` on the Python side.
 No f32 dequantised copy of the activation ever exists.
 
 Quantised weights (the opt-in ``int8_weights`` rewrite): a record whose
-op carries int8 weight codes sets its weight-mode field and the GEMM/dot
-kernels read the code plane directly — ``gemm_w8``/``linear_*_w8`` widen
-int8 codes to float in-register against the float (or float-widened
-code) panel (the linear variants convert each 256-term weight chunk once
-per 16-sample block, bit-identical to the per-sample form), while the
-fully integer variants (taken when composed with quantised ingest and
-the reduction depth keeps an i32 accumulator exact — see
+op carries int8 weight codes sets its weight-mode field and the conv/dot
+kernels read the code plane directly — ``flat_conv_w8``/``linear_*_w8``
+widen int8 codes to float in-register against the float (or
+float-widened code) operand (the linear variants convert each 256-term
+weight chunk once per 16-sample block, bit-identical to the per-sample
+form), while the fully integer variants (taken when composed with
+quantised ingest and the reduction depth keeps an i32 accumulator exact
+— see
 :func:`repro.edge.ir.integer_matmul_eligible`) multiply raw u8
 activation codes against i8 weight codes with exact int32 accumulation:
 ``gemm_u8w8``/``linear_u8_i8`` on the im2col/dot path, and — where the
@@ -72,10 +78,12 @@ backend.  Whole-input convs (no padding, kernel == input plane) lower to
 the batched linear record, skipping the per-sample im2col.
 
 Determinism contract (what the serving parity guarantee needs): every
-output element is produced by a *fixed* accumulation schedule — the GEMM
-accumulates over ``k`` sequentially per element, the dot kernel uses a
-fixed 16-lane split of ``k`` reduced in a fixed order — and conv/pool
-kernels loop samples independently.  The epilogue is a fixed op sequence
+output element is produced by a *fixed* accumulation schedule — every
+float conv output accumulates from ``0.0f`` with one multiply-add per tap
+in ascending ``(c, ki, kj)`` order, whatever its tile or lane, the dot
+kernel uses a fixed 16-lane split of ``k`` reduced in a fixed order, and
+integer kernels accumulate exactly — and conv/pool kernels loop samples
+independently.  The epilogue is a fixed op sequence
 (scale, bias, BatchNorm affine, ReLU, pool max, extra add) whose disabled
 stages are exact identities (``1.0f*x == x``) or skipped, so results are
 bit-identical no matter how requests are grouped into micro-batches (the
@@ -104,14 +112,8 @@ OP_CONV2D = 0
 OP_LINEAR = 1
 OP_RELU = 2
 OP_MAXPOOL2D = 3
-OP_CONV2D_DIRECT = 4
-OP_AFFINE = 5
-OP_LRN = 6
-
-#: Direct-kernel eligibility window (owned by the IR; re-exported for the
-#: differential tests that pin which lowering a geometry takes).
-DIRECT_CONV_MIN_OW = ir.DIRECT_CONV_MIN_OW
-DIRECT_CONV_MAX_OW = ir.DIRECT_CONV_MAX_OW
+OP_AFFINE = 4
+OP_LRN = 5
 
 #: Program record fields, in the C interpreter's order (see run_program):
 #: op code, geometry, weight-table indices (-1: none) and epilogue flags.
@@ -133,9 +135,10 @@ _SOURCE = r"""
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* im2col: one sample (c_in, h, w) -> (c_in*kh*kw, oh*ow).  Generated  */
-/* per (input dtype, panel dtype); integer codes widen to float in-    */
-/* register on the float panels, stay raw codes on the u8 panel (the   */
+/* im2col: one sample (c_in, h, w) -> (c_in*kh*kw, oh*ow), for the    */
+/* dot kernel's single-position convs and the fully integer GEMM.      */
+/* Generated per (input dtype, panel dtype); integer codes widen to    */
+/* float on the float panels, stay raw codes on the u8 panel (the      */
 /* fully integer path), and the padding value is the quantiser zero    */
 /* point (0.0f for f32 inputs).                                        */
 /* ------------------------------------------------------------------ */
@@ -189,29 +192,50 @@ DEF_IM2COL(im2col_u8, uint8_t, float)
 DEF_IM2COL(im2col_u16, uint16_t, float)
 DEF_IM2COL(im2col_u8c, uint8_t, uint8_t)
 
-/* Zero-padded plane copy feeding the direct conv kernel, also generated
-   per input dtype with the zero point as the padding value. */
-#define DEF_PADPLANE(NAME, TYPE)                                           \
+/* Phase planes feeding the flat-plane conv: the padded input of one    */
+/* sample split by stride into sh*sw polyphase planes of hq x wq, laid  */
+/* out [c][fy][fx][hq][wq], so padded pixel (y, x) of channel c sits at */
+/* row y/sh, column x/sw of phase plane (y mod sh, x mod sw).  Stride 1 */
+/* is the single padded plane.  The planes are first filled with the   */
+/* padding value (the zero point for codes, 0.0f for f32), so every    */
+/* entry outside the input, the padded border and the phases' ragged   */
+/* ends alike, holds it; then the input's rows are copied in.          */
+/* Generated per input dtype; integer codes widen to float here.       */
+#define DEF_PHASE_PLANES(NAME, TYPE)                                       \
 static void NAME(const TYPE *restrict x, int64_t c_in, int64_t h,          \
-                 int64_t w, int64_t ph, int64_t pw, float padv,            \
-                 float *restrict xp) {                                     \
-    int64_t hp = h + 2 * ph, wp = w + 2 * pw;                              \
-    if (ph == 0 && pw == 0) {                                              \
-        for (int64_t j = 0; j < c_in * h * w; j++) xp[j] = (float)x[j];    \
-        return;                                                            \
-    }                                                                      \
-    for (int64_t j = 0; j < c_in * hp * wp; j++) xp[j] = padv;             \
+                 int64_t w, int64_t sh, int64_t sw, int64_t ph,            \
+                 int64_t pw, int64_t hq, int64_t wq, float padv,           \
+                 float *restrict xq) {                                     \
+    for (int64_t j = 0; j < c_in * sh * sw * hq * wq; j++) xq[j] = padv;   \
     for (int64_t c = 0; c < c_in; c++)                                     \
-        for (int64_t y = 0; y < h; y++) {                                  \
-            float *restrict dst = xp + (c * hp + y + ph) * wp + pw;        \
-            const TYPE *restrict src = x + (c * h + y) * w;                \
-            for (int64_t j = 0; j < w; j++) dst[j] = (float)src[j];        \
-        }                                                                  \
+        for (int64_t fy = 0; fy < sh; fy++)                                \
+            for (int64_t fx = 0; fx < sw; fx++) {                          \
+                float *restrict plane =                                    \
+                    xq + ((c * sh + fy) * sw + fx) * hq * wq;              \
+                /* Phase columns q with input column q*sw + fx - pw in    \
+                   [0, w) are [q0, q1). */                                 \
+                int64_t lo = pw - fx, hi = w + pw - fx;                    \
+                int64_t q0 = lo > 0 ? (lo + sw - 1) / sw : 0;              \
+                int64_t q1 = hi > 0 ? (hi + sw - 1) / sw : 0;              \
+                if (q1 > wq) q1 = wq;                                      \
+                for (int64_t qy = 0; qy < hq; qy++) {                      \
+                    int64_t y = qy * sh + fy - ph;                         \
+                    if (y < 0 || y >= h) continue;                         \
+                    float *restrict dst = plane + qy * wq;                 \
+                    const TYPE *restrict src = x + (c * h + y) * w;        \
+                    if (sw == 1)                                           \
+                        for (int64_t j = q0; j < q1; j++)                  \
+                            dst[j] = (float)src[j - lo];                   \
+                    else                                                   \
+                        for (int64_t j = q0; j < q1; j++)                  \
+                            dst[j] = (float)src[j * sw - lo];              \
+                }                                                          \
+            }                                                              \
 }
 
-DEF_PADPLANE(pad_plane_f32, float)
-DEF_PADPLANE(pad_plane_u8, uint8_t)
-DEF_PADPLANE(pad_plane_u16, uint16_t)
+DEF_PHASE_PLANES(phase_planes_f32, float)
+DEF_PHASE_PLANES(phase_planes_u8, uint8_t)
+DEF_PHASE_PLANES(phase_planes_u16, uint16_t)
 
 /* Raw u8 plane copy (no widening) feeding the packed integer direct
    kernel; the padding byte is the quantiser zero point (which the
@@ -291,94 +315,77 @@ static inline float max4(float v00, float v01, float v10, float v11) {
     } while (0)
 
 /* ------------------------------------------------------------------ */
-/* GEMM out(c_out, m) = wmat(c_out, K) @ cols(K, m), with the shared   */
-/* epilogue (epi_apply) and the extra add fused.  4x32 register tiles; */
-/* every output element accumulates over k in fixed ascending order,   */
-/* so results never depend on tile neighbours.  scale == 1.0f is an    */
-/* exact identity, keeping the unquantised path bit-stable.  Generated */
-/* per (weight dtype, panel dtype, accumulator): f32xf32->f32 (the     */
-/* historical kernel, arithmetic unchanged), i8-weight x f32-panel     */
-/* (codes widened in-register, f32 accumulation), and the fully        */
-/* integer u8-panel x i8-weight with exact i32 accumulation (adds are  */
-/* associative, so batch invariance holds by arithmetic alone).        */
+/* Fully integer GEMM out(c_out, m) = wmat(c_out, K) @ cols(K, m): raw */
+/* u8 code panel x i8 weight codes with exact i32 accumulation (adds   */
+/* are associative, so batch invariance holds by arithmetic alone),    */
+/* the shared epilogue (epi_apply) and the extra add fused.  4x32      */
+/* register tiles.                                                     */
 /* ------------------------------------------------------------------ */
-#define DEF_GEMM(NAME, WTYPE, BTYPE, ACC)                                  \
-static void NAME##_tile(const WTYPE *restrict wmat,                        \
-                        const BTYPE *restrict cols,                        \
-                        const float *restrict bias,                        \
-                        const float *restrict cscale,                      \
-                        const float *restrict aff, int64_t c_out,          \
-                        int64_t K, int64_t m, int64_t oc, int64_t nr,      \
-                        int64_t jb, int64_t mb, int relu, float scale,     \
-                        const float *restrict extra,                       \
-                        float *restrict out) {                             \
-    ACC acc[4][32] __attribute__((aligned(64)));                           \
-    for (int64_t r = 0; r < 4; r++)                                        \
-        memset(acc[r], 0, mb * sizeof(ACC));                               \
-    const WTYPE *w0 = wmat + oc * K;                                       \
-    const WTYPE *w1 = wmat + (oc + (nr > 1)) * K;                          \
-    const WTYPE *w2 = wmat + (oc + 2 * (nr > 2)) * K;                      \
-    const WTYPE *w3 = wmat + (oc + 3 * (nr > 3)) * K;                      \
-    if (mb == 32) {                                                        \
-        for (int64_t k = 0; k < K; k++) {                                  \
-            const BTYPE *restrict b = cols + k * m + jb;                   \
-            ACC a0 = (ACC)w0[k], a1 = (ACC)w1[k];                          \
-            ACC a2 = (ACC)w2[k], a3 = (ACC)w3[k];                          \
-            for (int64_t j = 0; j < 32; j++) {                             \
-                ACC v = (ACC)b[j];                                         \
-                acc[0][j] += a0 * v;                                       \
-                acc[1][j] += a1 * v;                                       \
-                acc[2][j] += a2 * v;                                       \
-                acc[3][j] += a3 * v;                                       \
-            }                                                              \
-        }                                                                  \
-    } else {                                                               \
-        for (int64_t k = 0; k < K; k++) {                                  \
-            const BTYPE *restrict b = cols + k * m + jb;                   \
-            ACC a0 = (ACC)w0[k], a1 = (ACC)w1[k];                          \
-            ACC a2 = (ACC)w2[k], a3 = (ACC)w3[k];                          \
-            for (int64_t j = 0; j < mb; j++) {                             \
-                ACC v = (ACC)b[j];                                         \
-                acc[0][j] += a0 * v;                                       \
-                acc[1][j] += a1 * v;                                       \
-                acc[2][j] += a2 * v;                                       \
-                acc[3][j] += a3 * v;                                       \
-            }                                                              \
-        }                                                                  \
-    }                                                                      \
-    for (int64_t r = 0; r < nr; r++) {                                     \
-        epi_t e = epi_channel(scale, cscale, bias, aff, oc + r, relu);     \
-        float *restrict dst = out + (oc + r) * m + jb;                     \
-        const float *restrict ex = extra ? extra + (oc + r) * m + jb : 0;  \
-        const ACC *restrict a = acc[r];                                    \
-        EPI_SPLIT(e, for (int64_t j = 0; j < mb; j++) {                    \
-            float v = epi_apply(e, (float)a[j], AFF);                      \
-            if (ex) v += ex[j];                                            \
-            dst[j] = v;                                                    \
-        });                                                                \
-    }                                                                      \
-}                                                                          \
-static void NAME(const WTYPE *restrict wmat, const BTYPE *restrict cols,   \
-                 const float *restrict bias, const float *restrict cscale, \
-                 const float *restrict aff,                                \
-                 int64_t c_out, int64_t K, int64_t m, int relu,            \
-                 float scale, const float *restrict extra,                 \
-                 float *restrict out) {                                    \
-    for (int64_t jb = 0; jb < m; jb += 32) {                               \
-        int64_t mb = m - jb;                                               \
-        if (mb > 32) mb = 32;                                              \
-        for (int64_t oc = 0; oc < c_out; oc += 4) {                        \
-            int64_t nr = c_out - oc;                                       \
-            if (nr > 4) nr = 4;                                            \
-            NAME##_tile(wmat, cols, bias, cscale, aff, c_out, K, m, oc,    \
-                        nr, jb, mb, relu, scale, extra, out);              \
-        }                                                                  \
-    }                                                                      \
+static void gemm_u8w8_tile(const int8_t *restrict wmat,
+                           const uint8_t *restrict cols,
+                           const float *restrict bias,
+                           const float *restrict cscale,
+                           const float *restrict aff, int64_t K, int64_t m,
+                           int64_t oc, int64_t nr, int64_t jb, int64_t mb,
+                           int relu, float scale,
+                           const float *restrict extra,
+                           float *restrict out) {
+    int32_t acc[4][32] __attribute__((aligned(64)));
+    for (int64_t r = 0; r < 4; r++)
+        memset(acc[r], 0, mb * sizeof(int32_t));
+    const int8_t *w0 = wmat + oc * K;
+    const int8_t *w1 = wmat + (oc + (nr > 1)) * K;
+    const int8_t *w2 = wmat + (oc + 2 * (nr > 2)) * K;
+    const int8_t *w3 = wmat + (oc + 3 * (nr > 3)) * K;
+#define GEMM_U8W8_STEP(MB)                                                  \
+    for (int64_t k = 0; k < K; k++) {                                       \
+        const uint8_t *restrict b = cols + k * m + jb;                      \
+        int32_t a0 = w0[k], a1 = w1[k], a2 = w2[k], a3 = w3[k];             \
+        for (int64_t j = 0; j < (MB); j++) {                                \
+            int32_t v = b[j];                                               \
+            acc[0][j] += a0 * v;                                            \
+            acc[1][j] += a1 * v;                                            \
+            acc[2][j] += a2 * v;                                            \
+            acc[3][j] += a3 * v;                                            \
+        }                                                                   \
+    }
+    if (mb == 32) {
+        GEMM_U8W8_STEP(32)
+    } else {
+        GEMM_U8W8_STEP(mb)
+    }
+#undef GEMM_U8W8_STEP
+    for (int64_t r = 0; r < nr; r++) {
+        epi_t e = epi_channel(scale, cscale, bias, aff, oc + r, relu);
+        float *restrict dst = out + (oc + r) * m + jb;
+        const float *restrict ex = extra ? extra + (oc + r) * m + jb : 0;
+        const int32_t *restrict a = acc[r];
+        EPI_SPLIT(e, for (int64_t j = 0; j < mb; j++) {
+            float v = epi_apply(e, (float)a[j], AFF);
+            if (ex) v += ex[j];
+            dst[j] = v;
+        });
+    }
 }
 
-DEF_GEMM(gemm_f32, float, float, float)
-DEF_GEMM(gemm_w8, int8_t, float, float)
-DEF_GEMM(gemm_u8w8, int8_t, uint8_t, int32_t)
+static void gemm_u8w8(const int8_t *restrict wmat,
+                      const uint8_t *restrict cols,
+                      const float *restrict bias,
+                      const float *restrict cscale,
+                      const float *restrict aff, int64_t c_out, int64_t K,
+                      int64_t m, int relu, float scale,
+                      const float *restrict extra, float *restrict out) {
+    for (int64_t jb = 0; jb < m; jb += 32) {
+        int64_t mb = m - jb;
+        if (mb > 32) mb = 32;
+        for (int64_t oc = 0; oc < c_out; oc += 4) {
+            int64_t nr = c_out - oc;
+            if (nr > 4) nr = 4;
+            gemm_u8w8_tile(wmat, cols, bias, cscale, aff, K, m, oc, nr, jb,
+                           mb, relu, scale, extra, out);
+        }
+    }
+}
 
 /* ------------------------------------------------------------------ */
 /* Row dot products: out(n, out_f) = x(n, in_f) @ wmat(out_f, in_f)^T */
@@ -577,34 +584,124 @@ static void linear_u8_i8(const uint8_t *restrict x,
 }
 
 /* ------------------------------------------------------------------ */
-/* Direct stride-1 conv from a zero-padded plane copy: same ascending */
-/* (c, ki, kj) accumulation per output element as the GEMM path, but  */
-/* no column panel — early layers are scratch-bandwidth bound, not    */
-/* FLOP bound.  Tiles: 4 output channels x 2 output rows x <=128 cols */
-/* (the eligibility window in repro.edge.ir caps ow at exactly that). */
-/* An optional fused eval-mode 2x2/2 max pool reduces the 2-row tile  */
-/* in-register: each pooled value is the max of the four epilogue     */
-/* values the unfused conv would have stored, in the same compare     */
-/* order the standalone pool uses — so fusion is bitwise neutral.     */
-/* Generated per weight dtype: the int8-weight variant widens each    */
-/* code once per broadcast (the scalar feeds a whole lane tile, so    */
-/* the convert is amortised away) and applies the per-channel dequant */
-/* scales in the epilogue (cscale non-NULL on that path).             */
+/* Flat-plane conv: every float conv with more than one output        */
+/* position (f32 or int8 weights, on f32 input or on u8/u16 codes      */
+/* widened in the phase planes).  The vector lanes are consecutive     */
+/* positions p = oy*wq + ox of the flattened phase plane, so each tap  */
+/* (c, ki, kj) is one contiguous load at offset (ki/sh)*wq + kj/sw of  */
+/* phase plane (ki mod sh, kj mod sw), whatever the plane width or     */
+/* stride.  The wq - ow wrap-around lanes of each row and the lanes    */
+/* past the last output are computed (from real pixels or the zeroed   */
+/* slack after the planes) and never stored; lanes are independent    */
+/* accumulators, so they cannot disturb the valid ones.  Each output   */
+/* accumulates from 0.0f with one multiply-add per tap in ascending    */
+/* (c, ki, kj) order.  Tiles are 4 output channels x FLAT_TMAX vectors */
+/* of lanes (64 lanes under AVX-512; a plane's last tile narrows when  */
+/* fewer vectors cover what is left) and land in a staging area of 4   */
+/* channel planes in scratch.  The shared epilogue then runs along     */
+/* each output row; ahead of a fused eval-mode 2x2/2 max pool it runs  */
+/* over each tile as it lands, and the pool takes max4 over row pairs  */
+/* of epilogue values in the standalone pool's compare order.  The     */
+/* extra add comes last.  Generated per weight dtype: int8 codes widen */
+/* once per broadcast, with the per-channel dequant scales in the      */
+/* epilogue (cscale non-NULL on that path).                            */
 /* ------------------------------------------------------------------ */
-#define DEF_DIRECT_CONV(NAME, WTYPE)                                        \
-static void NAME(const float *restrict xp,                                  \
-                 const WTYPE *restrict wmat,                                \
-                 const float *restrict bias,                                \
-                 const float *restrict cscale,                              \
-                 const float *restrict aff,                                 \
-                 int64_t c_in, int64_t hp, int64_t wp,                      \
-                 int64_t kh, int64_t kw,                                    \
-                 int64_t oh, int64_t ow, int64_t c_out,                     \
-                 int relu, float scale, int pool,                           \
-                 int64_t poh, int64_t pow_,                                 \
-                 const float *restrict extra,                               \
-                 float *restrict out) {                                     \
-    int64_t K = c_in * kh * kw;                                             \
+/* One vector register of floats: FLAT_VW lanes.  A tile holds up to
+   FLAT_TMAX vectors per channel, 4 * FLAT_TMAX accumulators in all: 16 of
+   the 32 AVX-512 registers, 8 of the 16 AVX/SSE ones. */
+#if defined(__AVX512F__)
+#define FLAT_VW 16
+#define FLAT_TMAX 4
+#elif defined(__AVX__)
+#define FLAT_VW 8
+#define FLAT_TMAX 2
+#else
+#define FLAT_VW 4
+#define FLAT_TMAX 2
+#endif
+typedef float vfl __attribute__((vector_size(4 * FLAT_VW)));
+typedef float vflu __attribute__((vector_size(4 * FLAT_VW), aligned(4),
+                                  may_alias));
+
+/* Zeroed floats after the phase planes: a tile (at most 64 lanes) loads
+   at most 63 lanes past the last plane.  repro.edge.ir.plan_buffers
+   reserves them and the staging area (its _conv_scratch mirrors this
+   layout). */
+#define FLAT_SLACK 64
+/* Lanes per channel of the staging area, a whole number of tiles. */
+#define FLAT_SPAN(L) (((L) + 63) & ~(int64_t)63)
+
+/* One tap of a tile: T vectors of lanes from XS times the 4 channels'
+   weights at k, multiply-added into their accumulators. */
+#define FLAT_TAP(XS, T)                                                     \
+    do {                                                                    \
+        float a0 = (float)w0[k], a1 = (float)w1[k];                         \
+        float a2 = (float)w2[k], a3 = (float)w3[k];                         \
+        for (int t = 0; t < (T); t++) {                                     \
+            vfl v = *(const vflu *)((XS) + FLAT_VW * t);                    \
+            acc[0][t] += a0 * v;                                            \
+            acc[1][t] += a1 * v;                                            \
+            acc[2][t] += a2 * v;                                            \
+            acc[3][t] += a3 * v;                                            \
+        }                                                                   \
+    } while (0)
+
+/* A tile: 4 channels x T vectors of lanes from xq (its first lane), over
+   the taps in ascending (c, ki, kj) order; raw accumulators go to dst,
+   one row of pitch floats per channel.  Stride 1 walks the padded plane
+   directly; other strides step through the phases with counters (on
+   stride-1 convs of 32-wide planes the counters measured up to 16%
+   slower). */
+#define DEF_FLAT_TILE(NAME, WTYPE, T)                                       \
+static inline void NAME(const float *restrict xq, const WTYPE *w0,          \
+                        const WTYPE *w1, const WTYPE *w2, const WTYPE *w3,  \
+                        int64_t c_in, int64_t kh, int64_t kw, int64_t sh,   \
+                        int64_t sw, int64_t plane, int64_t wq,              \
+                        float *restrict dst, int64_t pitch) {               \
+    vfl acc[4][T];                                                          \
+    for (int r = 0; r < 4; r++)                                             \
+        for (int t = 0; t < T; t++) acc[r][t] = (vfl){0};                   \
+    int64_t k = 0;                                                          \
+    if (sh == 1 && sw == 1) {                                               \
+        for (int64_t c = 0; c < c_in; c++)                                  \
+            for (int64_t ki = 0; ki < kh; ki++) {                           \
+                const float *xr = xq + c * plane + ki * wq;                 \
+                for (int64_t kj = 0; kj < kw; kj++, k++)                    \
+                    FLAT_TAP(xr + kj, T);                                   \
+            }                                                               \
+    } else {                                                                \
+        for (int64_t c = 0; c < c_in; c++) {                                \
+            const float *xc = xq + c * sh * sw * plane;                     \
+            for (int64_t ki = 0, qi = 0, fi = 0; ki < kh; ki++) {           \
+                const float *xr = xc + fi * sw * plane + qi * wq;           \
+                for (int64_t kj = 0, qj = 0, fj = 0; kj < kw; kj++, k++) {  \
+                    FLAT_TAP(xr + fj * plane + qj, T);                      \
+                    if (++fj == sw) { fj = 0; qj++; }                       \
+                }                                                           \
+                if (++fi == sh) { fi = 0; qi++; }                           \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    for (int r = 0; r < 4; r++)                                             \
+        for (int t = 0; t < T; t++)                                         \
+            *(vflu *)(dst + r * pitch + FLAT_VW * t) = acc[r][t];           \
+}
+
+#define DEF_FLAT_CONV(NAME, WTYPE)                                          \
+DEF_FLAT_TILE(NAME##_t4, WTYPE, 4)                                          \
+DEF_FLAT_TILE(NAME##_t2, WTYPE, 2)                                          \
+DEF_FLAT_TILE(NAME##_t1, WTYPE, 1)                                          \
+static void NAME(const float *restrict xq, const WTYPE *restrict wmat,      \
+                 const float *restrict bias, const float *restrict cscale,  \
+                 const float *restrict aff, int64_t c_in, int64_t kh,       \
+                 int64_t kw, int64_t sh, int64_t sw, int64_t hq,            \
+                 int64_t wq, int64_t oh, int64_t ow, int64_t c_out,         \
+                 int relu, float scale, int pool, int64_t poh,              \
+                 int64_t pow_, const float *restrict extra,                 \
+                 float *restrict stage, float *restrict out) {              \
+    int64_t K = c_in * kh * kw, plane = hq * wq;                            \
+    int64_t rows = pool ? 2 * poh : oh; /* a pool drops an odd tail row */  \
+    int64_t lanes = (rows - 1) * wq + ow, span = FLAT_SPAN(lanes);          \
     for (int64_t oc = 0; oc < c_out; oc += 4) {                             \
         int64_t nr = c_out - oc;                                            \
         if (nr > 4) nr = 4;                                                 \
@@ -612,120 +709,72 @@ static void NAME(const float *restrict xp,                                  \
         const WTYPE *w1 = wmat + (oc + (nr > 1)) * K;                       \
         const WTYPE *w2 = wmat + (oc + 2 * (nr > 2)) * K;                   \
         const WTYPE *w3 = wmat + (oc + 3 * (nr > 3)) * K;                   \
-        for (int64_t oy = 0; oy < oh; oy += 2) {                            \
-            int64_t tr = oh - oy < 2 ? oh - oy : 2;                         \
-            float acc[4][2][128] __attribute__((aligned(64)));              \
-            if (pool && (tr < 2 || oy / 2 >= poh)) continue; /* odd tail */ \
-            if (ow <= 32) {                                                 \
-                /* Fixed-width tile: lanes j >= ow compute garbage from     \
-                   the scratch slack and are never stored; valid lanes      \
-                   are untouched by them (independent accumulators). */     \
-                for (int64_t r = 0; r < 4; r++)                             \
-                    for (int64_t t = 0; t < 2; t++)                         \
-                        for (int64_t j = 0; j < 32; j++)                    \
-                            acc[r][t][j] = 0.0f;                            \
-                int64_t k = 0;                                              \
-                for (int64_t c = 0; c < c_in; c++)                          \
-                    for (int64_t ki = 0; ki < kh; ki++)                     \
-                        for (int64_t kj = 0; kj < kw; kj++, k++) {          \
-                            float a0 = (float)w0[k], a1 = (float)w1[k];     \
-                            float a2 = (float)w2[k], a3 = (float)w3[k];     \
-                            const float *restrict b0 =                      \
-                                xp + (c * hp + oy + ki) * wp + kj;          \
-                            const float *restrict b1 = b0 + wp;             \
-                            for (int64_t j = 0; j < 32; j++) {              \
-                                float v = b0[j];                            \
-                                acc[0][0][j] += a0 * v;                     \
-                                acc[1][0][j] += a1 * v;                     \
-                                acc[2][0][j] += a2 * v;                     \
-                                acc[3][0][j] += a3 * v;                     \
-                            }                                               \
-                            if (tr == 2)                                    \
-                                for (int64_t j = 0; j < 32; j++) {          \
-                                    float v = b1[j];                        \
-                                    acc[0][1][j] += a0 * v;                 \
-                                    acc[1][1][j] += a1 * v;                 \
-                                    acc[2][1][j] += a2 * v;                 \
-                                    acc[3][1][j] += a3 * v;                 \
-                                }                                           \
-                        }                                                   \
+        epi_t e[4];                                                         \
+        for (int64_t r = 0; r < nr; r++)                                    \
+            e[r] = epi_channel(scale, cscale, bias, aff, oc + r, relu);     \
+        for (int64_t p0 = 0; p0 < lanes; p0 += FLAT_TMAX * FLAT_VW) {       \
+            int64_t nl;                                                     \
+            if (FLAT_TMAX == 4 && lanes - p0 > 2 * FLAT_VW) {               \
+                NAME##_t4(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
+                          plane, wq, stage + p0, span);                     \
+                nl = 4 * FLAT_VW;                                           \
+            } else if (lanes - p0 > FLAT_VW) {                              \
+                NAME##_t2(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
+                          plane, wq, stage + p0, span);                     \
+                nl = 2 * FLAT_VW;                                           \
             } else {                                                        \
-                for (int64_t r = 0; r < 4; r++)                             \
-                    for (int64_t t = 0; t < 2; t++)                         \
-                        for (int64_t j = 0; j < ow; j++)                    \
-                            acc[r][t][j] = 0.0f;                            \
-                int64_t k = 0;                                              \
-                for (int64_t c = 0; c < c_in; c++)                          \
-                    for (int64_t ki = 0; ki < kh; ki++)                     \
-                        for (int64_t kj = 0; kj < kw; kj++, k++) {          \
-                            float a0 = (float)w0[k], a1 = (float)w1[k];     \
-                            float a2 = (float)w2[k], a3 = (float)w3[k];     \
-                            const float *restrict b0 =                      \
-                                xp + (c * hp + oy + ki) * wp + kj;          \
-                            const float *restrict b1 = b0 + wp;             \
-                            for (int64_t j = 0; j < ow; j++) {              \
-                                float v = b0[j];                            \
-                                acc[0][0][j] += a0 * v;                     \
-                                acc[1][0][j] += a1 * v;                     \
-                                acc[2][0][j] += a2 * v;                     \
-                                acc[3][0][j] += a3 * v;                     \
-                            }                                               \
-                            if (tr == 2)                                    \
-                                for (int64_t j = 0; j < ow; j++) {          \
-                                    float v = b1[j];                        \
-                                    acc[0][1][j] += a0 * v;                 \
-                                    acc[1][1][j] += a1 * v;                 \
-                                    acc[2][1][j] += a2 * v;                 \
-                                    acc[3][1][j] += a3 * v;                 \
-                                }                                           \
-                        }                                                   \
+                NAME##_t1(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
+                          plane, wq, stage + p0, span);                     \
+                nl = FLAT_VW;                                               \
             }                                                               \
-            for (int64_t r = 0; r < nr; r++) {                              \
-                epi_t e = epi_channel(scale, cscale, bias, aff, oc + r,     \
-                                      relu);                                \
-                if (pool) {                                                 \
-                    int64_t py = oy / 2;                                    \
-                    float *restrict dst =                                   \
-                        out + ((oc + r) * poh + py) * pow_;                 \
+            /* Ahead of a pool, the epilogue runs over the tile's whole    \
+               vectors as it lands, and the row-pair pass only takes       \
+               max4.  (Run row by row in place, it left the fused pool     \
+               slower than conv + standalone pool on 10- and 28-wide       \
+               planes.) */                                                 \
+            for (int64_t r = 0; pool && r < nr; r++) {                      \
+                float *restrict a = stage + r * span + p0;                  \
+                EPI_SPLIT(e[r], for (int64_t j = 0; j < nl; j++)            \
+                                    a[j] = epi_apply(e[r], a[j], AFF););    \
+            }                                                               \
+        }                                                                   \
+        /* Output row oy is lanes [oy*wq, oy*wq + ow) of the stage. */      \
+        for (int64_t r = 0; r < nr; r++) {                                  \
+            const float *s = stage + r * span;                              \
+            if (pool) {                                                     \
+                int64_t o = (oc + r) * poh * pow_;                          \
+                for (int64_t py = 0; py < poh; py++) {                      \
+                    const float *restrict s0 = s + 2 * py * wq;             \
+                    const float *restrict s1 = s0 + wq;                     \
+                    float *restrict d = out + o + py * pow_;                \
                     const float *restrict ex =                              \
-                        extra ? extra + ((oc + r) * poh + py) * pow_ : 0;   \
-                    float *restrict a0 = acc[r][0];                         \
-                    float *restrict a1 = acc[r][1];                         \
-                    /* The epilogue runs in place along the unit-stride     \
-                       rows (where the affine's divide vectorises), ahead   \
-                       of the stride-2 max. */                              \
-                    EPI_SPLIT(e, for (int64_t j = 0; j < 2 * pow_; j++) {   \
-                        a0[j] = epi_apply(e, a0[j], AFF);                   \
-                        a1[j] = epi_apply(e, a1[j], AFF);                   \
-                    });                                                     \
+                        extra ? extra + o + py * pow_ : 0;                  \
                     for (int64_t j = 0; j < pow_; j++) {                    \
-                        float v = max4(a0[2 * j], a0[2 * j + 1], a1[2 * j], \
-                                       a1[2 * j + 1]);                      \
+                        float v = max4(s0[2 * j], s0[2 * j + 1], s1[2 * j], \
+                                       s1[2 * j + 1]);                      \
                         if (ex) v += ex[j];                                 \
-                        dst[j] = v;                                         \
+                        d[j] = v;                                           \
                     }                                                       \
-                } else {                                                    \
-                    for (int64_t t = 0; t < tr; t++) {                      \
-                        float *restrict dst =                               \
-                            out + ((oc + r) * oh + oy + t) * ow;            \
-                        const float *restrict ex =                          \
-                            extra ? extra + ((oc + r) * oh + oy + t) * ow   \
-                                  : 0;                                      \
-                        const float *restrict a = acc[r][t];                \
-                        EPI_SPLIT(e, for (int64_t j = 0; j < ow; j++) {     \
-                            float v = epi_apply(e, a[j], AFF);              \
-                            if (ex) v += ex[j];                             \
-                            dst[j] = v;                                     \
-                        });                                                 \
-                    }                                                       \
+                }                                                           \
+            } else {                                                        \
+                for (int64_t oy = 0; oy < oh; oy++) {                       \
+                    int64_t o = ((oc + r) * oh + oy) * ow;                  \
+                    const float *restrict a = s + oy * wq;                  \
+                    float *restrict d = out + o;                            \
+                    const float *restrict ex = extra ? extra + o : 0;       \
+                    EPI_SPLIT(e[r], for (int64_t j = 0; j < ow; j++) {      \
+                        float v = epi_apply(e[r], a[j], AFF);               \
+                        if (ex) v += ex[j];                                 \
+                        d[j] = v;                                           \
+                    });                                                     \
                 }                                                           \
             }                                                               \
         }                                                                   \
     }                                                                       \
 }
 
-DEF_DIRECT_CONV(conv_direct_sample, float)
-DEF_DIRECT_CONV(conv_direct_sample_w8, int8_t)
+DEF_FLAT_CONV(flat_conv_f32, float)
+DEF_FLAT_CONV(flat_conv_w8, int8_t)
 
 /* ------------------------------------------------------------------ */
 /* Packed integer direct conv, compiled only where AVX-512 VNNI/VBMI   */
@@ -741,7 +790,7 @@ DEF_DIRECT_CONV(conv_direct_sample_w8, int8_t)
 /* identical to the integer GEMM it replaces and batch-invariant by    */
 /* arithmetic alone.  Tiles are 4 output channels x 2 rows x 16 cols   */
 /* with the same (scale, bias, ReLU, 2x2 pool max, extra) epilogue     */
-/* order as DEF_DIRECT_CONV.                                           */
+/* order as the flat-plane conv.                                       */
 /* ------------------------------------------------------------------ */
 #if defined(__AVX512VNNI__) && defined(__AVX512VBMI__) && \
     defined(__AVX512VL__) && defined(__AVX512BW__)
@@ -1046,8 +1095,8 @@ static void lrn_sample(const float *restrict x, int64_t c, int64_t plane,
 /* the kernel variant; cscale_index points into the weight table at   */
 /* the per-output-channel f32 scale vector (-1: scalar fscale), and   */
 /* affine_index at the (c_out, 4) {mean, sd, gamma, beta} table of a  */
-/* folded BatchNorm (-1: none).  The standalone affine record (op 5)  */
-/* reads the same table; the lrn record (op 6) takes its window size  */
+/* folded BatchNorm (-1: none).  The standalone affine record (op 4)  */
+/* reads the same table; the lrn record (op 5) takes its window size  */
 /* in kh and {alpha/size, k, -beta} at weight_index.                  */
 /* ------------------------------------------------------------------ */
 #define REC 25
@@ -1081,95 +1130,101 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
         float scale = fscale[op];
         float *dst = (op == n_ops - 1) ? output : arenas[which];
         which ^= 1;
-        if (kind == 0) { /* conv2d via im2col + GEMM */
-            int64_t m = oh * ow, K = c_in * kh * kw;
-            for (int64_t s = 0; s < n; s++) {
-                float *os = dst + s * c_out * m;
-                const float *exs = ex ? ex + s * c_out * m : 0;
-                if (wmode == 2) {
-                    /* Fully integer: raw u8 codes panel (zero-point
-                       padding), i8 weights, exact i32 accumulation. */
-                    uint8_t *ucols = (uint8_t *)cols;
-                    im2col_u8c((const uint8_t *)src + s * c_in * h * w,
-                               c_in, h, w, kh, kw, sh, sw, ph, pw, oh, ow,
-                               padv, ucols);
+        if (kind == 0) { /* conv2d */
+            int64_t m = oh * ow, K = c_in * kh * kw, in_es = c_in * h * w;
+            int64_t out_es = pool ? c_out * poh * pow_ : c_out * m;
+            if (wmode == 2) {
+                /* Fully integer: raw u8 codes panel (zero-point padding),
+                   i8 weights, exact i32 accumulation. */
+                uint8_t *ucols = (uint8_t *)cols;
+                for (int64_t s = 0; s < n; s++) {
+                    const float *exs = ex ? ex + s * out_es : 0;
+                    im2col_u8c((const uint8_t *)src + s * in_es, c_in, h, w,
+                               kh, kw, sh, sw, ph, pw, oh, ow, padv, ucols);
                     if (m == 1)
                         linear_u8_i8(ucols, (const int8_t *)wmat, bias,
                                      cscale, aff, 1, K, c_out, relu, scale,
-                                     exs, os);
+                                     exs, dst + s * out_es);
                     else
                         gemm_u8w8((const int8_t *)wmat, ucols, bias, cscale,
-                                  aff, c_out, K, m, relu, scale, exs, os);
-                    continue;
+                                  aff, c_out, K, m, relu, scale, exs,
+                                  dst + s * out_es);
                 }
-                if (dtype == 1)
-                    im2col_u8((const uint8_t *)src + s * c_in * h * w,
-                              c_in, h, w, kh, kw, sh, sw, ph, pw, oh, ow,
-                              padv, cols);
-                else if (dtype == 2)
-                    im2col_u16((const uint16_t *)src + s * c_in * h * w,
-                               c_in, h, w, kh, kw, sh, sw, ph, pw, oh, ow,
-                               padv, cols);
-                else
-                    im2col_f32((const float *)src + s * c_in * h * w,
-                               c_in, h, w, kh, kw, sh, sw, ph, pw, oh, ow,
-                               0.0f, cols);
-                if (wmode == 1) {
-                    if (m == 1)
-                        linear_f32_w8(cols, (const int8_t *)wmat, bias,
-                                      cscale, aff, 1, K, c_out, relu, scale,
-                                      exs, os);
-                    else
-                        gemm_w8((const int8_t *)wmat, cols, bias, cscale,
-                                aff, c_out, K, m, relu, scale, exs, os);
-                } else if (m == 1)
-                    linear_f32(cols, wmat, bias, cscale, aff, 1, K, c_out,
-                               relu, scale, exs, os);
-                else
-                    gemm_f32(wmat, cols, bias, cscale, aff, c_out, K, m,
-                             relu, scale, exs, os);
             }
-        } else if (kind == 4) { /* conv2d, direct stride-1 kernel */
-            int64_t out_es = pool ? c_out * poh * pow_ : c_out * oh * ow;
-            int64_t hp = h + 2 * ph, wp = w + 2 * pw;
-            for (int64_t s = 0; s < n; s++) {
 #if HAVE_VNNI
-                if (wmode == 3) { /* packed integer direct (VNNI) */
-                    pad_plane_u8_raw((const uint8_t *)src + s * c_in * h * w,
-                                     c_in, h, w, ph, pw, (uint8_t)r[21],
+            else if (wmode == 3) { /* packed integer direct (VNNI) */
+                int64_t hp = h + 2 * ph, wp = w + 2 * pw;
+                for (int64_t s = 0; s < n; s++) {
+                    pad_plane_u8_raw((const uint8_t *)src + s * in_es, c_in,
+                                     h, w, ph, pw, (uint8_t)r[21],
                                      (uint8_t *)cols);
                     conv_vnni_u8i8((const uint8_t *)cols,
                                    (const int8_t *)wmat, bias, cscale, aff,
                                    c_in, hp, wp, kh, (kw + 3) / 4, oh, ow,
-                                   c_out,
-                                   relu, scale, pool, poh, pow_,
+                                   c_out, relu, scale, pool, poh, pow_,
                                    ex ? ex + s * out_es : 0,
                                    dst + s * out_es);
-                    continue;
                 }
+            }
 #endif
-                if (dtype == 1)
-                    pad_plane_u8((const uint8_t *)src + s * c_in * h * w,
-                                 c_in, h, w, ph, pw, padv, cols);
-                else if (dtype == 2)
-                    pad_plane_u16((const uint16_t *)src + s * c_in * h * w,
-                                  c_in, h, w, ph, pw, padv, cols);
-                else
-                    pad_plane_f32((const float *)src + s * c_in * h * w,
-                                  c_in, h, w, ph, pw, 0.0f, cols);
-                if (wmode == 1)
-                    conv_direct_sample_w8(cols, (const int8_t *)wmat, bias,
-                                          cscale, aff, c_in, hp, wp, kh, kw,
-                                          oh, ow, c_out, relu, scale, pool,
-                                          poh, pow_,
-                                          ex ? ex + s * out_es : 0,
-                                          dst + s * out_es);
-                else
-                    conv_direct_sample(cols, wmat, bias, cscale, aff, c_in,
-                                       hp, wp, kh, kw, oh, ow, c_out, relu,
-                                       scale, pool, poh, pow_,
-                                       ex ? ex + s * out_es : 0,
-                                       dst + s * out_es);
+            else if (m == 1) {
+                /* One output position: an im2col column into the dot
+                   kernel (its k mod 16 lanes, not the flat conv's
+                   ascending taps). */
+                for (int64_t s = 0; s < n; s++) {
+                    const float *exs = ex ? ex + s * out_es : 0;
+                    if (dtype == 1)
+                        im2col_u8((const uint8_t *)src + s * in_es, c_in, h,
+                                  w, kh, kw, sh, sw, ph, pw, oh, ow, padv,
+                                  cols);
+                    else if (dtype == 2)
+                        im2col_u16((const uint16_t *)src + s * in_es, c_in,
+                                   h, w, kh, kw, sh, sw, ph, pw, oh, ow,
+                                   padv, cols);
+                    else
+                        im2col_f32((const float *)src + s * in_es, c_in, h,
+                                   w, kh, kw, sh, sw, ph, pw, oh, ow, 0.0f,
+                                   cols);
+                    if (wmode == 1)
+                        linear_f32_w8(cols, (const int8_t *)wmat, bias,
+                                      cscale, aff, 1, K, c_out, relu, scale,
+                                      exs, dst + s * out_es);
+                    else
+                        linear_f32(cols, wmat, bias, cscale, aff, 1, K, c_out,
+                                   relu, scale, exs, dst + s * out_es);
+                }
+            } else { /* flat-plane conv over the phase planes */
+                int64_t hq = (h + 2 * ph + sh - 1) / sh;
+                int64_t wq = (w + 2 * pw + sw - 1) / sw;
+                int64_t planes = c_in * sh * sw * hq * wq;
+                float *stage = cols + planes + FLAT_SLACK;
+                memset(cols + planes, 0, FLAT_SLACK * sizeof(float));
+                for (int64_t s = 0; s < n; s++) {
+                    if (dtype == 1)
+                        phase_planes_u8((const uint8_t *)src + s * in_es,
+                                        c_in, h, w, sh, sw, ph, pw, hq, wq,
+                                        padv, cols);
+                    else if (dtype == 2)
+                        phase_planes_u16((const uint16_t *)src + s * in_es,
+                                         c_in, h, w, sh, sw, ph, pw, hq, wq,
+                                         padv, cols);
+                    else
+                        phase_planes_f32((const float *)src + s * in_es,
+                                         c_in, h, w, sh, sw, ph, pw, hq, wq,
+                                         0.0f, cols);
+                    if (wmode == 1)
+                        flat_conv_w8(cols, (const int8_t *)wmat, bias, cscale,
+                                     aff, c_in, kh, kw, sh, sw, hq, wq, oh,
+                                     ow, c_out, relu, scale, pool, poh, pow_,
+                                     ex ? ex + s * out_es : 0, stage,
+                                     dst + s * out_es);
+                    else
+                        flat_conv_f32(cols, wmat, bias, cscale, aff, c_in, kh,
+                                      kw, sh, sw, hq, wq, oh, ow, c_out, relu,
+                                      scale, pool, poh, pow_,
+                                      ex ? ex + s * out_es : 0, stage,
+                                      dst + s * out_es);
+                }
             }
         } else if (kind == 1) { /* linear: c_in = in_f, c_out = out_f */
             if (wmode == 2)
@@ -1216,7 +1271,7 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                 int64_t total = n * c_in * oh * ow;
                 for (int64_t j = 0; j < total; j++) dst[j] += ex[j];
             }
-        } else if (kind == 5) { /* standalone affine over n*c_in planes */
+        } else if (kind == 4) { /* standalone affine over n*c_in planes */
             const float *restrict sf = (const float *)src;
             int64_t plane = h * w;
             for (int64_t p = 0; p < n * c_in; p++) {
@@ -1306,7 +1361,7 @@ class CompiledProgram:
 
     Translates the IR ops into the flat int64 record array the C side
     executes, resolves the buffer plan (:func:`repro.edge.ir.plan_buffers`)
-    into ping-pong arenas and the im2col/plane scratch panel, builds the
+    into ping-pong arenas and the per-sample scratch panel, builds the
     weight pointer table, and caches the argument list so a call is one
     dict hit plus one ctypes call.  ``flatten`` ops vanish here — the
     record stream is compute-only and the output buffer is allocated at
@@ -1374,13 +1429,10 @@ class CompiledProgram:
                     fields = dict(op=OP_LINEAR, c_in=op.in_spec.elements,
                                   c_out=op.out_spec.elements)
                 else:
-                    direct = ir.direct_conv_eligible(op)
-                    if op.pool and not direct:  # pragma: no cover - rewrite guard
-                        raise AssertionError("fused pool requires the direct kernel")
                     fields = dict(
-                        op=OP_CONV2D_DIRECT if direct else OP_CONV2D,
-                        c_in=c_in, h=h, w=w, c_out=op.out_spec.shape[0],
-                        **_window(op), pool=int(op.pool),
+                        op=OP_CONV2D, c_in=c_in, h=h, w=w,
+                        c_out=op.out_spec.shape[0], **_window(op),
+                        pool=int(op.pool),
                     )
                     if op.pool:
                         fields["pool_oh"], fields["pool_ow"] = op.out_spec.shape[1:]
@@ -1399,7 +1451,6 @@ class CompiledProgram:
                         # plane with kw zero-padded to 4G taps — still int8
                         # codes, never a dequantised copy.
                         wmode = 3
-                        fields["op"] = OP_CONV2D_DIRECT
                         kh, kw = op.kernel
                         group_count = -(-kw // 4)
                         codes3 = weight.reshape(-1, c_in * kh, kw)
@@ -1423,7 +1474,7 @@ class CompiledProgram:
                         ):
                             # The rewrite pipeline keeps integer convs
                             # unfused (the GEMM cannot pool); this kernel
-                            # pools like the direct one, so merge the
+                            # pools like the flat-plane conv, so merge the
                             # eval-mode 2x2/2 pool back at record level.
                             fields["pool"] = 1
                             fields["pool_oh"], fields["pool_ow"] = nxt.out_spec.shape[1:]
@@ -1482,8 +1533,8 @@ class CompiledProgram:
         self._weight_table = table
         self._arena_a = np.empty(n * plan.arena_elements, dtype=np.float32)
         self._arena_b = np.empty(n * plan.arena_elements, dtype=np.float32)
-        # Zero-filled so the direct-conv over-read slack never sees
-        # uninitialised (potentially denormal) memory.
+        # Zero-filled so vector over-reads into the scratch slack never
+        # see uninitialised (potentially denormal) memory.
         self._cols = np.zeros(plan.scratch_elements, dtype=np.float32)
         self._args = [
             self._records.ctypes.data,

@@ -16,9 +16,9 @@ This module is the **single lowering pass** that replaces all three:
   (:class:`IROp`: op kind, per-sample shapes, dtypes, weight references)
   plus input/output specs — and then applies the **rewrite pipeline**;
 * :func:`plan_buffers` derives the schedule's buffer lifetimes: which
-  ping-pong arena each op writes, how large the arenas and the im2col /
-  padded-plane scratch panel must be.  Backends allocate what the plan
-  says; they do not re-derive shapes.
+  ping-pong arena each op writes, how large the arenas and the native
+  conv kernels' per-sample scratch panel must be.  Backends allocate what
+  the plan says; they do not re-derive shapes.
 
 Both executor backends are *interpreters of the same lowered program*:
 the numpy interpreter (:class:`repro.edge.executor._NumpyProgram`) walks
@@ -61,16 +61,18 @@ round-off.  The pipeline (fixed order, each individually toggleable):
     epilogue (bitwise-neutral: the same f32 max runs at the output write).
 ``fuse_conv_pool``
     Collapses ``conv → [relu] → maxpool(2x2/2)`` into one fused op when
-    the conv is eligible for the direct (im2col-free) kernel, so the
-    activation is pooled in registers instead of being written out and
-    re-read (bitwise-neutral per backend: conv elements keep their exact
-    accumulation schedule, pooling is a max of identical floats).
+    the conv passes :func:`direct_conv_eligible`, so the native backend
+    pools the conv plane from its kernel's scratch instead of writing it
+    out and re-reading it (bitwise-neutral per backend: conv elements keep
+    their exact accumulation schedule, pooling is a max of identical
+    floats).
 ``int8_ingest``
     When the program's input is a quantised uplink (integer codes) and the
     first compute op is a Conv2d/Linear, the op consumes the codes
-    directly: codes are widened to f32 in-register (im2col panels and
-    padded planes carry code *values*, padding carries the zero point,
-    which dequantises to exactly 0.0) and the affine dequantisation is
+    directly: codes are widened to f32 in the kernel's scratch (phase
+    planes and im2col columns carry code *values*, padding carries the
+    zero point, which dequantises to exactly 0.0) and the affine
+    dequantisation is
     folded into the epilogue as ``out = scale·acc + (bias − scale·zp·Σw)``.
     This removes the batch-sized f32 dequantised copy entirely.  Results
     are f32-close (not bitwise) to dequantise-then-run.
@@ -167,12 +169,12 @@ ALL_REWRITES = (FUSE_RELU, INT8_INGEST, FUSE_CONV_POOL, FOLD_EPILOGUE_ADD)
 #: Accuracy-affecting rewrites a caller must explicitly request.
 OPT_IN_REWRITES = (INT8_WEIGHTS,)
 #: Every rewrite the pipeline can run, in application order.  Both
-#: int8_weights and int8_ingest run before fuse_conv_pool: direct-kernel
-#: eligibility (which gates pool fusion) depends on the final weight AND
-#: input regime — a fully integer conv (quantised weights composed with
-#: quantised ingest) runs on the integer matmul path, so the pool must
-#: not have fused into it (native backends may still merge the pool at
-#: record level, where the integer kernel can express it).
+#: int8_weights and int8_ingest run before fuse_conv_pool: pool-fusion
+#: eligibility (:func:`direct_conv_eligible`) depends on the final weight
+#: AND input regime — a fully integer conv (quantised weights composed
+#: with quantised ingest) runs on the integer matmul path, so the pool
+#: must not have fused into it (native backends may still merge the pool
+#: at record level, where the integer kernel can express it).
 PIPELINE_ORDER = (FUSE_RELU, INT8_WEIGHTS, INT8_INGEST, FUSE_CONV_POOL, FOLD_EPILOGUE_ADD)
 KNOWN_REWRITES = PIPELINE_ORDER
 
@@ -181,13 +183,11 @@ DISABLE_REWRITES_ENV_VAR = "REPRO_NO_IR_REWRITES"
 #: Comma-separated allowlist restricting the pipeline to a subset.
 SELECT_REWRITES_ENV_VAR = "REPRO_IR_REWRITES"
 
-#: Stride-1 convs with output rows in this width range are eligible for
-#: the direct (im2col-free) native kernel — and therefore for the fused
-#: conv+pool rewrite, which rides on the direct kernel's 2-row tiles.
-#: The ceiling is the direct kernel's accumulator-tile capacity (128
-#: lanes).  A measured sweep (single-conv nets, c_in/c_out up to 32/64,
-#: k∈{3,5}, ow∈[48,128]) had direct at 0.36–0.96x the im2col GEMM's
-#: wall time at every width, so the window runs to the full capacity.
+#: Stride-1 convs with output rows in this width range may fuse a
+#: trailing 2x2/2 pool (:func:`direct_conv_eligible`).  The window is a
+#: program property only: the native flat-plane conv runs every float
+#: conv, fused pool or not, at any width.  Widening it would change which
+#: programs fuse.
 DIRECT_CONV_MIN_OW = 8
 DIRECT_CONV_MAX_OW = 128
 
@@ -400,8 +400,8 @@ class BufferPlan:
     Every op reads its predecessor's output and writes the other arena
     (the last op writes the program output), so exactly two arenas of
     ``arena_elements`` floats per sample cover all intermediate values;
-    ``scratch_elements`` sizes the shared per-sample im2col / padded-plane
-    panel (with the direct kernel's fixed-width over-read slack included).
+    ``scratch_elements`` sizes the shared per-sample scratch panel of the
+    native conv and LRN kernels (see :func:`_conv_scratch`).
 
     Attributes:
         arena_elements: Per-sample float32 capacity each arena needs.
@@ -416,18 +416,18 @@ class BufferPlan:
 
 
 def direct_conv_eligible(op: IROp) -> bool:
-    """Whether a conv op can run on the direct (im2col-free) kernel.
+    """Whether ``fuse_conv_pool`` may fuse a trailing pool into this conv.
 
-    Quantised-weight convs qualify too — the direct kernel carries an
-    int8-weight variant that widens each code once per broadcast (the
-    weight scalar feeds a whole lane tile, so the convert is amortised
-    away) with the per-channel scales applied in the epilogue.  The one
-    exclusion is the fully integer path: it consumes raw u8 codes, so it
-    leaves this (float-plane) kernel for the integer matmul — which the
-    native backend may itself realise as a packed integer direct kernel
-    at record level.  ``int8_weights`` and ``int8_ingest`` must still be
-    applied *before* ``fuse_conv_pool`` asks this question, so fusion
-    sees the final weight and input regime.
+    A stride-1 conv whose output width lies in
+    ``[DIRECT_CONV_MIN_OW, DIRECT_CONV_MAX_OW]``.  The window gates pool
+    fusion only; it picks no kernel or tile (the native backend runs every
+    float conv on its flat-plane kernel).  Quantised-weight convs qualify
+    too.  The one exclusion is the fully integer path: it runs the
+    integer matmul, whose standalone pool the native backend may merge
+    back at record level where its packed integer kernel takes the conv.
+    ``int8_weights`` and ``int8_ingest`` must still be applied *before*
+    ``fuse_conv_pool`` asks this question, so fusion sees the final weight
+    and input regime.
     """
     return (
         op.kind == "conv2d"
@@ -534,6 +534,31 @@ def plan_buffers(program: Program) -> BufferPlan:
     return plan
 
 
+def _conv_scratch(op: IROp) -> int:
+    """Per-sample scratch floats the native conv kernels need for ``op``."""
+    c_in, h, w = op.in_spec.shape
+    kh, kw = op.kernel
+    sh, sw = op.stride
+    ph, pw = op.padding
+    if integer_matmul_eligible(op):
+        # The integer GEMM's im2col panel of raw u8 codes, or — where the
+        # native backend routes the conv to its packed VNNI kernel — a
+        # raw u8 padded plane plus vector over-read slack.
+        panel = c_in * kh * kw * op.oh * op.ow
+        return max(panel, c_in * (h + 2 * ph) * (w + 2 * pw) + 64)
+    if op.oh * op.ow == 1:
+        # One output position: the dot kernel's im2col column.
+        return c_in * kh * kw
+    # The flat-plane conv: the sh·sw phase planes of the padded input
+    # (hq x wq each, per channel); 64 zeroed floats of slack, as its widest
+    # tile (64 lanes) loads at most 63 lanes past the last plane; and a
+    # staging area of 4 output channels x the flattened output plane's
+    # lanes, (oh - 1)·wq + ow, rounded up to whole 64-lane tiles.
+    hq, wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
+    stage = 4 * -(-((op.oh - 1) * wq + op.ow) // 64) * 64
+    return c_in * sh * sw * hq * wq + 64 + stage
+
+
 def _plan_buffers_uncached(program: Program) -> BufferPlan:
     arena = 0
     scratch = 1
@@ -552,23 +577,7 @@ def _plan_buffers_uncached(program: Program) -> BufferPlan:
             c, h, w = op.in_spec.shape
             scratch = max(scratch, (c + 3) * h * w)
         if op.kind == "conv2d":
-            c_in, h, w = op.in_spec.shape
-            kh, kw = op.kernel
-            ph, pw = op.padding
-            if direct_conv_eligible(op):
-                # +64 slack floats: the fixed-width direct tile loads
-                # (never stores) up to 31 lanes past a row's end.
-                scratch = max(scratch, c_in * (h + 2 * ph) * (w + 2 * pw) + 64)
-            else:
-                scratch = max(scratch, c_in * kh * kw * op.oh * op.ow)
-                if integer_matmul_eligible(op):
-                    # The native backend may route this conv to its
-                    # packed integer direct kernel, which stages a raw
-                    # u8 padded-plane copy (quarter-width) plus vector
-                    # over-read slack in the same scratch panel.
-                    scratch = max(
-                        scratch, c_in * (h + 2 * ph) * (w + 2 * pw) + 64
-                    )
+            scratch = max(scratch, _conv_scratch(op))
     # Flatten-only programs still need a (degenerate) plan.
     if not compute_ops:
         slots = []
@@ -780,9 +789,9 @@ def _rewrite_int8_weights(ops: list[IROp]) -> tuple[list[IROp], bool]:
     """Quantise every conv/linear weight to per-channel int8 codes.
 
     Runs before ``fuse_conv_pool`` (as does ``int8_ingest``) so the
-    pool-fusion pass judges direct-kernel eligibility against the final
-    weight and input regime (fully integer convs leave the direct path;
-    widened int8-weight convs keep it).  ``op.weight`` is kept as the
+    pool-fusion pass judges eligibility against the final weight and
+    input regime (fully integer convs keep a standalone pool; widened
+    int8-weight convs may fuse one).  ``op.weight`` is kept as the
     live f32 reference (cost pricing); the arithmetic weight becomes
     ``op.wq.codes``.
     """

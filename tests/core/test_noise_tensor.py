@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import NoiseTensor
+from repro.core import MultiNoiseTensor, NoiseTensor
 from repro.errors import ConfigurationError
+from tests.helpers import random_data_trainer
 
 
 class TestLaplaceInit:
@@ -53,6 +54,32 @@ class TestFromArray:
     def test_per_sample_strips_batch(self):
         noise = NoiseTensor.from_array(np.ones((2, 3, 3)))
         assert noise.per_sample.shape == (2, 3, 3)
+
+
+class TestOwnsItsData:
+    """Adam updates a noise parameter in place, so wrapping an array must
+    copy it: the caller's draw stays the initial noise it was."""
+
+    @pytest.mark.parametrize("wrap", ["init", "from_array", "bank"])
+    def test_training_leaves_the_wrapped_draw_unchanged(self, wrap):
+        shape = random_data_trainer("lenet").split.activation_shape
+        members = 2 if wrap == "bank" else 1
+        draw = np.random.default_rng(3).laplace(size=(members, *shape))
+        draw = draw.astype(np.float32)
+        original = draw.copy()
+
+        def learn(initial):
+            trainer = random_data_trainer("lenet")
+            if wrap == "bank":
+                results = trainer.train_many(MultiNoiseTensor(initial), 3)
+                return np.stack([result.noise for result in results])
+            if wrap == "init":
+                return trainer.train(NoiseTensor(initial), 3).noise
+            return trainer.train(NoiseTensor.from_array(initial[0]), 3).noise
+
+        learn(draw)
+        np.testing.assert_array_equal(draw, original)
+        np.testing.assert_array_equal(learn(draw), learn(original.copy()))
 
 
 class TestStatistics:

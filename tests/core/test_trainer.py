@@ -164,10 +164,9 @@ class TestEvalModeDuringTraining:
 
     @staticmethod
     def _learn(trainer, method, noise):
-        # The noise tensors wrap their array, and Adam updates it in place.
         if method == "train":
-            return [trainer.train(NoiseTensor(noise[:1].copy()), 4).noise]
-        return [r.noise for r in trainer.train_many(MultiNoiseTensor(noise.copy()), 4)]
+            return [trainer.train(NoiseTensor(noise[:1]), 4).noise]
+        return [r.noise for r in trainer.train_many(MultiNoiseTensor(noise), 4)]
 
     @pytest.mark.parametrize("method", ["train", "train_many"])
     @pytest.mark.parametrize("network", ["cifar", "alexnet"])

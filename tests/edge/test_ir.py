@@ -328,25 +328,68 @@ class TestBufferPlan:
         ]
         assert plan.arena_elements == max(intermediates)
 
-    def test_direct_conv_scratch_includes_slack(self):
-        net = Sequential(
-            Conv2d(1, 4, 3, padding=1, rng=np.random.default_rng(0))
-        ).eval()
-        program = ir.lower(_rows(net), (1, 16, 16), rewrites=())
+    @pytest.mark.parametrize(
+        "c_in,size,stride,padding,pool,expected",
+        [
+            # 18x18 padded plane, 64 slack floats, 4 channels x the
+            # 15*18 + 16 = 286 output lanes in whole 64-lane tiles.
+            (1, 16, 1, 1, False, 18 * 18 + 64 + 4 * 320),
+            # The same with a fused pool: the staging is the same size.
+            (1, 16, 1, 1, True, 18 * 18 + 64 + 4 * 320),
+            # Stride 2: four 8x8 phase planes; 6*8 + 7 = 55 lanes.
+            (1, 16, 2, 0, False, 4 * 8 * 8 + 64 + 4 * 64),
+            # alexnet conv0's geometry: 3 channels x 4 phases of 35x35, and
+            # 31*35 + 32 = 1117 lanes; its im2col panel was 147 x 1024.
+            (3, 64, 2, 3, False, 3 * 4 * 35 * 35 + 64 + 4 * 1152),
+        ],
+    )
+    def test_float_conv_scratch_is_phase_planes_slack_and_stage(
+        self, c_in, size, stride, padding, pool, expected
+    ):
+        kernel = 7 if size == 64 else 3
+        layers = [Conv2d(c_in, 4, kernel, stride=stride, padding=padding,
+                         rng=np.random.default_rng(0)), ReLU()]
+        if pool:
+            layers.append(MaxPool2d(2, 2))
+        net = Sequential(*layers).eval()
+        program = ir.lower(
+            _rows(net), (c_in, size, size), rewrites=ir.ALL_REWRITES
+        )
         op = program.ops[0]
-        assert ir.direct_conv_eligible(op)
+        assert op.pool == pool
         plan = ir.plan_buffers(program)
-        assert plan.scratch_elements == 1 * 18 * 18 + 64
+        assert plan.scratch_elements == expected
+        # The flat kernel's footprint: phase planes, then the zeroed
+        # over-read slack (its widest tile reads 63 lanes past the end),
+        # then 4 channel rows of staging covering every output lane.
+        (kh, kw), (sh, sw), (ph, pw) = op.kernel, op.stride, op.padding
+        hq, wq = -(-(size + 2 * ph) // sh), -(-(size + 2 * pw) // sw)
+        lanes = (op.oh - 1) * wq + op.ow
+        assert plan.scratch_elements >= c_in * sh * sw * hq * wq + 63 + 4 * lanes
+        if size == 64:
+            assert plan.scratch_elements < c_in * kh * kw * op.oh * op.ow / 7
 
-    def test_gemm_conv_scratch_is_im2col_panel(self):
+    def test_integer_conv_scratch_keeps_its_im2col_panel(self):
         net = Sequential(
-            Conv2d(1, 4, 3, stride=2, rng=np.random.default_rng(0))
+            Conv2d(2, 4, 3, stride=2, rng=np.random.default_rng(0))
         ).eval()
-        program = ir.lower(_rows(net), (1, 16, 16), rewrites=())
+        program = ir.lower(
+            _rows(net), (2, 16, 16), quantization=PARAMS8,
+            rewrites=(ir.INT8_WEIGHTS, ir.INT8_INGEST),
+        )
         op = program.ops[0]
-        assert not ir.direct_conv_eligible(op)
+        assert ir.integer_matmul_eligible(op)
         plan = ir.plan_buffers(program)
-        assert plan.scratch_elements == 1 * 3 * 3 * op.oh * op.ow
+        # The u8 code panel of the integer GEMM (larger here than the
+        # VNNI kernel's raw padded plane, 2*16*16 + 64).
+        assert plan.scratch_elements == 2 * 3 * 3 * op.oh * op.ow
+
+    def test_single_position_conv_scratch_is_one_column(self):
+        net = Sequential(
+            Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(0))
+        ).eval()
+        program = ir.lower(_rows(net), (3, 1, 1), rewrites=())
+        assert ir.plan_buffers(program).scratch_elements == 3 * 3 * 3
 
 
 class TestEnvironment:

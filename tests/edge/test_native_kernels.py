@@ -21,7 +21,13 @@ both backends and compare:
   batch-invariant / run-to-run deterministic within one backend at a
   fixed toggling;
 * the native ``lrn`` record against the numpy op, including bases the
-  vectorised power cannot serve (zero, subnormal, huge, NaN).
+  vectorised power cannot serve (zero, subnormal, huge, NaN);
+* **exact arithmetic** (``TestExactConvArithmetic``): on dyadic operands
+  every accumulation order is exact, so every native conv path must equal
+  a float64 conv bit for bit, under any batch split (fixed cases plus a
+  hypothesis property over geometry, pools, epilogues and input dtypes);
+* the **portable build** (``TestPortableBuild``): the source compiled
+  without ``-march=native`` runs the fixed cases and a backbone half.
 
 Shared-infrastructure checks for :mod:`repro.native` (artifact identity,
 ``REPRO_KERNEL_DIR``) ride along at the bottom.
@@ -31,12 +37,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native
 from repro.edge import _fastexec, ir
 from repro.edge.executor import BatchInvariantExecutor
-from repro.edge.quantization import calibrate, quantize
+from repro.edge.quantization import QuantizationParams, calibrate, quantize
 from repro.errors import ConfigurationError
+from repro.models import build_model
 from repro.nn import Linear, Sequential
 from repro.nn.im2col import conv_output_size
 from repro.nn.layers.activation import ReLU
@@ -113,13 +122,15 @@ class TestConvFuzz:
         )
         np.testing.assert_array_equal(stacked, chunked)
 
-    def test_direct_and_gemm_paths_both_exercised(self):
-        """The fuzzed ranges cover both conv lowerings (fixed geometries)."""
+    def test_both_strides_run_the_one_conv_record(self):
+        """Stride 1 (ow = 28) and stride 2 (ow = 4) float convs both lower
+        to the conv record with f32 weights — the flat-plane kernel, on one
+        phase plane or on four — and agree with numpy."""
         rng = np.random.default_rng(0)
-        # ow = 28 -> direct kernel; ow = 4 (stride 2) -> im2col GEMM.
-        for geometry, expected in (
-            (dict(h=28, w=28, stride=1, padding=2), _fastexec.OP_CONV2D_DIRECT),
-            (dict(h=11, w=11, stride=2, padding=0), _fastexec.OP_CONV2D),
+        wmode = _fastexec.RECORD_LAYOUT.index("wmode")
+        for geometry in (
+            dict(h=28, w=28, stride=1, padding=2),
+            dict(h=11, w=11, stride=2, padding=0),
         ):
             net = Sequential(
                 ("conv", Conv2d(2, 3, 5, geometry["stride"],
@@ -132,7 +143,8 @@ class TestConvFuzz:
             numpy_out = BatchInvariantExecutor(net, kernel_backend="numpy")(x)
             np.testing.assert_allclose(executor(x), numpy_out, atol=ATOL, rtol=RTOL)
             program = next(iter(executor._programs.values()))
-            assert program._records[0, 0] == expected
+            assert program._records[0, 0] == _fastexec.OP_CONV2D
+            assert program._records[0, wmode] == 0
 
     def test_single_position_conv_uses_dot_kernel(self):
         """OH*OW == 1 convs reroute to the lane-blocked dot kernel."""
@@ -144,6 +156,210 @@ class TestConvFuzz:
         x = rng.normal(size=(5, 8, 5, 5)).astype(np.float32)
         native_ex, numpy_ex = _executor_pair(net)
         assert native_ex(x).shape == (5, 60, 1, 1)
+        np.testing.assert_allclose(native_ex(x), numpy_ex(x), atol=ATOL, rtol=RTOL)
+
+
+#: Fixed cases of the exact-arithmetic property: (c_in, c_out, kernel,
+#: stride, padding, h, w, batch, relu, pool, bn, noise, weight_bits,
+#: ingest).  Between them they reach every conv path of the native
+#: backend (``TestExactConvArithmetic.test_fixed_cases_reach_every_path``).
+EXACT_CASES = [
+    # Stride 2: odd taps read the second phase plane of each axis.
+    (3, 5, (3, 3), 2, 1, 11, 13, 3, True, False, False, False, None, "f32"),
+    # Stride 3, a 7-wide kernel, int8 weights on 16-bit codes.
+    (2, 9, (7, 7), 3, 3, 9, 20, 5, False, False, True, True, 8, "u16"),
+    # A fused pool on 8-bit codes, with BatchNorm and the noise add.
+    (4, 6, (3, 3), 1, 1, 9, 17, 4, True, True, True, True, None, "u8"),
+    # A fused pool with int8 weights; odd conv rows and columns drop.
+    (2, 7, (5, 3), 1, 2, 9, 13, 2, False, True, False, True, 8, "f32"),
+    # A 1-wide and a 1-high plane.
+    (1, 3, (1, 1), 1, 0, 5, 1, 2, False, False, False, False, None, "f32"),
+    (5, 4, (2, 4), 1, 3, 1, 9, 16, True, False, True, False, None, "u8"),
+    # Past 128 wide: the pool stays standalone.
+    (2, 8, (3, 3), 1, 1, 4, 140, 3, True, True, False, True, None, "f32"),
+    # One output position: the dot kernel.
+    (3, 4, (3, 3), 1, 0, 3, 3, 2, True, False, False, False, 8, "f32"),
+    # Fully integer: int8 weights on 8-bit codes, the pool re-merged
+    # where the packed VNNI kernel takes the conv.
+    (3, 5, (3, 3), 1, 1, 10, 10, 4, True, True, True, True, 8, "u8"),
+]
+
+
+def _exact_case(case, seed):
+    """The net, input, quantisation, noise and float64 reference output of
+    one exact-arithmetic case.
+
+    Every operand is a small dyadic number: weights are int8-range codes
+    times 2**-6 with one ±127 per output channel, so ``weight_bits=8``
+    recovers them exactly (scale 2**-6); inputs are small integers, or
+    codes around a nonzero zero point at scale 0.5; bias, BatchNorm mean
+    and beta (unit sd and gamma) and the noise are quarter or half
+    integers.  Every partial sum then fits a float32 mantissa, so any
+    accumulation order is exact and the output must equal the float64
+    conv bit for bit."""
+    (c_in, c_out, (kh, kw), stride, padding, h, w, batch, relu, pool, bn,
+     noise, weight_bits, ingest) = case
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng=rng)
+    codes = rng.integers(-8, 9, size=(c_out, c_in * kh * kw))
+    codes[np.arange(c_out), rng.integers(0, codes.shape[1], size=c_out)] = (
+        127 * rng.choice([-1, 1], size=c_out)
+    )
+    weight = codes.reshape(c_out, c_in, kh, kw) * 2.0**-6
+    conv.weight.data[...] = weight
+    conv.bias.data[...] = rng.integers(-8, 9, size=c_out) / 4
+    layers = [("conv", conv)]
+    values = rng.integers(-3, 4, size=(batch, c_in, h, w))
+    if ingest == "f32":
+        x, params, real = values.astype(np.float32), None, values * 1.0
+    else:
+        bits, zero_point = (8, 100) if ingest == "u8" else (16, 300)
+        params = QuantizationParams(scale=0.5, zero_point=zero_point, bits=bits)
+        x = (values + zero_point).astype(np.uint8 if bits == 8 else np.uint16)
+        real = values * 0.5
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(real, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ref = np.zeros((batch, c_out, oh, ow))
+    for ki in range(kh):
+        for kj in range(kw):
+            patch = xp[:, :, ki : ki + stride * (oh - 1) + 1 : stride,
+                       kj : kj + stride * (ow - 1) + 1 : stride]
+            ref += np.einsum("ncij,oc->noij", patch, weight[:, :, ki, kj])
+    ref += conv.bias.data[None, :, None, None]
+    if bn:
+        norm = BatchNorm2d(c_out, eps=0.0)
+        norm.running_mean[:] = rng.integers(-8, 9, size=c_out) / 4
+        norm.beta.data[:] = rng.integers(-8, 9, size=c_out) / 4
+        layers.append(("bn", norm))
+        ref += (norm.beta.data - norm.running_mean)[None, :, None, None]
+    if relu:
+        layers.append(("relu", ReLU()))
+        ref = np.maximum(ref, 0.0)
+    if pool:
+        layers.append(("pool", MaxPool2d(2)))
+        ref = ref[:, :, : oh // 2 * 2, : ow // 2 * 2]
+        ref = ref.reshape(batch, c_out, oh // 2, 2, ow // 2, 2).max(axis=(3, 5))
+    extra = None
+    if noise:
+        extra = (rng.integers(-4, 5, size=ref.shape) / 2).astype(np.float32)
+        ref = ref + extra
+    return Sequential(*layers).eval(), x, params, extra, weight_bits, ref
+
+
+@requires_kernel
+class TestExactConvArithmetic:
+    """Wherever arithmetic is exact, every conv path of the native backend
+    must return the float64 conv exactly, and every batch split must
+    reproduce it bit for bit (see :func:`_exact_case`)."""
+
+    @staticmethod
+    def check(case, seed, split):
+        net, x, params, extra, weight_bits, ref = _exact_case(case, seed)
+        executor = BatchInvariantExecutor(net, "native", weight_bits=weight_bits)
+
+        def run(rows):
+            return executor(
+                x[rows], quantization=params,
+                epilogue_add=None if extra is None else extra[rows],
+            )
+
+        out = run(slice(None))
+        np.testing.assert_array_equal(out, ref)
+        chunks = np.concatenate(
+            [run(slice(i, i + split)) for i in range(0, len(x), split)]
+        )
+        np.testing.assert_array_equal(chunks.view(np.uint32), out.view(np.uint32))
+        return net, x, params, extra, out
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_fixed_case(self, case):
+        self.check(case, seed=0, split=max(1, case[7] // 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_case(self, data):
+        c_in, c_out = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+        kh, kw = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        stride, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        h = data.draw(st.integers(max(1, kh - 2 * padding), 12))
+        w = data.draw(st.integers(max(1, kw - 2 * padding), 140))
+        batch = data.draw(st.integers(1, 16))
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        case = (
+            c_in, c_out, (kh, kw), stride, padding, h, w, batch,
+            data.draw(st.booleans()),
+            oh >= 2 and ow >= 2 and data.draw(st.booleans()),
+            data.draw(st.booleans()), data.draw(st.booleans()),
+            data.draw(st.sampled_from([None, 8])),
+            data.draw(st.sampled_from(["f32", "u8", "u16"])),
+        )
+        self.check(case, data.draw(st.integers(0, 2**16)),
+                   data.draw(st.integers(1, batch)))
+
+    def test_fixed_cases_reach_every_path(self, monkeypatch):
+        """Guards the property against vacuity: under the default rewrites
+        the fixed cases fuse a pool, take strides 2 and 3 with odd taps,
+        exceed 128 lanes of width, run single-position and fully integer
+        convs, and ingest both code widths."""
+        monkeypatch.delenv(ir.DISABLE_REWRITES_ENV_VAR, raising=False)
+        monkeypatch.delenv(ir.SELECT_REWRITES_ENV_VAR, raising=False)
+        seen = set()
+        for case in EXACT_CASES:
+            net, x, params, extra, weight_bits, _ = _exact_case(case, 0)
+            rewrites = ir.ALL_REWRITES + ((ir.INT8_WEIGHTS,) if weight_bits else ())
+            program = ir.lower(
+                [(i, m) for i, m in enumerate(net.layers())], x.shape[1:],
+                quantization=params, epilogue_add=extra is not None,
+                rewrites=tuple(r for r in ir.PIPELINE_ORDER if r in rewrites),
+            )
+            conv = program.ops[0]
+            seen.add(("stride", conv.stride[0]))
+            seen.add(("pool", conv.pool))
+            seen.add(("wide", conv.ow > 128))
+            seen.add(("single", conv.oh * conv.ow == 1))
+            seen.add(("integer", ir.integer_matmul_eligible(conv)))
+            seen.add(("ingest", case[-1]))
+        assert {("stride", 2), ("stride", 3), ("pool", True), ("wide", True),
+                ("single", True), ("integer", True), ("ingest", "u8"),
+                ("ingest", "u16")} <= seen
+
+
+@pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler")
+class TestPortableBuild:
+    """The kernel source must build without ``-march=native`` — the retry
+    ``native.build_library`` falls back to — and run correctly there:
+    otherwise every host without AVX-512 would silently drop to the numpy
+    backend.  The portable library replaces the process's for the test."""
+
+    def test_generic_build_runs_the_exact_cases_and_a_backbone(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(native.DISABLE_ENV_VAR, raising=False)
+        monkeypatch.setenv(native.DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(
+            native, "COMPILE_FLAGS",
+            tuple(f for f in native.COMPILE_FLAGS if f != "-march=native"),
+        )
+        module = native.KernelModule(
+            "fastexec", _fastexec._SOURCE, _fastexec._configure
+        )
+        assert module.load() is not None
+        monkeypatch.setattr(_fastexec, "_MODULE", module)
+        assert _fastexec.variant() == "generic"
+        for case in EXACT_CASES:
+            net, x, params, extra, weight_bits, _ = _exact_case(case, 0)
+            out = TestExactConvArithmetic.check(case, 0, split=1)[-1]
+            numpy_out = BatchInvariantExecutor(
+                net, "numpy", weight_bits=weight_bits
+            )(x, quantization=params, epilogue_add=extra)
+            np.testing.assert_allclose(out, numpy_out, atol=ATOL, rtol=RTOL)
+        rng = np.random.default_rng(5)
+        model = build_model("alexnet", rng, width=0.5).eval()
+        local, _ = model.split(model.last_conv_cut())
+        x = rng.normal(size=(3, *model.input_shape)).astype(np.float32)
+        native_ex, numpy_ex = _executor_pair(local)
         np.testing.assert_allclose(native_ex(x), numpy_ex(x), atol=ATOL, rtol=RTOL)
 
 
