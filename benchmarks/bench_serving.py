@@ -3,15 +3,16 @@
 
 Drives a stream of single-image requests through (a) the retained
 sequential reference path (:class:`repro.edge.InferenceSession`, one wire
-round trip per request) and (b) the batched serving engine
-(:class:`repro.serve.BatchedInferenceSession`) at one or more batching
+round trip per request) and (b) a one-deployment serving control plane
+(:class:`repro.serve.ControlPlane` with greedy FIFO windows:
+``batch_timeout=0``, ``deadline_aware=False``) at one or more batching
 windows, plus a quantised-wire variant.  Verifies the parity contract
 (bit-identical logits between sequential and unquantised batched serving
 on the same stream) and records requests/sec into the ``serving`` section
 of ``BENCH_hotpaths.json``.
 
 Three further sections cover the executor kernels and the deadline-aware
-multi-worker engine:
+multi-worker plane:
 
 * ``kernel_backend`` — identical serving work at the acceptance window on
   the compiled native executor vs the pure-numpy executor (the headline
@@ -38,14 +39,15 @@ multi-worker engine:
   the deadline-aware and fixed-window batching policies in virtual time
   (service model calibrated from the measured batched step), comparing
   SLO attainment at equal work;
-* ``serving_multiworker`` — real wall-clock throughput of the
-  :class:`repro.serve.ServingEngine` at 1 vs 4 cloud workers over a
+* ``serving_multiworker`` — real wall-clock throughput of a
+  one-deployment :class:`repro.serve.ControlPlane` at 1 vs 4 cloud
+  workers over a
   ``realtime`` channel (simulated wire time actually slept), with
   bit-parity against the sequential reference;
 * ``serving_multimodel`` — the multi-deployment control plane: aggregate
   req/s of 3 deployments sharing one worker pool
   (:class:`repro.serve.ControlPlane`) vs the same 3 deployments as
-  isolated single-worker engines driven concurrently, with per-deployment
+  isolated single-worker planes driven concurrently, with per-deployment
   bit-parity and the cross-user mixing index;
 * ``serving_chaos`` — the elastic control plane under chaos + overload: a
   protected SLO tenant and an admission-capped bulk tenant share an
@@ -69,8 +71,8 @@ multi-worker engine:
   (:class:`repro.serve.ShardedServingEngine`): a trace from the open-loop
   load generator (bursty arrivals, a million distinct users, Zipf-heavy
   per-user counts) served by 1/2/4 subprocess shards over real sockets,
-  against the 4-thread single-process engine on identical work.  Wire
-  waits are real (``realtime`` channel), so the threaded engine tops out
+  against the 4-thread single-process plane on identical work.  Wire
+  waits are real (``realtime`` channel), so the threaded plane tops out
   at its worker count while shards multiply both dispatchers and worker
   pools across processes.  Gates: sharded-4 >= 2x threaded-4 in a full
   run (>= 1x under ``--smoke``) and bit-parity of every shard against
@@ -83,7 +85,7 @@ Exit status is non-zero when a gate fails: batched >= 3x sequential at the
 acceptance window (full run; simply faster under ``--smoke``), deadline-
 aware attainment >= fixed-window attainment, multi-worker >= 1.5x
 single-worker throughput at window 8, shared-pool multi-model aggregate
->= 0.9x the isolated-engines aggregate, chaos-leg protected attainment
+>= 0.9x the isolated-planes aggregate, chaos-leg protected attainment
 below its floor (0.95 full, 0.75 smoke) or any other chaos contract
 breach, (when a C compiler is present) kernel-on serving throughput
 below kernel-off at window 8 (>= 2x required in a full run, with
@@ -92,7 +94,7 @@ the quantised window-32 compute path (or any of that leg's wire /
 allocation / closeness assertions), int8 weights below 1.2x f32 on that
 same path (or label agreement under 0.99, or any native f32 weight copy
 materialised), the sharded plane below 2x the 4-thread
-engine at 4 shards (full; >= 1x under ``--smoke``) or out of bit-parity
+plane at 4 shards (full; >= 1x under ``--smoke``) or out of bit-parity
 with its per-shard references, or the privacy-mixing leg breaking parity,
 leaking more positionally with the shuffler on than off, or paying more
 than the allowed shuffling overhead.
@@ -118,8 +120,8 @@ from repro.config import Config, get_scale
 from repro.core import NoiseCollection, SplitInferenceModel
 from repro.edge import Channel, InferenceSession
 from repro.serve import (
-    BatchedInferenceSession,
-    ServingEngine,
+    ControlPlane,
+    ServingMetrics,
     ShardedServingEngine,
     ShardSpec,
     generate_trace,
@@ -143,7 +145,7 @@ MULTIWORKER_SPEEDUP = 1.5
 MULTIWORKER_WORKERS = 4
 #: Deployments on the shared control plane, and the gate: a shared pool
 #: of N workers must deliver >= this fraction of N isolated one-worker
-#: engines' aggregate throughput (sharing may cost a little dispatcher
+#: planes' aggregate throughput (sharing may cost a little dispatcher
 #: serialisation; it must not collapse).
 MULTIMODEL_DEPLOYMENTS = 3
 MULTIMODEL_RATIO = 0.9
@@ -158,9 +160,9 @@ CHAOS_PROTECTED_SLO = 0.050
 CHAOS_ATTAINMENT_FLOOR = 0.95
 CHAOS_ATTAINMENT_FLOOR_SMOKE = 0.75
 #: Process sharding: 4 shards must deliver >= this multiple of the
-#: 4-thread single-process engine on identical trace-driven work (full
+#: 4-thread single-process plane on identical trace-driven work (full
 #: run; smoke only requires parity-with-no-regression, >= 1x).  The
-#: threaded engine overlaps at most ``workers`` wire waits and serialises
+#: threaded plane overlaps at most ``workers`` wire waits and serialises
 #: every dispatcher turn under one GIL; shards multiply both.
 SHARDED_SPEEDUP = 2.0
 SHARDED_SHARD_COUNTS = (1, 2, 4)
@@ -219,12 +221,24 @@ def serve_sequential(make_session, stream) -> tuple[float, list[np.ndarray]]:
     return time.perf_counter() - start, logits
 
 
-def serve_batched(make_session, stream) -> tuple[float, list[np.ndarray], object]:
-    """Wall seconds, per-request logits, and the session (for metrics)."""
-    session = make_session()
-    start = time.perf_counter()
-    logits = session.infer_stream(stream)
-    return time.perf_counter() - start, logits, session
+def single_plane(model, cut, *, workers=1, channel=None,
+                 kernel_backend="auto", **register) -> ControlPlane:
+    """A control plane hosting one deployment of ``model`` at ``cut``."""
+    plane = ControlPlane(
+        workers=workers, channel=channel, kernel_backend=kernel_backend
+    )
+    plane.register("lenet", model, cut, **register)
+    return plane
+
+
+def serve_batched(
+    make_plane, stream
+) -> tuple[float, list[np.ndarray], ServingMetrics]:
+    """Wall seconds, per-request logits, and the deployment's metrics."""
+    with make_plane() as plane:
+        start = time.perf_counter()
+        logits = plane.infer_stream(stream)
+        return time.perf_counter() - start, logits, plane.deployment().metrics
 
 
 def main() -> int:
@@ -272,12 +286,14 @@ def main() -> int:
 
     def batched_session(
         window: int, quantization=None, kernel_backend="auto"
-    ) -> BatchedInferenceSession:
-        return BatchedInferenceSession(
-            bundle.model, cut, mean, std, noise=collection,
-            channel=Channel(), rng=np.random.default_rng(7),
-            batch_window=window, quantization=quantization,
-            kernel_backend=kernel_backend,
+    ) -> ControlPlane:
+        # No batching wait and no deadlines: greedy FIFO windows.
+        return single_plane(
+            bundle.model, cut, channel=Channel(),
+            kernel_backend=kernel_backend, mean=mean, std=std,
+            noise=collection, rng=np.random.default_rng(7),
+            batch_window=window, batch_timeout=0.0, deadline_aware=False,
+            quantization=quantization,
         )
 
     # Warm both paths (imports, executor plans, allocator) off the clock.
@@ -307,17 +323,17 @@ def main() -> int:
     for window in windows:
         bat_s = float("inf")
         for _ in range(repeats):
-            elapsed, bat_logits, session = serve_batched(
+            elapsed, bat_logits, bat_metrics = serve_batched(
                 lambda: batched_session(window), stream
             )
             bat_s = min(bat_s, elapsed)
         if window == windows[0]:
-            calibration_batches = session.metrics.micro_batches
+            calibration_batches = bat_metrics.micro_batches
         identical = all(
             np.array_equal(a, b) for a, b in zip(seq_logits, bat_logits)
         )
         speedup = seq_s / bat_s
-        metrics = session.metrics.as_dict()
+        metrics = bat_metrics.as_dict()
         serving["windows"][str(window)] = {
             "seconds": bat_s,
             "requests_per_second": requests / bat_s,
@@ -345,7 +361,7 @@ def main() -> int:
     quant_window = windows[0]
     quant_s = float("inf")
     for _ in range(repeats):
-        elapsed, quant_logits, quant_session = serve_batched(
+        elapsed, quant_logits, quant_metrics = serve_batched(
             lambda: batched_session(quant_window, params), stream
         )
         quant_s = min(quant_s, elapsed)
@@ -361,9 +377,9 @@ def main() -> int:
         "seconds": quant_s,
         "requests_per_second": requests / quant_s,
         "label_agreement_vs_sequential": label_agreement,
-        "uplink_bytes": quant_session.metrics.uplink_bytes,
+        "uplink_bytes": quant_metrics.uplink_bytes,
         "uplink_ratio_vs_float32": (
-            quant_session.metrics.uplink_bytes
+            quant_metrics.uplink_bytes
             / serving["windows"][str(quant_window)]["uplink_bytes"]
         ),
     }
@@ -764,7 +780,7 @@ def main() -> int:
     )
 
     # ------------------------------------------------------------------
-    # Multi-worker engine: real wall-clock throughput at 1 vs 4 cloud
+    # Multi-worker plane: real wall-clock throughput at 1 vs 4 cloud
     # workers over a realtime channel (wire waits actually slept, so
     # concurrent micro-batches overlap them), plus bit-parity.
     # ------------------------------------------------------------------
@@ -776,22 +792,22 @@ def main() -> int:
         best = float("inf")
         occupancy: dict = {}
         for _ in range(repeats):
-            engine = ServingEngine(
-                bundle.model, cut, mean, std, noise=collection,
+            plane = single_plane(
+                bundle.model, cut, workers=workers,
                 channel=Channel(latency_ms=3.0, realtime=True),
+                mean=mean, std=std, noise=collection,
                 rng=np.random.default_rng(7),
-                workers=workers, batch_window=ACCEPTANCE_WINDOW,
-                batch_timeout=0.0,
+                batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
             )
             begin = time.perf_counter()
-            logits = engine.infer_stream(mw_stream)
+            logits = plane.infer_stream(mw_stream)
             elapsed = time.perf_counter() - begin
             if elapsed < best:
                 # Keep the artefacts of the run actually being reported.
                 best = elapsed
-                occupancy = engine.metrics.worker_occupancy()
+                occupancy = plane.deployment().metrics.worker_occupancy()
                 mw_logits[workers] = logits
-            engine.close()
+            plane.close()
         mw_results[str(workers)] = {
             "seconds": best,
             "requests_per_second": mw_requests / best,
@@ -827,13 +843,11 @@ def main() -> int:
 
     # ------------------------------------------------------------------
     # Multi-model control plane: 3 deployments sharing one worker pool vs
-    # the same 3 deployments as isolated single-worker engines driven
+    # the same 3 deployments as isolated single-worker planes driven
     # concurrently.  Equal resources (3 cloud worker threads total), equal
     # work, realtime channel so wire waits genuinely overlap.
     # ------------------------------------------------------------------
     import threading
-
-    from repro.serve import ControlPlane
 
     mm_per_deployment = 48 if args.smoke else 96
     mm_names = [f"dep{i}" for i in range(MULTIMODEL_DEPLOYMENTS)]
@@ -901,17 +915,17 @@ def main() -> int:
 
     isolated_best = float("inf")
     for _ in range(repeats):
-        engines = {
-            name: ServingEngine(
-                bundle.model, cut, mean, std, noise=mm_collections[name],
-                channel=mm_channel(), rng=mm_rng(name),
-                workers=1, batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
+        isolated = {
+            name: single_plane(
+                bundle.model, cut, channel=mm_channel(), mean=mean, std=std,
+                noise=mm_collections[name], rng=mm_rng(name),
+                batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
             )
             for name in mm_names
         }
         threads = [
             threading.Thread(
-                target=engines[name].infer_stream,
+                target=isolated[name].infer_stream,
                 args=(mm_stream,),
                 kwargs={"session_ids": [
                     f"{name}-user-{i % 4}" for i in range(mm_per_deployment)
@@ -925,8 +939,8 @@ def main() -> int:
         for thread in threads:
             thread.join()
         isolated_best = min(isolated_best, time.perf_counter() - begin)
-        for engine in engines.values():
-            engine.close()
+        for plane in isolated.values():
+            plane.close()
 
     mm_shared_rps = mm_total / shared_best
     mm_isolated_rps = mm_total / isolated_best
@@ -961,7 +975,7 @@ def main() -> int:
     }
     print(
         f"multi-model:    shared pool {mm_shared_rps:8.0f} req/s vs "
-        f"{MULTIMODEL_DEPLOYMENTS} isolated engines {mm_isolated_rps:8.0f} "
+        f"{MULTIMODEL_DEPLOYMENTS} isolated planes {mm_isolated_rps:8.0f} "
         f"req/s ({mm_ratio:.2f}x, target >= {MULTIMODEL_RATIO:.1f}x, "
         f"parity={'OK' if shared_parity else 'FAIL'}, "
         f"{'PASS' if mm_ok else 'FAIL'})"
@@ -1087,7 +1101,7 @@ def main() -> int:
             time.sleep(wait)
         offer(name, image,
               slo=CHAOS_PROTECTED_SLO if name == "protected" else None)
-        delivered += plane.pump_handles()
+        delivered += plane.pump()
     delivered += plane.drain()
     chaos_elapsed = time.perf_counter() - chaos_begin
 
@@ -1198,7 +1212,7 @@ def main() -> int:
 
     # ------------------------------------------------------------------
     # Process sharding: 1/2/4 subprocess shards over real sockets vs the
-    # 4-thread single-process engine on identical trace-driven work.  The
+    # 4-thread single-process plane on identical trace-driven work.  The
     # trace comes from the open-loop load generator: bursty arrivals, a
     # million distinct users, Zipf-heavy per-user request counts — the
     # millions-of-users regime the sharded plane exists for.  Parity: the
@@ -1223,17 +1237,16 @@ def main() -> int:
 
     threaded_best = float("inf")
     for _ in range(repeats):
-        engine = ServingEngine(
-            bundle.model, cut, mean, std, noise=collection,
-            channel=Channel(**sh_channel),
-            rng=np.random.default_rng(7),
-            workers=SHARDED_WORKERS, batch_window=ACCEPTANCE_WINDOW,
-            batch_timeout=0.0,
+        plane = single_plane(
+            bundle.model, cut, workers=SHARDED_WORKERS,
+            channel=Channel(**sh_channel), mean=mean, std=std,
+            noise=collection, rng=np.random.default_rng(7),
+            batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
         )
         begin = time.perf_counter()
-        engine.infer_stream(sh_stream, session_ids=sh_sessions)
+        plane.infer_stream(sh_stream, session_ids=sh_sessions)
         threaded_best = min(threaded_best, time.perf_counter() - begin)
-        engine.close()
+        plane.close()
 
     sh_spec = ShardSpec.capture(
         bundle.model, cut, mean=mean, std=std, noise=collection,
@@ -1261,7 +1274,7 @@ def main() -> int:
         }
 
     # Per-shard parity: each routed subsequence against that shard's own
-    # sequential reference (fresh engines are deterministic, so the best
+    # sequential reference (fresh shards are deterministic, so the best
     # timed run's logits are the reported run's logits).
     sh_max = max(SHARDED_SHARD_COUNTS)
     sh_references = [
@@ -1336,26 +1349,27 @@ def main() -> int:
     for shuffled in (False, True):
         best = float("inf")
         for _ in range(repeats):
-            engine = ServingEngine(
-                bundle.model, cut, mean, std, noise=collection,
-                channel=Channel(), rng=np.random.default_rng(7),
-                workers=2, batch_window=ACCEPTANCE_WINDOW,
-                batch_timeout=0.0, shuffle=shuffled, shuffle_seed=7,
+            plane = single_plane(
+                bundle.model, cut, workers=2, channel=Channel(),
+                mean=mean, std=std, noise=collection,
+                rng=np.random.default_rng(7),
+                batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
+                shuffle=shuffled, shuffle_seed=7,
             )
             begin = time.perf_counter()
-            logits = engine.infer_stream(pm_stream, session_ids=pm_sessions)
+            logits = plane.infer_stream(pm_stream, session_ids=pm_sessions)
             elapsed = time.perf_counter() - begin
             if elapsed < best:
                 best = elapsed
                 pm_logits[shuffled] = logits
-                metrics = engine.metrics
+                metrics = plane.deployment().metrics
                 pm_metrics[shuffled] = {
                     "mixing_index": metrics.mixing_index,
                     "shuffled_batches": metrics.shuffled_batches,
                     "anonymity_sets": list(metrics.anonymity_sets),
                     "epsilon_amplified": metrics.shuffle_amplification(1.0),
                 }
-            engine.close()
+            plane.close()
         pm_results["shuffled" if shuffled else "plain"] = {
             "seconds": best,
             "requests_per_second": pm_requests / best,

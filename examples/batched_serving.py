@@ -3,11 +3,12 @@
 
 The Figure 2 deployment serves one user at a time; a real multi-user
 deployment queues concurrent requests and serves them in micro-batches.
-This example trains a noise collection, deploys the batched serving engine
-via ``pipeline.deploy()``, pushes a stream of single-image requests through
-it, and compares against the retained sequential reference path:
+This example trains a noise collection, deploys it on a one-deployment
+serving control plane via ``pipeline.deploy()``, pushes a stream of
+single-image requests through it, and compares against the retained
+sequential reference path:
 
-* the batched engine is several times faster (one stacked forward and one
+* the batched plane is several times faster (one stacked forward and one
   wire frame per micro-batch),
 * yet **bit-identical** in its predictions — both paths run the
   batch-invariant executor and draw the same per-request noise samples,
@@ -57,13 +58,13 @@ def main() -> None:
     seq_seconds = time.perf_counter() - start
 
     # --- batched serving runtime ----------------------------------------
-    batched = pipeline.deploy(collection, batch_window=8, channel=channel)
-    bat_logits = batched.infer_stream(stream)
+    with pipeline.deploy(collection, batch_window=8, channel=channel) as batched:
+        bat_logits = batched.infer_stream(stream)
 
     identical = all(np.array_equal(a, b) for a, b in zip(seq_logits, bat_logits))
     predictions = np.concatenate([l.argmax(axis=1) for l in bat_logits])
     accuracy = float(np.mean(predictions == labels))
-    metrics = batched.metrics
+    metrics = batched.deployment().metrics
 
     print()
     print(f"served {requests} single-image requests (batch window 8):")
@@ -76,16 +77,17 @@ def main() -> None:
     print(f"bit-identical to the sequential path: {identical}")
 
     # --- quantised wire --------------------------------------------------
-    quantized = pipeline.deploy(
+    with pipeline.deploy(
         collection, batch_window=8, channel=Channel(20.0, 15.0), quantize_bits=8
-    )
-    q_logits = quantized.infer_stream(stream)
+    ) as quantized:
+        q_logits = quantized.infer_stream(stream)
+    q_metrics = quantized.deployment().metrics
     q_predictions = np.concatenate([l.argmax(axis=1) for l in q_logits])
     print()
     print(
-        f"8-bit wire: uplink {quantized.metrics.uplink_bytes / 1e3:.1f} kB vs "
+        f"8-bit wire: uplink {q_metrics.uplink_bytes / 1e3:.1f} kB vs "
         f"{metrics.uplink_bytes / 1e3:.1f} kB float32 "
-        f"({quantized.metrics.uplink_bytes / metrics.uplink_bytes:.0%}), "
+        f"({q_metrics.uplink_bytes / metrics.uplink_bytes:.0%}), "
         f"label agreement {float(np.mean(q_predictions == predictions)):.1%}"
     )
 

@@ -76,26 +76,26 @@ def main() -> None:
     labels = bundle.test_set.labels[:requests]
 
     def serve(weight_bits: int | None):
-        session = pipeline.deploy(
+        with pipeline.deploy(
             collection,
             batch_window=8,
             channel=channel,
             quantize_bits=8,
             weight_bits=weight_bits,
-        )
-        start = time.perf_counter()
-        logits = session.infer_stream(stream)
-        seconds = time.perf_counter() - start
+        ) as plane:
+            start = time.perf_counter()
+            logits = plane.infer_stream(stream)
+            seconds = time.perf_counter() - start
         predictions = np.concatenate([l.argmax(axis=1) for l in logits])
-        return session, predictions, requests / seconds
+        return plane.deployment().metrics, predictions, requests / seconds
 
-    f32_session, f32_pred, f32_rps = serve(None)
-    w8_session, w8_pred, w8_rps = serve(8)
+    _, f32_pred, f32_rps = serve(None)
+    w8_metrics, w8_pred, w8_rps = serve(8)
 
     agreement = float(np.mean(w8_pred == f32_pred))
     f32_acc = float(np.mean(f32_pred == labels))
     w8_acc = float(np.mean(w8_pred == labels))
-    wire = w8_session.metrics.uplink_bytes
+    wire = w8_metrics.uplink_bytes
     float_wire = requests * int(np.prod(pipeline.split.activation_shape)) * 4
     wbytes_f32, wbytes_i8 = weight_footprint(bundle.model.state_dict())
 

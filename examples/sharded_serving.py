@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Process-sharded serving — four shards, a million-user trace, bit parity.
 
-The threaded serving engine runs every dispatcher turn (edge half, noise
+The threaded control plane runs every dispatcher turn (edge half, noise
 draws, framing) in one interpreter; process sharding multiplies whole
 control planes across subprocesses, with the parent routing each request
 to ``hash(session) % N`` over real sockets.  This example:

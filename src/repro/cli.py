@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Callable, Sequence
 
 from repro.config import Config, get_scale
+from repro.errors import ConfigurationError, OverloadError
 
 
 def _make_config(args: argparse.Namespace) -> Config:
@@ -178,8 +180,6 @@ def _parse_autoscale(
     """Parse ``--autoscale MIN:MAX`` into validated pool bounds."""
     if raw is None:
         return None
-    from repro.errors import ConfigurationError
-
     low, sep, high = raw.partition(":")
     try:
         bounds = (int(low), int(high)) if sep else (-1, -1)
@@ -198,12 +198,9 @@ def _parse_autoscale(
 
 def _cmd_serve_multi(args: argparse.Namespace) -> int:
     """Multi-deployment control-plane serving (``--deployment name=net:cut``)."""
-    import time
-
     import numpy as np
 
     from repro.edge import Channel
-    from repro.errors import ConfigurationError, OverloadError
     from repro.eval import build_pipeline, load_benchmark
     from repro.serve import ControlPlane
 
@@ -295,12 +292,12 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
                 admitted[name].append(index)
         # One dispatcher turn per round: overlaps edge/cloud work with
         # submission and steps the autoscaler under live traffic.
-        plane.pump_handles()
+        plane.pump()
     # Drain through pump turns rather than plane.drain(): the backlog
     # left by a closed-loop submit burst is exactly where the autoscaler
-    # earns its keep, and pump_handles() is what steps it.
+    # earns its keep, and pump() is what steps it.
     while plane.pending or plane.in_flight:
-        if not plane.pump_handles(flush=True):
+        if not plane.pump(flush=True):
             time.sleep(0.0005)
     elapsed = time.perf_counter() - start
     plane.close()
@@ -344,8 +341,6 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """Process-sharded serving driven by the open-loop trace generator."""
-    import time
-
     import numpy as np
 
     from repro.eval import build_pipeline, load_benchmark
@@ -455,8 +450,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.deployment:
         if args.shards is not None:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 "--shards runs the single-deployment sharded plane; it "
                 "cannot be combined with --deployment"
@@ -465,8 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards is not None:
         return _cmd_serve_sharded(args)
     if args.autoscale is not None:
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(
             "--autoscale resizes the shared multi-deployment pool; use it "
             "with --deployment NAME=NET[:CUT]"
@@ -479,25 +470,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"training {members} noise tensors for {args.network} ...")
     collection = pipeline.collect(members)
 
-    from repro.serve import ServingEngine
-
     channel = Channel(
         bandwidth_mbps=args.bandwidth_mbps,
         latency_ms=args.latency_ms,
         realtime=args.realtime_channel,
     )
-    session = pipeline.deploy(
+    plane = pipeline.deploy(
         collection,
         batch_window=args.batch_window,
         workers=args.workers,
         batch_timeout=(
             args.batch_timeout_ms / 1e3
             if args.batch_timeout_ms is not None
-            else None
+            else 0.005
         ),
-        # An SLO implies deadline-aware scheduling (and thus the engine);
-        # otherwise let deploy() decide from the other knobs.
-        deadline_aware=True if args.slo_ms is not None else None,
         isolate_sessions=args.batch_policy == "isolate",
         channel=channel,
         quantize_bits=args.quantize_bits,
@@ -508,68 +494,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
         shuffle_seed=args.shuffle_seed,
     )
-    engine_mode = isinstance(session, ServingEngine)
     images = bundle.test_set.images
     labels = bundle.test_set.labels
     requests = min(args.requests, len(images))
-    runtime = (
-        f"serving engine ({args.workers} workers)" if engine_mode
-        else "batched runtime"
-    )
-    backend = session.device._executor.backend
+    deployment = plane.deployment()
+    backend = deployment.device._executor.backend
     print(
-        f"serving {requests} single-image requests through the {runtime} "
-        f"(window {args.batch_window}, {backend} kernels"
+        f"serving {requests} single-image requests through the control "
+        f"plane ({args.workers} workers, window {args.batch_window}, "
+        f"{backend} kernels"
         + (f", SLO {args.slo_ms:g} ms" if args.slo_ms is not None else "")
         + (f", {args.quantize_bits}-bit wire" if args.quantize_bits else "")
         + (f", int{args.weight_bits} weights" if args.weight_bits else "")
         + ") ..."
     )
-    import time
-
-    stream = [images[i : i + 1] for i in range(requests)]
+    # Submissions can be rejected typed at the admission gate; keep
+    # serving admitted requests and report both populations.
+    slo = args.slo_ms / 1e3 if args.slo_ms is not None else None
     start = time.perf_counter()
-    if engine_mode and (
-        args.max_pending is not None or args.admission_rate is not None
-    ):
-        # Admission-gated serving: submissions can be rejected typed;
-        # keep serving admitted requests and report both populations.
-        from repro.errors import OverloadError
-
-        slo = args.slo_ms / 1e3 if args.slo_ms is not None else None
-        ids: list[int] = []
-        admitted_idx: list[int] = []
-        rejected = 0
-        for i, batch in enumerate(stream):
-            try:
-                ids.append(session.submit(batch, slo_seconds=slo))
-            except OverloadError:
-                rejected += 1
-            else:
-                admitted_idx.append(i)
-        session.drain()
-        predictions = [
-            session.result(request_id).argmax(axis=1) for request_id in ids
-        ]
-        label_slice = labels[admitted_idx]
-    elif engine_mode:
-        predictions = session.classify_stream(
-            stream,
-            slo_seconds=(
-                args.slo_ms / 1e3 if args.slo_ms is not None else None
-            ),
-        )
-        rejected = 0
-        label_slice = labels[:requests]
-    else:
-        predictions = session.classify_stream(stream)
-        rejected = 0
-        label_slice = labels[:requests]
+    handles = []
+    admitted: list[int] = []
+    for i in range(requests):
+        try:
+            handles.append(plane.submit(images[i : i + 1], slo_seconds=slo))
+        except OverloadError:
+            continue
+        admitted.append(i)
+    plane.drain()
+    predictions = [plane.result(handle).argmax(axis=1) for handle in handles]
     batched_elapsed = time.perf_counter() - start
+    rejected = requests - len(admitted)
+    plane.close()
     print()
-    print(session.metrics.format())
+    print(deployment.metrics.format())
     if predictions:
-        accuracy = float(np.mean(np.concatenate(predictions) == label_slice))
+        accuracy = float(
+            np.mean(np.concatenate(predictions) == labels[admitted])
+        )
         print(
             f"accuracy          {accuracy:.1%} "
             f"(clean backbone {bundle.test_accuracy:.1%})"
@@ -579,8 +540,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"admission         {rejected} of {requests} requests rejected "
             "(typed OverloadError)"
         )
-    if engine_mode:
-        session.close()
     if args.compare_sequential:
         sequential = pipeline.deploy(
             collection, batched=False, kernel_backend=args.kernel_backend,
@@ -737,8 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--latency-ms", type=float, default=10.0)
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="cloud worker threads draining micro-batches concurrently "
-        "(> 1 selects the deadline-aware serving engine)",
+        help="cloud worker threads draining micro-batches concurrently",
     )
     serve.add_argument(
         "--slo-ms", type=float, default=None,
@@ -748,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-timeout-ms", type=float, default=None,
         help="longest the head request waits for its window to fill "
-        "(serving engine only; default 5 ms)",
+        "(default 5 ms)",
     )
     serve.add_argument(
         "--realtime-channel", action="store_true",

@@ -11,11 +11,11 @@
    the wall clock,
 5. measure clean/noisy accuracy and the input↔activation mutual
    information with and without noise (the Table 1 quantities),
-6. ``deploy()`` the trained collection as a serving session — by default
-   the batched multi-user runtime of :mod:`repro.serve`, with the
+6. ``deploy()`` the trained collection on a one-deployment serving
+   control plane (:class:`repro.serve.ControlPlane`), with the
    sequential Figure 2 path retained as the bit-for-bit reference — or
    ``deploy_many()`` several named deployments onto one shared-pool
-   serving control plane (:class:`repro.serve.ControlPlane`).
+   plane.
 
 Activations of the frozen local half are materialised through the shared
 :mod:`repro.core.activation_cache`, so repeated pipelines over the same
@@ -299,8 +299,8 @@ class ShredderPipeline:
         batched: bool = True,
         batch_window: int = 8,
         workers: int = 1,
-        batch_timeout: float | None = None,
-        deadline_aware: bool | None = None,
+        batch_timeout: float = 0.005,
+        deadline_aware: bool = True,
         isolate_sessions: bool = False,
         channel: Channel | None = None,
         quantize_bits: int | None = None,
@@ -312,19 +312,20 @@ class ShredderPipeline:
         shuffle: bool = False,
         shuffle_seed: int | None = None,
     ):
-        """Stand up a serving session for this pipeline's split backbone.
+        """Stand up serving for this pipeline's split backbone.
 
-        By default this returns the batched serving runtime
-        (:class:`repro.serve.BatchedInferenceSession`): a request queue and
-        micro-batcher in front of one stacked edge/cloud round trip per
-        ``batch_window`` requests.  Asking for more than one cloud worker
-        — or for deadline-aware scheduling (``deadline_aware`` /
-        ``batch_timeout``) — returns the full serving engine
-        (:class:`repro.serve.ServingEngine`) instead.  ``batched=False``
-        returns the retained sequential reference path
-        (:class:`repro.edge.InferenceSession`).  All paths produce
-        bit-identical predictions on the same request stream when given
-        identically seeded generators.
+        By default this returns a :class:`repro.serve.ControlPlane`
+        hosting one deployment, built from one
+        :class:`repro.serve.DeploymentSpec` exactly as :meth:`deploy_many`
+        builds each of its tenants: a request queue and batcher in front
+        of one stacked edge/cloud round trip per micro-batch, served by
+        ``workers`` cloud threads.  Every request method of the plane
+        (``submit``, ``infer_stream``, ``report_for``, ...) defaults to
+        that sole deployment.  ``batched=False`` returns the sequential
+        reference path (:class:`repro.edge.InferenceSession`), the oracle
+        the batched plane is tested against.  Both produce bit-identical
+        predictions on the same request stream when given identically
+        seeded generators.
 
         The bundle's datasets are already normalised, so the device is
         configured with identity normalisation.
@@ -332,110 +333,90 @@ class ShredderPipeline:
         Args:
             noise: Trained collection (e.g. from :meth:`collect`); ``None``
                 deploys the privacy-free baseline.
-            batched: Choose a serving runtime or the sequential path.
+            batched: The batched plane, or the sequential path.
             batch_window: Requests stacked per micro-batch.
-            workers: Cloud worker threads; ``> 1`` selects the engine.
+            workers: Cloud worker threads.
             batch_timeout: Longest the head request waits for its window
-                to fill (engine only; selects the engine when set).
-            deadline_aware: Close windows on request SLO slack (engine
-                only; selects the engine when set).
+                to fill.
+            deadline_aware: Close windows on request SLO slack; ``False``
+                is the fixed-window policy.
             isolate_sessions: Batch-composition policy: ``True`` never
                 mixes two sessions in one micro-batch (the mixing index
                 reads 0); default ``False`` (``mixed``).
             channel: Link model (default: fast clean link).
             quantize_bits: When set, calibrate an affine quantiser on the
                 held-out (noisy) activations and quantise each stacked
-                uplink payload once (batched sessions only).
+                uplink payload once (batched only).
             weight_bits: ``8`` serves every half on int8-quantised
                 weights (the opt-in ``int8_weights`` IR rewrite,
-                label-agreement-gated).  Available on all deploy paths —
-                the sequential reference quantises identically, so
-                parity holds within the weight regime.
+                label-agreement-gated).  Available on both paths — the
+                sequential reference quantises identically, so parity
+                holds within the weight regime.
             kernel_backend: Forward-executor backend for every half of the
                 deployment — ``"auto"`` (compiled C kernels when a system
                 compiler is available; the default), ``"native"``
-                (require them), or ``"numpy"``.  All serving runtimes from
-                one ``deploy`` use the selected backend, keeping batched /
-                sequential parity intact (see :mod:`repro.edge.executor`).
+                (require them), or ``"numpy"``.  Both paths use the
+                selected backend, keeping batched / sequential parity
+                intact (see :mod:`repro.edge.executor`).
             rng: Noise-sampling randomness; defaults to a config-derived
                 seed so deployments are reproducible.
             max_pending / admission_rate_rps: Admission-control knobs
-                (engine only; select the engine when set).  Over capacity
-                the engine's ``submit`` raises a typed
-                :class:`~repro.errors.AdmissionError`.
+                (batched only).  Over capacity the plane's ``submit``
+                raises a typed :class:`~repro.errors.AdmissionError`.
             shuffle / shuffle_seed: Enable the seeded cross-session row
-                shuffling stage (batched sessions only; see
+                shuffling stage (batched only; see
                 :class:`repro.serve.scheduler.Shuffler`).  Parity is
                 preserved — the recorded inverse restores per-request
                 order bit-exactly.
         """
-        from repro.edge import InferenceSession, calibrate
-        from repro.serve import BatchedInferenceSession, ServingEngine
+        from repro.edge import InferenceSession
+        from repro.serve import ControlPlane, DeploymentSpec
 
-        admission_mode = max_pending is not None or admission_rate_rps is not None
-        engine_mode = (
-            workers != 1
-            or batch_timeout is not None
-            or deadline_aware is not None
-            or admission_mode
-        )
-        channels = self.bundle.model.input_shape[0]
-        mean = np.zeros(channels, dtype=np.float32)
-        std = np.ones(channels, dtype=np.float32)
         rng = rng or np.random.default_rng(self.config.child_seed("serving"))
         if not batched:
-            if quantize_bits is not None:
+            if (
+                quantize_bits is not None
+                or shuffle
+                or workers != 1
+                or max_pending is not None
+                or admission_rate_rps is not None
+            ):
                 raise ConfigurationError(
-                    "quantised payloads are a batched-wire feature; "
-                    "deploy(batched=True) to use quantize_bits"
-                )
-            if shuffle:
-                raise ConfigurationError(
-                    "row shuffling is a batched-wire feature; "
-                    "deploy(batched=True) to use shuffle"
-                )
-            if engine_mode:
-                raise ConfigurationError(
-                    "workers / batch_timeout / deadline_aware / max_pending "
-                    "/ admission_rate_rps are serving-engine features; "
+                    "quantize_bits / shuffle / workers / max_pending / "
+                    "admission_rate_rps are batched-serving features; "
                     "deploy(batched=True) to use them"
                 )
+            channels = self.bundle.model.input_shape[0]
             return InferenceSession(
-                self.bundle.model, self.split.cut, mean, std, noise,
-                channel=channel, rng=rng, kernel_backend=kernel_backend,
-                weight_bits=weight_bits,
+                self.bundle.model, self.split.cut,
+                np.zeros(channels, dtype=np.float32),
+                np.ones(channels, dtype=np.float32),
+                noise, channel=channel, rng=rng,
+                kernel_backend=kernel_backend, weight_bits=weight_bits,
             )
-        quantization = None
-        if quantize_bits is not None:
-            calibration = self.trainer.eval_activations
-            if noise is not None and len(noise):
-                calibration = calibration + noise.sample_batch(
-                    np.random.default_rng(self.config.child_seed("quant-calib")),
-                    len(calibration),
-                )
-            quantization = calibrate(calibration, bits=quantize_bits)
-        if engine_mode:
-            return ServingEngine(
-                self.bundle.model, self.split.cut, mean, std, noise,
-                channel=channel, rng=rng,
-                workers=workers, batch_window=batch_window,
-                batch_timeout=0.005 if batch_timeout is None else batch_timeout,
-                deadline_aware=True if deadline_aware is None else deadline_aware,
-                isolate_sessions=isolate_sessions,
-                quantization=quantization, weight_bits=weight_bits,
-                kernel_backend=kernel_backend,
-                max_pending=max_pending,
-                admission_rate_rps=admission_rate_rps,
-                shuffle=shuffle, shuffle_seed=shuffle_seed,
-            )
-        return BatchedInferenceSession(
-            self.bundle.model, self.split.cut, mean, std, noise,
-            channel=channel, rng=rng, batch_window=batch_window,
-            quantization=quantization, weight_bits=weight_bits,
-            kernel_backend=kernel_backend,
+        spec = DeploymentSpec(
+            noise=noise,
+            batch_window=batch_window,
+            batch_timeout=batch_timeout,
+            deadline_aware=deadline_aware,
             isolate_sessions=isolate_sessions,
-            shuffle=shuffle, shuffle_seed=shuffle_seed,
+            quantize_bits=quantize_bits,
+            weight_bits=weight_bits,
+            rng=rng,
+            max_pending=max_pending,
+            admission_rate_rps=admission_rate_rps,
+            shuffle=shuffle,
+            shuffle_seed=shuffle_seed,
         )
+        plane = ControlPlane(
+            workers=workers, channel=channel, kernel_backend=kernel_backend
+        )
+        try:
+            self._register(plane, "default", spec)
+        except BaseException:
+            plane.close()
+            raise
+        return plane
 
     def deploy_many(
         self,
@@ -490,7 +471,6 @@ class ShredderPipeline:
             The control plane with every deployment registered; route
             requests with ``plane.submit(images, deployment=name, ...)``.
         """
-        from repro.edge import calibrate
         from repro.serve import ControlPlane, DeploymentSpec
 
         if not deployments:
@@ -517,57 +497,68 @@ class ShredderPipeline:
                         f"deployment {name!r}: expected a DeploymentSpec, "
                         f"dict, NoiseCollection, or None, got {type(raw).__name__}"
                     )
-                model = spec.model or self.bundle.model
-                cut = spec.cut or self.split.cut
-                quantization = None
-                if spec.quantize_bits is not None:
-                    if spec.model is not None or cut != self.split.cut:
-                        raise ConfigurationError(
-                            f"deployment {name!r}: quantize_bits calibrates "
-                            "on this pipeline's held-out activations, so it "
-                            "requires the pipeline's own model and cut"
-                        )
-                    calibration = self.trainer.eval_activations
-                    if spec.noise is not None and len(spec.noise):
-                        calibration = calibration + spec.noise.sample_batch(
-                            np.random.default_rng(
-                                self.config.child_seed("quant-calib", name)
-                            ),
-                            len(calibration),
-                        )
-                    quantization = calibrate(calibration, bits=spec.quantize_bits)
-                rng = spec.rng or np.random.default_rng(
-                    self.config.child_seed("serving", name)
-                )
-                plane.register(
-                    name,
-                    model,
-                    cut,
-                    noise=spec.noise,
-                    rng=rng,
-                    batch_window=spec.batch_window,
-                    max_rows=spec.max_rows,
-                    batch_timeout=spec.batch_timeout,
-                    deadline_aware=spec.deadline_aware,
-                    isolate_sessions=spec.isolate_sessions,
-                    quantization=quantization,
-                    weight_bits=spec.weight_bits,
-                    kernel_backend=spec.kernel_backend,
-                    target_slo_seconds=spec.target_slo_seconds,
-                    arrival_rate_rps=spec.arrival_rate_rps,
-                    service_seconds_per_sample=spec.service_seconds_per_sample,
-                    max_pending=spec.max_pending,
-                    admission_rate_rps=spec.admission_rate_rps,
-                    admission_burst=spec.admission_burst,
-                    shed_unmeetable=spec.shed_unmeetable,
-                    shuffle=spec.shuffle,
-                    shuffle_seed=spec.shuffle_seed,
-                )
+                self._register(plane, name, spec, name)
         except BaseException:
             # Never leak the worker pool when a late registration fails.
             plane.close()
             raise
         return plane
+
+    def _register(self, plane, name: str, spec, *seed_tags: object) -> None:
+        """Register one :class:`repro.serve.DeploymentSpec` on ``plane``.
+
+        ``seed_tags`` extend the config-derived noise and calibration
+        seeds (``deploy_many`` passes the tenant name, so tenants draw
+        decorrelated streams).
+        """
+        from repro.edge import calibrate
+
+        model = spec.model or self.bundle.model
+        cut = spec.cut or self.split.cut
+        quantization = None
+        if spec.quantize_bits is not None:
+            if spec.model is not None or cut != self.split.cut:
+                raise ConfigurationError(
+                    f"deployment {name!r}: quantize_bits calibrates "
+                    "on this pipeline's held-out activations, so it "
+                    "requires the pipeline's own model and cut"
+                )
+            calibration = self.trainer.eval_activations
+            if spec.noise is not None and len(spec.noise):
+                calibration = calibration + spec.noise.sample_batch(
+                    np.random.default_rng(
+                        self.config.child_seed("quant-calib", *seed_tags)
+                    ),
+                    len(calibration),
+                )
+            quantization = calibrate(calibration, bits=spec.quantize_bits)
+        rng = spec.rng or np.random.default_rng(
+            self.config.child_seed("serving", *seed_tags)
+        )
+        plane.register(
+            name,
+            model,
+            cut,
+            noise=spec.noise,
+            rng=rng,
+            batch_window=spec.batch_window,
+            max_rows=spec.max_rows,
+            batch_timeout=spec.batch_timeout,
+            deadline_aware=spec.deadline_aware,
+            isolate_sessions=spec.isolate_sessions,
+            quantization=quantization,
+            weight_bits=spec.weight_bits,
+            kernel_backend=spec.kernel_backend,
+            target_slo_seconds=spec.target_slo_seconds,
+            arrival_rate_rps=spec.arrival_rate_rps,
+            service_seconds_per_sample=spec.service_seconds_per_sample,
+            max_pending=spec.max_pending,
+            admission_rate_rps=spec.admission_rate_rps,
+            admission_burst=spec.admission_burst,
+            shed_unmeetable=spec.shed_unmeetable,
+            shuffle=spec.shuffle,
+            shuffle_seed=spec.shuffle_seed,
+        )
 
     def run(
         self, iterations: int | None = None, n_members: int = 4

@@ -13,7 +13,7 @@ All forwards run through the
 :class:`~repro.edge.executor.BatchInvariantExecutor`, so a request produces
 bit-identical logits whether it is processed alone or stacked into a
 micro-batch — the parity guarantee the batched
-:class:`~repro.serve.BatchedInferenceSession` is tested against.  Noise is
+:class:`~repro.serve.ControlPlane` is tested against.  Noise is
 sampled per request from the §2.5 collection (no training at deployment);
 ``forward_batch`` draws each request's members in arrival order from the
 same generator the sequential path would consume, which keeps the two paths
@@ -287,8 +287,8 @@ class InferenceSession:
     a time.
 
     This is the retained sequential reference implementation; the batched
-    serving engine (:class:`repro.serve.BatchedInferenceSession`) must match
-    it bit-for-bit on the same request stream.
+    serving plane (:class:`repro.serve.ControlPlane`) must match it
+    bit-for-bit on the same request stream.
 
     Args:
         model: The full backbone (used for cost bookkeeping).

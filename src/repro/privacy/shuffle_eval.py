@@ -34,9 +34,10 @@ The module also carries the closed-form **shuffle amplification** bound
 (Meehan et al., *A Shuffling Framework for Local Differential Privacy*,
 building on Feldman–McMillan–Talwar's amplification-by-shuffling bound),
 ``n`` users each satisfying ``epsilon0``-LDP whose reports pass through a
-uniform shuffler jointly satisfy a much smaller central ``epsilon``.
-Serving metrics surface the bound at the *smallest* observed anonymity
-set (conservative) via
+uniform shuffler jointly satisfy a much smaller central ``epsilon`` once
+``n`` is large enough.  Serving metrics surface the bound at the
+*smallest* observed anonymity set, with each session's rows composed
+(conservative), via
 :meth:`~repro.serve.metrics.ServingMetrics.shuffle_amplification`.
 
 Everything here is a pure function of its inputs and explicit seeds —
@@ -72,20 +73,22 @@ def amplified_epsilon(
 ) -> float:
     """Central ``epsilon`` after uniformly shuffling ``n`` local reports.
 
-    The Feldman–McMillan–Talwar amplification-by-shuffling bound used by
-    the shuffling-framework literature (Meehan et al.): ``n`` users, each
-    ``epsilon0``-LDP, whose reports pass through a uniform shuffler
-    jointly satisfy ``(epsilon, delta)``-DP with ::
+    Feldman, McMillan and Talwar, *Hiding Among the Clones*
+    (arXiv:2012.12803), Theorem 3.1: for ``delta`` in ``[0, 1]`` and
+    ``epsilon0 <= log(n / (16 log(2 / delta)))``, shuffling the reports
+    of ``n`` users, each ``epsilon0``-LDP, is ``(epsilon, delta)``-DP
+    with ::
 
-        epsilon = log(1 + (e^{epsilon0} - 1) * (
-            sqrt(32 * log(4 / delta) / ((e^{epsilon0} + 1) * n)) + 4 / n
+        epsilon <= log(1 + (e^{epsilon0} - 1) / (e^{epsilon0} + 1) * (
+            8 * sqrt(e^{epsilon0} * log(4 / delta)) / sqrt(n)
+            + 8 * e^{epsilon0} / n
         ))
 
-    The bound is only meaningful once ``n`` is large enough for the inner
-    term to dip below 1; for small anonymity sets (or ``n == 1``, where
-    shuffling is the identity) the local guarantee is the best available,
-    so the result is clamped to ``min(epsilon0, bound)`` — amplification
-    never *weakens* a guarantee.
+    Where the precondition fails — small anonymity sets, ``n == 1``
+    (shuffling is the identity), or a large ``epsilon0`` — the theorem
+    says nothing and the local guarantee ``epsilon0`` is returned.  The
+    result is also clamped at ``epsilon0``: amplification never
+    *weakens* a guarantee.
 
     Args:
         epsilon0: Per-report local DP parameter (>= 0).
@@ -99,14 +102,12 @@ def amplified_epsilon(
         raise ConfigurationError(f"need >= 1 shuffled report, got {n}")
     if not 0 < delta < 1:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
-    if epsilon0 == 0.0:
-        return 0.0
-    if n == 1:
+    if epsilon0 > np.log(n / (16.0 * np.log(2.0 / delta))):
         return float(epsilon0)
     e0 = np.exp(epsilon0)
     bound = np.log1p(
-        (e0 - 1.0)
-        * (np.sqrt(32.0 * np.log(4.0 / delta) / ((e0 + 1.0) * n)) + 4.0 / n)
+        (e0 - 1.0) / (e0 + 1.0)
+        * (8.0 * np.sqrt(e0 * np.log(4.0 / delta) / n) + 8.0 * e0 / n)
     )
     return float(min(epsilon0, bound))
 
@@ -147,10 +148,10 @@ def _batch_windows(
     batch_window: int,
     isolate_sessions: bool,
 ) -> list[list[int]]:
-    """FIFO micro-batch composition over ``indices``, mirroring
-    :class:`~repro.serve.queue.MicroBatcher`: up to ``batch_window``
-    requests per batch, closed early at the first session boundary when
-    the isolation policy is on."""
+    """FIFO micro-batch composition over ``indices``, mirroring a flushed
+    :class:`~repro.serve.scheduler.AdaptiveBatcher`: up to
+    ``batch_window`` requests per batch, closed early at the first session
+    boundary when the isolation policy is on."""
     batches: list[list[int]] = []
     window: list[int] = []
     for index in indices:

@@ -1,99 +1,53 @@
-"""``repro.serve`` — the throughput-oriented split-inference serving engine.
+"""``repro.serve`` — batched, multi-user split-inference serving.
 
 The paper's deployment story (§2.5 / Figure 2) is one edge device sending
 one noisy activation at a time.  A multi-user deployment serves many
-concurrent requests, and that is where batching pays.  This package grew
-in two steps:
+concurrent requests, and that is where batching pays.  Every batched
+deployment runs on one runtime, the **control plane**
+(:class:`~repro.serve.controlplane.ControlPlane`):
 
-* **PR 2** added the FIFO request queue and micro-batcher
-  (:mod:`repro.serve.queue`), the batched session running one stacked
-  local/remote pass and one wire frame per micro-batch
-  (:mod:`repro.serve.session`), and per-session metrics
-  (:mod:`repro.serve.metrics`).
-* **PR 3** made serving deadline-aware and concurrent: requests carry an
-  optional latency SLO and session id, the
-  :class:`~repro.serve.scheduler.AdaptiveBatcher` closes batching windows
-  on deadline slack instead of fixed counts, and the
-  :class:`~repro.serve.engine.ServingEngine` drains micro-batches through
-  a pool of cloud workers while its dispatcher keeps noise sampling
-  single-owner and releases responses in per-session order.  The
-  scheduling policy also runs under a deterministic virtual clock
-  (:mod:`repro.serve.replay`) for SLO experiments and property tests.
+* a :class:`~repro.serve.controlplane.DeploymentRegistry` of named
+  ``(model, cut, noise collection)`` deployments, each with its own
+  FIFO request queue (:mod:`repro.serve.queue`), single-owner noise
+  stream, :class:`~repro.serve.scheduler.AdaptiveBatcher` (deadline-aware
+  or fixed windows, ``mixed`` or ``isolate_sessions`` batches) and
+  :class:`~repro.serve.metrics.ServingMetrics`;
+* a dispatcher (the caller's thread) that validates and admits requests
+  (:class:`~repro.serve.admission.AdmissionController`: token bucket,
+  queue cap, deadline shedding — typed 429-style rejections), runs each
+  micro-batch's edge half with its noise draws in arrival order,
+  optionally permutes its rows across sessions
+  (:class:`~repro.serve.scheduler.Shuffler`, with the inverse recorded),
+  and releases results in per-session order;
+* one **shared** pool of cloud workers running the remote halves, with
+  crash recovery, healing, scaling
+  (:class:`~repro.serve.controlplane.Autoscaler`), hot swap and
+  unregister behind drain barriers.
 
-* **PR 5** turned the single-pipeline engine into a **multi-deployment
-  control plane** (:mod:`repro.serve.controlplane`): a
-  :class:`~repro.serve.controlplane.DeploymentRegistry` hosts N named
-  ``(model, cut, noise collection)`` deployments — each with its own
-  noise stream, batching window/policy, and metrics — behind a
-  :class:`~repro.serve.controlplane.Router` and one **shared** cloud
-  worker pool with per-deployment executor caches, worker **crash
-  recovery** (fault-injected deaths requeue the in-flight batch on the
-  survivors exactly-once), an explicit batch-composition policy
-  (``isolate_sessions`` vs ``mixed``, measured by the metrics'
-  cross-user ``mixing_index``), and an asyncio front door
-  (:class:`~repro.serve.aio.AsyncServingClient`).  The
-  :class:`~repro.serve.engine.ServingEngine` is now the single-deployment
-  facade over that plane.
+:meth:`repro.core.ShredderPipeline.deploy` returns a one-deployment
+plane and :meth:`~repro.core.ShredderPipeline.deploy_many` a
+multi-tenant one; the plane's request methods default to its sole
+deployment.  :class:`~repro.serve.aio.AsyncServingClient` drives a plane
+from an asyncio event loop, and
+:class:`~repro.serve.shard.ShardedServingEngine` runs one plane per
+subprocess shard, rebuilt from a spawn-safe
+:class:`~repro.serve.shard.ShardSpec`, routing requests by deterministic
+session hashing (:func:`~repro.serve.shard.route_session`) over real
+sockets (:mod:`repro.serve.transport`) and replaying a dead shard's log
+exactly-once.  The scheduling policy also runs under a virtual clock
+(:mod:`repro.serve.replay`), and :mod:`repro.serve.loadgen` generates
+reproducible open-loop traces over Zipf-heavy million-user populations.
 
-* **PR 6** made the control plane **elastic**: crashed workers heal back
-  (pre-warmed respawns, :meth:`~repro.serve.controlplane.ControlPlane.heal`
-  / ``auto_heal``), deployments hot-swap or unregister under live
-  traffic behind a drain barrier
-  (:meth:`~repro.serve.controlplane.ControlPlane.swap` /
-  :meth:`~repro.serve.controlplane.ControlPlane.unregister`), an
-  :class:`~repro.serve.controlplane.Autoscaler` resizes the pool from
-  the plane's own metrics signals, and per-deployment
-  :class:`~repro.serve.admission.AdmissionController`\\ s (token bucket +
-  queue cap + deadline shedding) reject overload with typed
-  :class:`~repro.errors.AdmissionError` /
-  :class:`~repro.errors.OverloadError` — a 429-style front door; once a
-  request is admitted it is served exactly once, in order,
-  bit-identically.
-
-* **PR 7** sharded the plane across worker **processes**
-  (:mod:`repro.serve.shard`): a
-  :class:`~repro.serve.shard.ShardedServingEngine` spawns N shard
-  subprocesses — each a full engine rebuilt from a spawn-safe
-  :class:`~repro.serve.shard.ShardSpec` — and routes requests by
-  deterministic session hashing (:func:`~repro.serve.shard.route_session`),
-  moving SHRB/SHRD frames over **real sockets** through the
-  length-prefixed incremental transport (:mod:`repro.serve.transport`).
-  Each shard is bit-identical to its own sequential reference (per-shard
-  noise stream, :func:`~repro.serve.shard.shard_seed`); a killed shard is
-  respawned pre-warmed and its admitted log replayed exactly-once
-  (duplicates discarded), extending the PR 6 elasticity contract across
-  process boundaries.  The trace harness (:mod:`repro.serve.loadgen`)
-  generates reproducible open-loop arrivals (Poisson / diurnal / bursty)
-  over Zipf-heavy-tailed million-user populations for the sharded benches.
-
-* **PR 8** bridged shuffling and privacy: a
-  :class:`~repro.serve.scheduler.Shuffler` stage permutes the rows of
-  every closed micro-batch **across sessions** under an explicit seeded
-  policy and records the inverse (:class:`~repro.serve.scheduler.BatchPermutation`)
-  so the dispatcher restores per-request order bit-exactly — the wire
-  frame's request table no longer truthfully describes row ownership,
-  which removes the positional side channel an honest-but-curious cloud
-  would use to attribute rows to users.  Enable it per deployment
-  (``register(..., shuffle=True)``, ``deploy(shuffle=True)``,
-  ``repro serve --shuffle``); :class:`~repro.serve.metrics.ServingMetrics`
-  tracks shuffled batches and per-batch **anonymity sets** (distinct
-  sessions mixed together) and reports the closed-form shuffle
-  amplification bound
-  (:meth:`~repro.serve.metrics.ServingMetrics.shuffle_amplification`,
-  backed by :func:`repro.privacy.shuffle_eval.amplified_epsilon`);
-  :mod:`repro.privacy.shuffle_eval` measures the leakage empirically
-  with the repo's real attacks.  ``ServingMetrics.mixing_index`` is now
-  ``None`` when nothing was dispatched (mixing is *undefined*, matching
-  ``slo_attainment``) — a served-but-unmixed stream still reads ``0.0``.
-
-Serving is bit-for-bit equivalent to the retained sequential reference
-path (:class:`repro.edge.InferenceSession`) on the same request stream —
-for every batching window *and* every worker count, per deployment: all
-paths run the batch-invariant executor and consume the same noise sample
-stream, whose single explicit owner is the dispatcher
-(:class:`~repro.core.sampler.NoiseStream`).  Build a session directly,
-via :meth:`repro.core.ShredderPipeline.deploy`, or stand up several
-tenants at once with :meth:`repro.core.ShredderPipeline.deploy_many`.
+Serving is bit-for-bit equivalent to the sequential reference path
+(:class:`repro.edge.InferenceSession`, the oracle) on the same request
+stream — for every batching window, worker count and shuffle setting,
+per deployment (per shard when sharded): all paths run the
+batch-invariant executor and consume the same noise sample stream, whose
+single explicit owner is the dispatcher
+(:class:`~repro.core.sampler.NoiseStream`).  Shuffling adds per-batch
+anonymity-set accounting and the closed-form amplification bound
+(:meth:`~repro.serve.metrics.ServingMetrics.shuffle_amplification`);
+:mod:`repro.privacy.shuffle_eval` measures the leakage empirically.
 """
 
 from repro.errors import (
@@ -119,11 +73,9 @@ from repro.serve.controlplane import (
     DeploymentRegistry,
     DeploymentSpec,
     RequestHandle,
-    Router,
 )
-from repro.serve.engine import ServingEngine
 from repro.serve.metrics import ServingMetrics, percentile
-from repro.serve.queue import InferenceRequest, MicroBatcher, RequestQueue
+from repro.serve.queue import InferenceRequest, RequestQueue
 from repro.serve.replay import (
     ScheduleResult,
     TimedRequest,
@@ -132,7 +84,6 @@ from repro.serve.replay import (
     simulate_schedule,
 )
 from repro.serve.scheduler import AdaptiveBatcher, BatchPermutation, Shuffler
-from repro.serve.session import BatchedInferenceSession
 from repro.serve.shard import (
     ShardSpec,
     ShardedServingEngine,
@@ -149,7 +100,6 @@ __all__ = [
     "AutoscaleDecision",
     "Autoscaler",
     "BatchPermutation",
-    "BatchedInferenceSession",
     "ControlPlane",
     "Deployment",
     "DeploymentDrainError",
@@ -157,13 +107,10 @@ __all__ = [
     "DeploymentSpec",
     "FrameDecoder",
     "InferenceRequest",
-    "MicroBatcher",
     "OverloadError",
     "RequestHandle",
     "RequestQueue",
-    "Router",
     "ScheduleResult",
-    "ServingEngine",
     "ServingMetrics",
     "ShardCrashError",
     "ShardSpec",

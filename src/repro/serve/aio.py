@@ -5,7 +5,7 @@ noise stream; cloud workers are a thread pool), but a modern serving
 front door wants ``async``: many concurrent logical callers multiplexed
 onto one event loop, each just ``await``-ing its result.
 :class:`AsyncServingClient` bridges the two worlds without touching the
-engine's concurrency story:
+plane's concurrency story:
 
 * a single background **dispatcher thread** owns every interaction with
   the wrapped :class:`~repro.serve.controlplane.ControlPlane` (submission,
@@ -19,7 +19,7 @@ engine's concurrency story:
 * **backpressure** is a bounded in-flight budget: at most ``max_pending``
   requests may be admitted-but-unfinished, enforced with an
   :class:`asyncio.Semaphore` — the ``(max_pending + 1)``-th ``submit``
-  suspends until a result frees a slot, so a slow engine propagates
+  suspends until a result frees a slot, so a slow plane propagates
   pressure to producers instead of buffering without bound;
 * a **cancelled** caller releases its backpressure slot immediately and
   its result is dropped on delivery (the future's ``done()`` state is
@@ -28,7 +28,7 @@ engine's concurrency story:
 
 The facade must be the plane's first (and only) driver: the dispatcher
 thread becomes the owner of each deployment's noise stream on first
-dispatch.  Wrap a freshly built plane/engine, or ``release()`` its
+dispatch.  Wrap a freshly built plane, or ``release()`` its
 streams first.
 
 Two elastic-lifecycle bridges ride on the same dispatcher thread:
@@ -89,8 +89,8 @@ class AsyncServingClient:
     """``async submit()/await`` front-end over a serving control plane.
 
     Args:
-        plane: The control plane (or single-deployment
-            :class:`~repro.serve.engine.ServingEngine`) to serve through.
+        plane: The control plane to serve through (one or many
+            deployments; with one, submissions may omit its name).
             The client drives it but does not own it: :meth:`close` stops
             the dispatcher thread and leaves the plane open unless
             ``close_plane=True``.
@@ -104,7 +104,7 @@ class AsyncServingClient:
     Failure semantics: a worker error surfacing from the plane fails
     *every* outstanding ``await`` with that exception (the plane cannot
     attribute in-flight losses to callers), after which the client keeps
-    accepting new submissions — matching the engine's own
+    accepting new submissions — matching the plane's own
     keep-serving-after-failure contract.
     """
 
@@ -255,10 +255,8 @@ class AsyncServingClient:
             # collected behind our back) must fail the waiting callers,
             # never silently kill this thread and wedge them.
             try:
-                for handle in self._plane.pump_handles(
-                    flush=self._stop.is_set()
-                ):
-                    logits = self._plane.result_for(handle)
+                for handle in self._plane.pump(flush=self._stop.is_set()):
+                    logits = self._plane.result(handle)
                     submission = pending.pop(handle, None)
                     if submission is not None:
                         self._resolve(submission, logits)
@@ -269,7 +267,7 @@ class AsyncServingClient:
                 # everything else fails with the serving error.
                 for handle, submission in list(pending.items()):
                     try:
-                        logits = self._plane.result_for(handle)
+                        logits = self._plane.result(handle)
                     except BaseException:
                         self._reject(submission, exc)
                     else:
@@ -296,7 +294,7 @@ class AsyncServingClient:
             except Empty:
                 return progressed
             try:
-                handle = self._plane.router.route(
+                handle = self._plane.submit(
                     submission.images,
                     deployment=submission.deployment,
                     slo_seconds=submission.slo_seconds,
@@ -360,7 +358,7 @@ class AsyncServingClient:
                     )
             elif self._plane.has_result(handle):
                 del pending[handle]
-                self._resolve(submission, self._plane.result_for(handle))
+                self._resolve(submission, self._plane.result(handle))
 
     @staticmethod
     def _resolve(submission: _Submission, logits: np.ndarray) -> None:

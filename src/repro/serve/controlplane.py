@@ -1,12 +1,11 @@
-"""Multi-deployment serving control plane.
+"""The serving control plane: every batched deployment runs here.
 
-PR 3's :class:`~repro.serve.engine.ServingEngine` hosts exactly one
-``(model, cut, noise collection)`` tuple per process.  The deployment
-story of the paper — one cloud endpoint serving *many* edge users — wants
-several of those tuples behind one front door, sharing the expensive part
-(the cloud worker pool) while keeping everything privacy-critical
-(noise streams, batch composition, ordering) strictly per deployment.
-This module is that control plane, in four pieces:
+The deployment story of the paper — one cloud endpoint serving *many*
+edge users — wants one or more ``(model, cut, noise collection)`` tuples
+behind one front door, sharing the expensive part (the cloud worker pool)
+while keeping everything privacy-critical (noise streams, batch
+composition, ordering) strictly per deployment.  This module is that
+control plane, in three pieces:
 
 * :class:`DeploymentRegistry` — holds N named :class:`Deployment`\\ s, each
   its own split model, noise collection and single-owner
@@ -16,9 +15,11 @@ This module is that control plane, in four pieces:
   :class:`~repro.serve.metrics.ServingMetrics`.  Registration pre-warms a
   per-worker executor cache keyed by deployment, so the first request of
   any deployment pays no allocation or kernel-lowering jitter.
-* :class:`Router` — tags each request with its deployment and feeds the
-  per-deployment batcher; results are addressed by
-  :class:`RequestHandle` ``(deployment, request_id)``.
+  :meth:`ControlPlane.submit` validates each request against its
+  deployment's input shape, runs the admission gate, and feeds the
+  deployment's queue; results are addressed by :class:`RequestHandle`
+  ``(deployment, request_id)``.  With one deployment registered, every
+  request method defaults to it.
 * a **shared worker pool** — ``workers`` cloud threads execute encoded
   micro-batches from *any* deployment (each worker context holds one
   :class:`~repro.edge.device.CloudServer` + channel clone per deployment).
@@ -38,11 +39,11 @@ Either way :attr:`ServingMetrics.mixing_index` reports the realised
 cross-user mixing — the fraction of batch rows a request shared its
 stacked activation with that belong to other sessions.
 
-The single-deployment :class:`~repro.serve.engine.ServingEngine` is now a
-thin facade over this class (one deployment named ``"default"``), and the
-asyncio front-end (:mod:`repro.serve.aio`) drives either from an event
-loop.  Parity, ordering, and noise-draw accounting are pinned per
-deployment by ``tests/serve/test_controlplane.py``.
+:meth:`repro.core.ShredderPipeline.deploy` returns a one-deployment
+plane, the asyncio front-end (:mod:`repro.serve.aio`) drives a plane from
+an event loop, and each shard of :mod:`repro.serve.shard` runs one.
+Parity, ordering, and noise-draw accounting are pinned per deployment by
+``tests/serve/test_controlplane.py``.
 
 Lifecycle (the elastic layer)
 -----------------------------
@@ -91,12 +92,19 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from queue import Empty, SimpleQueue
-from threading import Lock
-from typing import Callable, Hashable, Iterator, NamedTuple
+from threading import Lock, Thread
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
@@ -146,7 +154,8 @@ class RequestHandle(NamedTuple):
 
 @dataclass(frozen=True)
 class DeploymentSpec:
-    """Declarative description of one deployment for ``deploy_many``.
+    """Declarative description of one deployment for ``deploy`` and
+    ``deploy_many``.
 
     ``None`` fields fall back to the pipeline's (or the plane's) defaults.
 
@@ -234,6 +243,9 @@ class Deployment:
     target_slo_seconds: float | None = None
     window_wire_seconds: float = 0.0
     channels: list[Channel] = field(default_factory=list)
+    #: The per-session ordering gate (session requests only): results
+    #: computed ahead of an earlier request of their session, and each
+    #: session's dispatched requests in submission order.
     computed: dict[int, np.ndarray] = field(default_factory=dict)
     deliverable: dict[int, np.ndarray] = field(default_factory=dict)
     session_waiting: dict[Hashable, deque[InferenceRequest]] = field(
@@ -254,13 +266,19 @@ class DeploymentRegistry:
         self._deployments: dict[str, Deployment] = {}
 
     def add(self, deployment: Deployment) -> None:
-        if deployment.name in self._deployments:
-            raise ConfigurationError(
-                f"deployment {deployment.name!r} is already registered"
-            )
         self._deployments[deployment.name] = deployment
 
-    def get(self, name: str) -> Deployment:
+    def get(self, name: str | None = None) -> Deployment:
+        """The deployment called ``name``; ``None`` means the only one
+        registered (with several registered, callers must name one)."""
+        if name is None:
+            if len(self._deployments) == 1:
+                (deployment,) = self._deployments.values()
+                return deployment
+            raise ConfigurationError(
+                f"plane hosts {len(self._deployments)} deployments; requests "
+                f"must name one of {self.names()}"
+            )
         try:
             return self._deployments[name]
         except KeyError:
@@ -270,8 +288,7 @@ class DeploymentRegistry:
             ) from None
 
     def remove(self, name: str) -> Deployment:
-        """Drop a deployment from the registry (it must exist)."""
-        self.get(name)
+        """Drop a registered deployment from the registry."""
         return self._deployments.pop(name)
 
     def names(self) -> list[str]:
@@ -285,77 +302,6 @@ class DeploymentRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._deployments
-
-
-class Router:
-    """Tags requests with their deployment and feeds per-deployment queues.
-
-    The router is deliberately dumb: deployment choice is explicit (the
-    request names its tenant), and everything order-sensitive happens in
-    the per-deployment FIFO queue it forwards to — which is what keeps
-    noise draws in per-deployment arrival order no matter how tenants
-    interleave.  The one policy it applies is the admission gate: the
-    plane's hook runs *before* the request enters the queue, so a
-    rejected request (:class:`~repro.errors.AdmissionError` /
-    :class:`~repro.errors.OverloadError`) never consumes a request id,
-    never draws noise, and never blocks a session.
-    """
-
-    def __init__(
-        self,
-        registry: DeploymentRegistry,
-        *,
-        admission: Callable[[Deployment, np.ndarray, float | None], None]
-        | None = None,
-    ) -> None:
-        self._registry = registry
-        self._admission = admission
-
-    def resolve(self, deployment: str | None) -> Deployment:
-        """Map an optional deployment name to a deployment.
-
-        ``None`` routes to the only registered deployment; with several
-        registered, the request must name one.
-        """
-        if deployment is not None:
-            return self._registry.get(deployment)
-        if len(self._registry) == 1:
-            return next(iter(self._registry))
-        raise ConfigurationError(
-            f"plane hosts {len(self._registry)} deployments; requests must "
-            f"name one of {self._registry.names()}"
-        )
-
-    def route(
-        self,
-        images: np.ndarray,
-        *,
-        deployment: str | None = None,
-        slo_seconds: float | None = None,
-        session_id: Hashable | None = None,
-    ) -> RequestHandle:
-        """Enqueue one request on its deployment's queue.
-
-        Raises:
-            AdmissionError / OverloadError: The deployment's admission
-                gate refused the request (it was never enqueued).
-        """
-        target = self.resolve(deployment)
-        if self._admission is not None:
-            self._admission(target, images, slo_seconds)
-        request_id = target.queue.submit(
-            images, slo_seconds=slo_seconds, session_id=session_id
-        )
-        return RequestHandle(target.name, request_id)
-
-
-@dataclass(frozen=True)
-class _Task:
-    """One encoded micro-batch bound for the shared worker pool."""
-
-    deployment: str
-    uplink: bytes
-    request_ids: tuple[int, ...]
 
 
 @dataclass
@@ -381,21 +327,19 @@ class _ServiceResult:
     busy_seconds: float
 
 
-@dataclass
+@dataclass(eq=False)
 class _Flight:
-    """One dispatched micro-batch awaiting a worker."""
+    """One encoded micro-batch, dispatched to the shared worker pool and
+    awaiting its cloud half (the task a worker and the fault hook see)."""
 
-    seq: int
     deployment: str
     window: list[InferenceRequest]
-    task: _Task
-    future: Future
-    uplink_bytes: int
+    uplink: bytes
+    request_ids: tuple[int, ...]
     #: Row permutation the shuffler applied to the uplink tensor; crash
     #: recovery requeues the same (permuted) bytes, so the recorded
     #: inverse stays valid across any number of attempts.
     permutation: BatchPermutation | None = None
-    attempts: int = 1
 
 
 class ControlPlane:
@@ -439,7 +383,7 @@ class ControlPlane:
         workers: int = 1,
         channel: Channel | None = None,
         kernel_backend: str = "auto",
-        fault_injector: Callable[[int, _Task], bool] | None = None,
+        fault_injector: Callable[[int, _Flight], bool] | None = None,
         clock: Callable[[], float] | None = None,
         max_workers: int | None = None,
         auto_heal: bool = False,
@@ -456,7 +400,6 @@ class ControlPlane:
         self.auto_heal = auto_heal
         self.kernel_backend = kernel_backend
         self.registry = DeploymentRegistry()
-        self.router = Router(self.registry, admission=self._admit_request)
         self._channel_prototype = channel or Channel()
         self._fault_injector = fault_injector
         self._clock = clock or time.perf_counter
@@ -469,11 +412,17 @@ class ControlPlane:
         #: admission counters live on each deployment's own metrics.
         self.pool_metrics = ServingMetrics()
         self._autoscaler: Autoscaler | None = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="shredder-cloud"
+        # Pool threads take flights from ``_tasks`` and hand each back on
+        # ``_done`` with its result or exception; the dispatcher absorbs
+        # them in completion order.  The threads hold the plane weakly,
+        # and a plane collected unclosed stops them.
+        self._tasks: SimpleQueue[_Flight | None] = SimpleQueue()
+        self._done: SimpleQueue[tuple[_Flight, object]] = SimpleQueue()
+        self._threads: list[Thread] = []
+        self._stop_threads = weakref.finalize(
+            self, _stop_threads, self._tasks, self._threads
         )
-        self._flights: deque[_Flight] = deque()
-        self._next_seq = 0
+        self._flights: set[_Flight] = set()
         self._closed = False
         for _ in range(workers):
             self._spawn()
@@ -584,7 +533,7 @@ class ControlPlane:
             kernel_backend=backend,
             weight_bits=weight_bits,
         )
-        queue = RequestQueue(clock=self._clock)
+        queue = RequestQueue(clock=self._clock, image_shape=model.input_shape)
         batcher = AdaptiveBatcher(
             queue,
             batch_window,
@@ -696,6 +645,15 @@ class ControlPlane:
         self._all_contexts.append(context)
         with self._alive_guard:
             self._alive += 1
+        if len(self._threads) < self._alive:  # a pool thread per live context
+            thread = Thread(
+                target=_work,
+                args=(weakref.ref(self), self._tasks, self._done),
+                name=f"shredder-cloud-{len(self._threads)}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
         self._contexts.put(context)
         return context
 
@@ -711,6 +669,10 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Request lifecycle (dispatcher thread)
     # ------------------------------------------------------------------
+    def deployment(self, name: str | None = None) -> Deployment:
+        """The deployment called ``name`` (``None`` = the sole one)."""
+        return self.registry.get(name)
+
     def submit(
         self,
         images: np.ndarray,
@@ -719,32 +681,39 @@ class ControlPlane:
         slo_seconds: float | None = None,
         session_id: Hashable | None = None,
     ) -> RequestHandle:
-        """Enqueue one request; returns the handle to collect it with.
+        """Enqueue one request on its deployment's queue; returns the
+        handle to collect it with.
+
+        The request is checked against the deployment's input shape
+        before the admission gate sees it, so a malformed request never
+        takes a token, a request id or a noise draw, and never blocks a
+        session.  Deployment choice is explicit (``None`` = the sole
+        deployment); everything order-sensitive happens in the
+        deployment's FIFO queue, which keeps noise draws in
+        per-deployment arrival order however tenants interleave.
 
         Raises:
+            ConfigurationError: Unknown deployment, or a request of the
+                wrong shape, with no images, or with a non-positive SLO.
             AdmissionError: The deployment's token bucket or
                 ``max_pending`` cap refused the request.
             OverloadError: The request's SLO is already unmeetable and
                 the deployment sheds unmeetable work.
         """
-        return self.router.route(
-            images,
-            deployment=deployment,
-            slo_seconds=slo_seconds,
-            session_id=session_id,
+        target = self.registry.get(deployment)
+        images = target.queue.check(images, slo_seconds)
+        if target.admission is not None:
+            self._admit_request(target, slo_seconds)
+        return RequestHandle(
+            target.name, target.queue.enqueue(images, slo_seconds, session_id)
         )
 
     def _admit_request(
-        self,
-        deployment: Deployment,
-        images: np.ndarray,
-        slo_seconds: float | None,
+        self, deployment: Deployment, slo_seconds: float | None
     ) -> None:
-        """The router's admission hook: gate one submission, count the
-        rejection on the deployment's metrics, re-raise typed."""
+        """Gate one submission on the deployment's admission controller,
+        count a rejection on its metrics, re-raise typed."""
         admission = deployment.admission
-        if admission is None:
-            return
         now = self._clock()
         predicted = None
         if admission.shed_unmeetable and slo_seconds is not None:
@@ -801,11 +770,19 @@ class ControlPlane:
         with self._alive_guard:
             return self._alive
 
-    def pump_handles(self, *, flush: bool = False) -> list[RequestHandle]:
+    def pump(self, *, flush: bool = False) -> list[RequestHandle]:
         """One dispatcher turn: dispatch ready windows of every
         deployment, collect finished batches, and return the handles that
         became deliverable (per-session submission order within each
-        deployment's sessions)."""
+        deployment's sessions).
+
+        Non-blocking: finished micro-batches are absorbed in completion
+        order; unfinished ones stay in flight.
+
+        Args:
+            flush: Close partial windows immediately instead of waiting
+                out deadline slack / the batching timeout.
+        """
         if not self._closed:
             if self._autoscaler is not None:
                 self._autoscaler.step(self._clock())
@@ -813,11 +790,6 @@ class ControlPlane:
                 self._try_shrink()  # deferred shrink: contexts were busy
         self._dispatch_ready(flush=flush)
         return self._collect(block=False)
-
-    def pump(self, *, flush: bool = False) -> list[RequestHandle]:
-        """Alias of :meth:`pump_handles` (the single-deployment engine
-        overrides this to return bare request ids)."""
-        return self.pump_handles(flush=flush)
 
     def next_action_time(self) -> float | None:
         """Earliest instant any deployment's window must close (``None``
@@ -829,20 +801,27 @@ class ControlPlane:
         ]
         return min(closes) if closes else None
 
-    def drain_handles(self) -> list[RequestHandle]:
-        """Flush every queue, wait for every worker, deliver everything."""
+    def drain(self) -> list[RequestHandle]:
+        """Flush every queue, wait for every worker, deliver everything.
+
+        Returns every handle delivered during the drain.  Each
+        deployment's ``metrics.wall_seconds`` tracks its serving span
+        (first dispatch to latest delivery) on this and the
+        :meth:`pump`-driven path alike.
+        """
         delivered: list[RequestHandle] = []
         while self.pending or self._flights:
             self._dispatch_ready(flush=True)
             delivered.extend(self._collect(block=bool(self._flights)))
         return delivered
 
-    def drain(self) -> list[RequestHandle]:
-        """Alias of :meth:`drain_handles` (see :meth:`pump`)."""
-        return self.drain_handles()
+    def result(self, handle: RequestHandle) -> np.ndarray:
+        """Collect (and release) the logits of a delivered request.
 
-    def result_for(self, handle: RequestHandle) -> np.ndarray:
-        """Collect (and release) the logits of a delivered request."""
+        A request is *delivered* once computed **and** every earlier
+        request of its session has been delivered — the per-session
+        ordering contract.
+        """
         deployment = self.registry.get(handle.deployment)
         if handle.request_id not in deployment.deliverable:
             raise ConfigurationError(
@@ -852,10 +831,6 @@ class ControlPlane:
                 "its session, unknown, or already collected)"
             )
         return deployment.deliverable.pop(handle.request_id)
-
-    def result(self, handle: RequestHandle) -> np.ndarray:
-        """Alias of :meth:`result_for` (see :meth:`pump`)."""
-        return self.result_for(handle)
 
     def has_result(self, handle: RequestHandle) -> bool:
         """Whether ``handle`` has a deliverable (uncollected) result.
@@ -867,6 +842,63 @@ class ControlPlane:
             return False
         deployment = self.registry.get(handle.deployment)
         return handle.request_id in deployment.deliverable
+
+    def infer_stream(
+        self,
+        stream: Iterable[np.ndarray] | Sequence[np.ndarray],
+        *,
+        deployment: str | None = None,
+        slo_seconds: float | Sequence[float | None] | None = None,
+        session_ids: Sequence[Hashable] | None = None,
+    ) -> list[np.ndarray]:
+        """Submit a whole request stream, drain it, and return per-request
+        logits in submission order.
+
+        Args:
+            stream: Per-request image batches.
+            deployment: Target deployment (``None`` = the sole one).
+            slo_seconds: One SLO for every request (scalar) or one per
+                request (sequence, ``None`` entries = no SLO).
+            session_ids: Optional per-request session keys.
+        """
+        stream = list(stream)
+        if slo_seconds is None or np.isscalar(slo_seconds):
+            slos = [slo_seconds] * len(stream)
+        else:
+            slos = list(slo_seconds)
+            if len(slos) != len(stream):
+                raise ConfigurationError(
+                    f"{len(slos)} SLOs for {len(stream)} requests"
+                )
+        if session_ids is None:
+            sessions: list[Hashable] = [None] * len(stream)
+        else:
+            sessions = list(session_ids)
+            if len(sessions) != len(stream):
+                raise ConfigurationError(
+                    f"{len(sessions)} session ids for {len(stream)} requests"
+                )
+        handles = [
+            self.submit(
+                images, deployment=deployment, slo_seconds=slo,
+                session_id=session,
+            )
+            for images, slo, session in zip(stream, slos, sessions)
+        ]
+        self.drain()
+        return [self.result(handle) for handle in handles]
+
+    def classify_stream(
+        self,
+        stream: Iterable[np.ndarray] | Sequence[np.ndarray],
+        **kwargs,
+    ) -> list[np.ndarray]:
+        """Predicted labels per request, in submission order (keywords as
+        for :meth:`infer_stream`)."""
+        return [
+            logits.argmax(axis=1)
+            for logits in self.infer_stream(stream, **kwargs)
+        ]
 
     # ------------------------------------------------------------------
     # Elastic lifecycle (dispatcher thread only)
@@ -940,9 +972,7 @@ class ControlPlane:
                 return
             if not context.alive:  # pragma: no cover - defensive
                 continue
-            context.alive = False
-            with self._alive_guard:
-                self._alive -= 1
+            self._kill_context(context)
             context.servers.clear()
             context.channels.clear()
 
@@ -1003,12 +1033,7 @@ class ControlPlane:
                     f"{sum(f.deployment == name for f in self._flights)} "
                     "micro-batches in flight)"
                 )
-            now = self._clock()
-            while True:
-                window = deployment.batcher.next_batch(now, flush=True)
-                if not window:
-                    break
-                self._dispatch(deployment, window, now)
+            self._dispatch_ready(flush=True, deployments=(deployment,))
             delivered.extend(self._collect(block=bool(self._flights)))
         return delivered
 
@@ -1125,6 +1150,7 @@ class ControlPlane:
             for context in contexts:
                 self._contexts.put(context)
         deployment.model = new_model
+        deployment.queue.image_shape = tuple(new_model.input_shape)
         deployment.cut = new_cut
         deployment.device = device
         deployment.remote = remote
@@ -1175,9 +1201,10 @@ class ControlPlane:
             deployment.name: deployment.metrics for deployment in self.registry
         }
 
-    def report_for(self, deployment: str) -> SessionReport:
-        """Sequential-session-compatible accounting for one deployment."""
-        target = self.registry.get(deployment)
+    def report_for(self, deployment: str | None = None) -> SessionReport:
+        """Sequential-session-compatible accounting for one deployment
+        (``None`` = the sole one)."""
+        target = self.deployment(deployment)
         return SessionReport(
             requests=target.metrics.requests,
             uplink_bytes=target.metrics.uplink_bytes,
@@ -1191,30 +1218,42 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Dispatch (dispatcher thread only)
     # ------------------------------------------------------------------
-    def _dispatch_ready(self, *, flush: bool) -> None:
+    def _dispatch_ready(
+        self, *, flush: bool, deployments: Iterable[Deployment] | None = None
+    ) -> None:
         if self._closed:
-            raise ConfigurationError("serving engine is closed")
-        for deployment in self.registry:
+            raise ConfigurationError("serving control plane is closed")
+        for deployment in deployments or self.registry:
             now = self._clock()
-            while True:
-                window = deployment.batcher.next_batch(now, flush=flush)
-                if not window:
-                    break
-                self._dispatch(deployment, window, now)
+            flights: list[_Flight] = []
+            try:
+                while window := deployment.batcher.next_batch(now, flush=flush):
+                    flights.append(self._dispatch(deployment, window, now))
+            finally:
+                # A deployment's windows launch after its last edge half,
+                # so a backlog's edge halves do not trade the GIL with the
+                # workers' cloud halves one window at a time.
+                for flight in flights:
+                    self._flights.add(flight)
+                    self._tasks.put(flight)
 
     def _dispatch(
         self,
         deployment: Deployment,
         window: list[InferenceRequest],
         now: float,
-    ) -> None:
+    ) -> _Flight:
         if deployment.span_start is None:
             deployment.span_start = now
+        # Only session requests pass the ordering gate: a sessionless
+        # request orders against itself alone, so it delivers as soon as
+        # it is computed.
         for request in window:
             deployment.metrics.queue_ages.append(now - request.submitted_at)
-            deployment.session_waiting.setdefault(
-                request.ordering_key, deque()
-            ).append(request)
+            if request.session_id is not None:
+                deployment.session_waiting.setdefault(
+                    request.session_id, deque()
+                ).append(request)
         deployment.metrics.record_mixing(
             [request.ordering_key for request in window],
             [request.rows for request in window],
@@ -1242,26 +1281,20 @@ class ControlPlane:
                     quantization=message.quantization,
                 )
                 deployment.metrics.record_shuffle(
-                    [request.ordering_key for request in window]
+                    [request.ordering_key for request in window],
+                    [request.rows for request in window],
                 )
-        uplink = encode_activation_batch(message)
-        task = _Task(
-            deployment.name,
-            uplink,
-            tuple(request.request_id for request in window),
+        flight = _Flight(
+            deployment.name, window, encode_activation_batch(message),
+            message.request_ids, permutation=permutation,
         )
-        future = self._pool.submit(self._execute, task)
-        self._flights.append(
-            _Flight(self._next_seq, deployment.name, window, task, future,
-                    len(uplink), permutation=permutation)
-        )
-        self._next_seq += 1
         self.pool_metrics.pool_size_samples.append(self.alive_workers)
+        return flight
 
     # ------------------------------------------------------------------
     # Cloud half (worker threads)
     # ------------------------------------------------------------------
-    def _execute(self, task: _Task) -> _ServiceResult:
+    def _execute(self, task: _Flight) -> _ServiceResult:
         context = self._acquire_context()
         started = time.perf_counter()
         try:
@@ -1316,36 +1349,22 @@ class ControlPlane:
     # Collection + crash recovery (dispatcher thread only)
     # ------------------------------------------------------------------
     def _collect(self, *, block: bool) -> list[RequestHandle]:
+        """Absorb finished micro-batches in completion order; ``block``
+        waits until none is left in flight."""
         delivered: list[RequestHandle] = []
         while self._flights:
-            ready = [f for f in self._flights if f.future.done()]
-            if not ready:
-                if not block:
-                    break
-                # Wait for the oldest flight; workers race, so a newer one
-                # may well finish first — the next loop pass absorbs it.
-                flight = self._flights[0]
-                try:
-                    flight.future.result()
-                except WorkerCrashError:
-                    self._recover(flight)
-                except BaseException:
-                    self._discard_flight(flight)
-                    raise
-                continue
-            for flight in ready:
-                self._flights.remove(flight)
-                try:
-                    result = flight.future.result()
-                except WorkerCrashError:
-                    self._recover(flight)
-                    continue
-                except BaseException:
-                    self._discard_flight(flight)
-                    raise
-                self._absorb(flight, result, delivered)
-            if not block:
+            try:
+                flight, outcome = self._done.get(block=block)
+            except Empty:
                 break
+            self._flights.discard(flight)
+            if isinstance(outcome, WorkerCrashError):
+                self._recover(flight)
+            elif isinstance(outcome, BaseException):
+                self._discard_flight(flight)
+                raise outcome
+            else:
+                self._absorb(flight, outcome, delivered)
         return delivered
 
     def _recover(self, flight: _Flight) -> None:
@@ -1360,35 +1379,32 @@ class ControlPlane:
         unless ``auto_heal`` is on, in which case the pool is restored to
         ``target_workers`` first (so even total worker loss recovers).
         """
-        if flight in self._flights:
-            self._flights.remove(flight)
+        self._flights.discard(flight)
         if self.auto_heal and self.alive_workers < self.target_workers:
             self.heal()
         if self.alive_workers == 0:
             self._discard_flight(flight)
             raise ServingFaultError(
                 f"every cloud worker has crashed; micro-batch of deployment "
-                f"{flight.deployment!r} (requests {list(flight.task.request_ids)}) "
+                f"{flight.deployment!r} (requests {list(flight.request_ids)}) "
                 "cannot be recovered"
             )
-        flight.attempts += 1
         self.registry.get(flight.deployment).metrics.requeued_batches += 1
-        flight.future = self._pool.submit(self._execute, flight.task)
-        self._flights.append(flight)
+        self._flights.add(flight)
+        self._tasks.put(flight)
 
     def _discard_flight(self, flight: _Flight) -> None:
-        """Drop a failed micro-batch without wedging the engine.
+        """Drop a failed micro-batch without wedging the plane.
 
         The flight's requests are lost (the worker error propagates to the
         caller), but they must not stay in the session-ordering gate or
-        the flight deque — later requests of the same sessions, and later
+        the in-flight set — later requests of the same sessions, and later
         ``pump``/``drain`` calls, keep working.
         """
-        if flight in self._flights:
-            self._flights.remove(flight)
+        self._flights.discard(flight)
         deployment = self.registry.get(flight.deployment)
         for request in flight.window:
-            waiting = deployment.session_waiting.get(request.ordering_key)
+            waiting = deployment.session_waiting.get(request.session_id)
             if waiting is None:
                 continue
             try:
@@ -1396,7 +1412,7 @@ class ControlPlane:
             except ValueError:
                 pass
             if not waiting:
-                del deployment.session_waiting[request.ordering_key]
+                del deployment.session_waiting[request.session_id]
 
     def _absorb(
         self,
@@ -1416,43 +1432,51 @@ class ControlPlane:
                 splits=decoded.splits,
                 logits=flight.permutation.restore(decoded.logits),
             )
-        for request, logits in zip(flight.window, decoded.split_logits()):
-            deployment.computed[request.request_id] = logits
         metrics = deployment.metrics
         metrics.requests += len(flight.window)
         metrics.samples += sum(request.rows for request in flight.window)
         metrics.micro_batches += 1
         metrics.occupancies.append(len(flight.window))
-        metrics.uplink_bytes += flight.uplink_bytes
+        metrics.uplink_bytes += len(flight.uplink)
         metrics.downlink_bytes += result.downlink_bytes
         metrics.simulated_wire_seconds += result.wire_seconds
         metrics.record_worker(result.worker_id, result.busy_seconds)
         deployment.batcher.observe_service(result.busy_seconds)
-        for request in flight.window:
-            self._release_session(
-                deployment, request.ordering_key, now, delivered
-            )
+        before = len(delivered)
+        for request, logits in zip(flight.window, decoded.split_logits()):
+            if request.session_id is None:  # orders against itself alone
+                deployment.deliverable[request.request_id] = logits
+                metrics.record_completion(
+                    now - request.submitted_at, request.slo_seconds
+                )
+                delivered.append(RequestHandle(deployment.name, request.request_id))
+            else:
+                deployment.computed[request.request_id] = logits
+                self._release_session(
+                    deployment, request.session_id, now, delivered
+                )
+        if len(delivered) > before and deployment.span_start is not None:
+            metrics.wall_seconds = now - deployment.span_start
 
     def _release_session(
         self,
         deployment: Deployment,
-        key: Hashable,
+        session_id: Hashable,
         now: float,
         delivered: list[RequestHandle],
     ) -> None:
-        waiting = deployment.session_waiting.get(key)
+        waiting = deployment.session_waiting.get(session_id)
         while waiting and waiting[0].request_id in deployment.computed:
             request = waiting.popleft()
-            logits = deployment.computed.pop(request.request_id)
-            deployment.deliverable[request.request_id] = logits
+            deployment.deliverable[request.request_id] = (
+                deployment.computed.pop(request.request_id)
+            )
             deployment.metrics.record_completion(
                 now - request.submitted_at, request.slo_seconds
             )
             delivered.append(RequestHandle(deployment.name, request.request_id))
-            if deployment.span_start is not None:
-                deployment.metrics.wall_seconds = now - deployment.span_start
         if waiting is not None and not waiting:
-            del deployment.session_waiting[key]
+            del deployment.session_waiting[session_id]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1460,25 +1484,29 @@ class ControlPlane:
     def close(self) -> None:
         """Shut the shared worker pool down (idempotent).
 
-        The pool join and the context release both run under
-        ``try/finally`` so the threads are reaped and every worker
-        context — alive, crashed, or retired — is drained and stripped
-        of its executors/channels even if cancelling the in-flight
-        futures raises.  Shutdown must never leak worker threads or keep
-        dead contexts (and their executor caches) reachable, including
-        after a fault left killed contexts outside the pool queue.
+        Queued micro-batches no worker has started are dropped; each pool
+        thread finishes the one it is executing, then exits.  The join
+        and the context release run under ``try/finally`` so every worker
+        context — alive, crashed, or retired — is drained and stripped of
+        its executors/channels even if the join is interrupted.  Shutdown
+        must never leak worker threads or keep dead contexts (and their
+        executor caches) reachable, including after a fault left killed
+        contexts outside the pool queue.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            for flight in list(self._flights):
-                flight.future.cancel()
+            while True:
+                try:
+                    self._tasks.get_nowait()
+                except Empty:
+                    break
+            self._stop_threads()
+            for thread in self._threads:
+                thread.join()
         finally:
-            try:
-                self._pool.shutdown(wait=True)
-            finally:
-                self._release_contexts()
+            self._release_contexts()
 
     def _release_contexts(self) -> None:
         """Drain the context pool and release every context ever spawned
@@ -1501,6 +1529,27 @@ class ControlPlane:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _work(plane_ref, tasks: SimpleQueue, done: SimpleQueue) -> None:
+    """One pool thread: run queued flights' cloud halves until told to
+    stop (``None``) or the plane is gone."""
+    while (flight := tasks.get()) is not None:
+        plane = plane_ref()
+        if plane is None:
+            return
+        try:
+            outcome = plane._execute(flight)
+        except BaseException as error:  # re-raised by the collector
+            outcome = error
+        del plane
+        done.put((flight, outcome))
+
+
+def _stop_threads(tasks: SimpleQueue, threads: list[Thread]) -> None:
+    """Wake every pool thread with a stop marker."""
+    for _ in threads:
+        tasks.put(None)
 
 
 @dataclass(frozen=True)

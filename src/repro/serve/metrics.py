@@ -92,6 +92,8 @@ class ServingMetrics:
         anonymity_sets: Distinct sessions per shuffled micro-batch — the
             ``n`` that enters the shuffle-amplification accounting (a
             row's position reveals at best "one of n users").
+        max_session_rows: The most rows one session put in a shuffled
+            micro-batch; a session's rows compose before amplification.
     """
 
     requests: int = 0
@@ -116,6 +118,7 @@ class ServingMetrics:
     pool_size_samples: list[int] = field(default_factory=list)
     shuffled_batches: int = 0
     anonymity_sets: list[int] = field(default_factory=list)
+    max_session_rows: int = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -159,19 +162,29 @@ class ServingMetrics:
         for key in request_keys:
             self.mixing_fractions.append((total - own[key]) / total)
 
-    def record_shuffle(self, request_keys: Sequence) -> None:
+    def record_shuffle(
+        self, request_keys: Sequence, request_rows: Sequence[int]
+    ) -> None:
         """Account one shuffled micro-batch and its anonymity set.
 
         Args:
             request_keys: One ordering key per request in the batch.
+            request_rows: Image rows per request (same order).
 
         The anonymity set is the number of *distinct* sessions whose rows
         were permuted together: a positional adversary observing the wire
         can attribute a row to at best "one of n users".  Recorded once
-        per batch the :class:`~repro.serve.scheduler.Shuffler` permuted.
+        per batch the :class:`~repro.serve.scheduler.Shuffler` permuted,
+        together with the most rows any one session contributed.
         """
+        own: dict = {}
+        for key, rows in zip(request_keys, request_rows):
+            own[key] = own.get(key, 0) + int(rows)
         self.shuffled_batches += 1
-        self.anonymity_sets.append(len(set(request_keys)))
+        self.anonymity_sets.append(len(own))
+        self.max_session_rows = max(
+            self.max_session_rows, max(own.values(), default=0)
+        )
 
     # ------------------------------------------------------------------
     # Aggregation (sharded serving)
@@ -218,6 +231,9 @@ class ServingMetrics:
             merged.respawned_workers += part.respawned_workers
             merged.shuffled_batches += part.shuffled_batches
             merged.anonymity_sets.extend(part.anonymity_sets)
+            merged.max_session_rows = max(
+                merged.max_session_rows, part.max_session_rows
+            )
         for index, part in enumerate(parts):
             for worker, batches in part.worker_batches.items():
                 merged.worker_batches[(index, worker)] = batches
@@ -265,6 +281,7 @@ class ServingMetrics:
             "pool_size_samples": list(self.pool_size_samples),
             "shuffled_batches": self.shuffled_batches,
             "anonymity_sets": list(self.anonymity_sets),
+            "max_session_rows": self.max_session_rows,
         }
 
     @classmethod
@@ -289,6 +306,7 @@ class ServingMetrics:
             shed_requests=int(payload["shed_requests"]),
             respawned_workers=int(payload["respawned_workers"]),
             shuffled_batches=int(payload.get("shuffled_batches", 0)),
+            max_session_rows=int(payload["max_session_rows"]),
         )
         metrics.latencies = [float(v) for v in payload["latencies"]]
         metrics.occupancies = [int(v) for v in payload["occupancies"]]
@@ -367,23 +385,28 @@ class ServingMetrics:
     def shuffle_amplification(
         self, epsilon0: float, delta: float = 1e-5
     ) -> float | None:
-        """Amplified central epsilon from the recorded anonymity sets.
+        """Amplified central epsilon from the recorded shuffled batches.
 
-        Evaluates the shuffle-amplification bound (see
-        :func:`repro.privacy.shuffle_eval.amplified_epsilon`) at the
-        *smallest* recorded anonymity set — the conservative choice: the
-        least-mixed shuffled batch bounds what any batch revealed.
-        Returns ``None`` when no batch was shuffled.
+        Every row is one ``epsilon0``-LDP report, so by basic composition
+        the ``k`` rows one session puts in a batch are jointly
+        ``k * epsilon0``-LDP.  The shuffle-amplification bound (see
+        :func:`repro.privacy.shuffle_eval.amplified_epsilon`) is evaluated
+        at ``max_session_rows * epsilon0`` over the *smallest* recorded
+        anonymity set — conservative on both counts, since the bound
+        grows with the local epsilon and shrinks with the number of
+        shuffled reports.  Returns ``None`` when no batch was shuffled.
 
         Args:
-            epsilon0: Per-report local epsilon of the on-device noise.
+            epsilon0: Per-row local epsilon of the on-device noise.
             delta: Amplification failure probability.
         """
         if not self.anonymity_sets:
             return None
         from repro.privacy.shuffle_eval import amplified_epsilon
 
-        return amplified_epsilon(epsilon0, min(self.anonymity_sets), delta)
+        return amplified_epsilon(
+            epsilon0 * self.max_session_rows, min(self.anonymity_sets), delta
+        )
 
     @property
     def mean_occupancy(self) -> float:

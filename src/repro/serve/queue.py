@@ -1,20 +1,21 @@
-"""Request queue and micro-batcher for the serving runtime.
+"""Request queue for the serving runtime.
 
 Incoming requests (each a small image batch from one user) are appended to
-a FIFO :class:`RequestQueue`; the :class:`MicroBatcher` drains up to
-``batch_window`` pending requests at a time, which the session then pushes
-through one stacked edge/cloud round trip.  FIFO draining preserves arrival
-order, which is what makes the batched engine consume the shared noise
-generator exactly as the sequential reference path would — the foundation
-of the bit-for-bit parity guarantee.
+a FIFO :class:`RequestQueue`; the batcher
+(:class:`~repro.serve.scheduler.AdaptiveBatcher`) drains a FIFO prefix of
+up to ``batch_window`` pending requests at a time, which the control plane
+then pushes through one stacked edge/cloud round trip.  FIFO draining
+preserves arrival order, which is what makes the batched plane consume the
+shared noise generator exactly as the sequential reference path would —
+the foundation of the bit-for-bit parity guarantee.
 
 Requests optionally carry a latency SLO (a deadline relative to
-submission) and a session id; the deadline-aware scheduler
-(:mod:`repro.serve.scheduler`) closes batching windows on deadline slack,
-and the multi-worker engine (:mod:`repro.serve.engine`) preserves response
-ordering *within* a session.  The queue takes an injectable clock so the
-whole scheduling stack can be driven deterministically in virtual time
-(:mod:`repro.serve.replay`) as well as against the wall clock.
+submission) and a session id; the batcher closes windows on deadline
+slack, and the control plane (:mod:`repro.serve.controlplane`) preserves
+response ordering *within* a session.  The queue takes an injectable
+clock so the whole scheduling stack can be driven deterministically in
+virtual time (:mod:`repro.serve.replay`) as well as against the wall
+clock.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class InferenceRequest:
             accounting and deadline math).
         slo_seconds: Optional latency SLO; the request's deadline is
             ``submitted_at + slo_seconds``.
-        session_id: Optional user-session key; the serving engine releases
+        session_id: Optional user-session key; the control plane releases
             results of one session in submission order.
     """
 
@@ -77,18 +78,70 @@ class InferenceRequest:
         return ("session", self.session_id)
 
 
+def request_images(
+    images: np.ndarray,
+    slo_seconds: float | None,
+    image_shape: tuple[int, ...] | None = None,
+) -> np.ndarray:
+    """Validate one request and return its images as ``(n, C, H, W)``.
+
+    A 3-D ``(C, H, W)`` array is one image.  ``image_shape`` (a tuple)
+    additionally pins the per-image shape a deployment's model accepts.
+
+    Raises:
+        ConfigurationError: Wrong rank or shape, no images, or a
+            non-positive SLO.
+    """
+    images = np.asarray(images)
+    if images.ndim == 3:
+        images = images[None]
+    if images.ndim != 4 or (
+        image_shape is not None and images.shape[1:] != image_shape
+    ):
+        shape = (
+            "C, H, W" if image_shape is None
+            else ", ".join(str(size) for size in image_shape)
+        )
+        raise ConfigurationError(
+            f"requests must be ({shape}) or (n, {shape}) images, "
+            f"got shape {images.shape}"
+        )
+    if len(images) == 0:
+        raise ConfigurationError("cannot submit an empty request")
+    if slo_seconds is not None and slo_seconds <= 0:
+        raise ConfigurationError(
+            f"a latency SLO must be positive, got {slo_seconds}"
+        )
+    return images
+
+
 class RequestQueue:
     """FIFO queue assigning request ids at submission.
 
     Args:
         clock: Time source stamped onto requests; defaults to the wall
             clock, replaced with a virtual clock in scheduling simulations.
+        image_shape: Per-image ``(C, H, W)`` shape every request must
+            have (``None`` checks only the rank); a public attribute, so
+            a deployment's hot swap can move it to the new model.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        image_shape: tuple[int, ...] | None = None,
+    ) -> None:
         self._pending: deque[InferenceRequest] = deque()
         self._next_id = 0
         self._clock = clock or time.perf_counter
+        self.image_shape = None if image_shape is None else tuple(image_shape)
+
+    def check(
+        self, images: np.ndarray, slo_seconds: float | None = None
+    ) -> np.ndarray:
+        """Validate one request (:func:`request_images` at this queue's
+        image shape) without enqueueing it."""
+        return request_images(images, slo_seconds, self.image_shape)
 
     def submit(
         self,
@@ -97,24 +150,22 @@ class RequestQueue:
         slo_seconds: float | None = None,
         session_id: Hashable | None = None,
     ) -> int:
-        """Enqueue one request; returns its id.
+        """Validate and enqueue one request; returns its id.
 
         A 3-D ``(C, H, W)`` array is treated as a single image.
         """
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
-        if images.ndim != 4:
-            raise ConfigurationError(
-                f"requests must be (C, H, W) or (n, C, H, W) images, "
-                f"got shape {images.shape}"
-            )
-        if len(images) == 0:
-            raise ConfigurationError("cannot submit an empty request")
-        if slo_seconds is not None and slo_seconds <= 0:
-            raise ConfigurationError(
-                f"a latency SLO must be positive, got {slo_seconds}"
-            )
+        return self.enqueue(
+            self.check(images, slo_seconds), slo_seconds, session_id
+        )
+
+    def enqueue(
+        self,
+        images: np.ndarray,
+        slo_seconds: float | None = None,
+        session_id: Hashable | None = None,
+    ) -> int:
+        """Enqueue ``(n, C, H, W)`` images that :meth:`check` accepted;
+        returns the request id."""
         request = InferenceRequest(
             request_id=self._next_id,
             images=images,
@@ -146,15 +197,6 @@ class RequestQueue:
             window.append(self._pending.popleft())
         return window
 
-    def requeue_front(self, requests: list[InferenceRequest]) -> None:
-        """Return already-popped requests to the head of the queue.
-
-        Used by the micro-batcher when a row cap splits a window; the
-        requests re-enter in their original arrival order, preserving FIFO.
-        """
-        for request in reversed(requests):
-            self._pending.appendleft(request)
-
     def __iter__(self) -> Iterator[InferenceRequest]:
         """Pending requests in arrival order (for deadline scans)."""
         return iter(self._pending)
@@ -164,64 +206,3 @@ class RequestQueue:
 
     def __bool__(self) -> bool:
         return bool(self._pending)
-
-
-class MicroBatcher:
-    """Groups pending requests into micro-batches.
-
-    Args:
-        queue: The request source.
-        batch_window: Maximum requests stacked per micro-batch.
-        max_rows: Optional cap on total image rows per micro-batch (bounds
-            the stacked activation's memory for multi-image requests); a
-            single oversized request still ships alone rather than starve.
-        isolate_sessions: Batch-composition policy.  ``False`` (the
-            ``mixed`` policy) stacks any pending requests together —
-            maximal occupancy, but one micro-batch mixes activations of
-            independent users, the cross-user surface the shuffling
-            analyses warn about.  ``True`` closes every micro-batch at the
-            first session boundary, so a batch only ever carries one
-            session's requests (sessionless requests each form their own
-            batch).  Both policies drain the queue as a FIFO *prefix*, so
-            noise draws stay in arrival order and bit parity is unaffected
-            — only batch composition (and therefore occupancy/throughput
-            and the mixing index) changes.
-    """
-
-    def __init__(
-        self,
-        queue: RequestQueue,
-        batch_window: int = 8,
-        max_rows: int | None = None,
-        isolate_sessions: bool = False,
-    ) -> None:
-        if batch_window < 1:
-            raise ConfigurationError(
-                f"batch window must be >= 1, got {batch_window}"
-            )
-        if max_rows is not None and max_rows < 1:
-            raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
-        self.queue = queue
-        self.batch_window = batch_window
-        self.max_rows = max_rows
-        self.isolate_sessions = isolate_sessions
-
-    def next_batch(self) -> list[InferenceRequest]:
-        """The next micro-batch (empty list when the queue is drained)."""
-        window = self.queue.pop_window(self.batch_window)
-        if not window or (self.max_rows is None and not self.isolate_sessions):
-            return window
-        taken: list[InferenceRequest] = []
-        rows = 0
-        head_key = window[0].ordering_key
-        for index, request in enumerate(window):
-            if taken and (
-                (self.isolate_sessions and request.ordering_key != head_key)
-                or (self.max_rows is not None and rows + request.rows > self.max_rows)
-            ):
-                # Put the remainder back in order for the next batch.
-                self.queue.requeue_front(window[index:])
-                break
-            taken.append(request)
-            rows += request.rows
-        return taken

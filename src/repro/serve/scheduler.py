@@ -1,11 +1,10 @@
 """Deadline-aware batching-window policy.
 
-PR 2's :class:`~repro.serve.queue.MicroBatcher` is greedy: it drains
-whatever is pending the moment it is asked.  That maximises occupancy only
-when the caller already holds a backlog; under a live arrival process a
-serving engine must decide *when to stop waiting for more requests*, and
-that decision is the latency/throughput trade-off the ROADMAP names
-("deadline-aware batching windows").
+A greedy batcher drains whatever is pending the moment it is asked.  That
+maximises occupancy only when the caller already holds a backlog; under a
+live arrival process a serving plane must decide *when to stop waiting
+for more requests*, and that decision is the latency/throughput trade-off
+the ROADMAP names ("deadline-aware batching windows").
 
 :class:`AdaptiveBatcher` closes the current window at::
 
@@ -16,11 +15,12 @@ or immediately when ``batch_window`` requests are pending (or on an
 explicit ``flush``).  With ``deadline_aware=False`` the SLO term is
 ignored, which is exactly the fixed-window baseline the property suite
 compares against: same timeout, same window, no knowledge of deadlines.
+With ``batch_timeout=0`` as well it is the greedy FIFO batcher.
 
 The policy is a pure function of the queue and the caller-supplied ``now``
 — it never reads the wall clock itself — so the identical code path runs
-under the real-time engine (:mod:`repro.serve.engine`) and the
-deterministic virtual-time simulator (:mod:`repro.serve.replay`).
+under the real-time control plane (:mod:`repro.serve.controlplane`) and
+the deterministic virtual-time simulator (:mod:`repro.serve.replay`).
 
 The module's second stage is the :class:`Shuffler`: once a micro-batch is
 closed, it permutes the *rows* of the stacked (already-noisy) activation
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serve.queue import InferenceRequest, MicroBatcher, RequestQueue
+from repro.serve.queue import InferenceRequest, RequestQueue
 
 
 class AdaptiveBatcher:
@@ -51,7 +51,9 @@ class AdaptiveBatcher:
     Args:
         queue: The request source.
         batch_window: Maximum requests stacked per micro-batch.
-        max_rows: Optional cap on total image rows per micro-batch.
+        max_rows: Optional cap on total image rows per micro-batch (bounds
+            the stacked activation's memory for multi-image requests); a
+            single oversized request still ships alone rather than starve.
         batch_timeout: Longest the head request may wait for the window to
             fill, in clock seconds.  Bounds the latency of SLO-free
             requests and is the only closing rule (besides a full window)
@@ -63,10 +65,17 @@ class AdaptiveBatcher:
             from their service model.
         deadline_aware: ``False`` ignores request SLOs entirely (the
             fixed-window baseline policy).
-        isolate_sessions: Batch-composition policy (see
-            :class:`~repro.serve.queue.MicroBatcher`): ``True`` closes
-            every micro-batch at the first session boundary so batches
-            never mix users.
+        isolate_sessions: Batch-composition policy.  ``False`` (the
+            ``mixed`` policy) stacks any pending requests together —
+            maximal occupancy, but one micro-batch mixes activations of
+            independent users, the cross-user surface the shuffling
+            analyses warn about.  ``True`` closes every micro-batch at the
+            first session boundary, so a batch only ever carries one
+            session's requests (sessionless requests each form their own
+            batch).  Both policies drain the queue as a FIFO *prefix*, so
+            noise draws stay in arrival order and bit parity is unaffected
+            — only batch composition (and therefore occupancy/throughput
+            and the mixing index) changes.
     """
 
     #: EWMA weight of the newest observed batch service time.
@@ -83,6 +92,12 @@ class AdaptiveBatcher:
         deadline_aware: bool = True,
         isolate_sessions: bool = False,
     ) -> None:
+        if batch_window < 1:
+            raise ConfigurationError(
+                f"batch window must be >= 1, got {batch_window}"
+            )
+        if max_rows is not None and max_rows < 1:
+            raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
         if batch_timeout < 0:
             raise ConfigurationError(
                 f"batch timeout must be >= 0 seconds, got {batch_timeout}"
@@ -91,9 +106,9 @@ class AdaptiveBatcher:
             raise ConfigurationError(
                 f"service estimate must be >= 0 seconds, got {service_estimate}"
             )
-        self._inner = MicroBatcher(queue, batch_window, max_rows, isolate_sessions)
         self.queue = queue
         self.batch_window = batch_window
+        self.max_rows = max_rows
         self.batch_timeout = batch_timeout
         self.service_estimate = service_estimate
         self.deadline_aware = deadline_aware
@@ -108,13 +123,13 @@ class AdaptiveBatcher:
         ``None`` when the queue is empty (nothing to close).  When the
         window is already full the head's own arrival time is returned —
         a time that is always in the past, i.e. "close now".  Drivers use
-        this to sleep (engine) or jump the virtual clock (simulator) to
+        this to sleep (control plane) or jump the virtual clock (simulator) to
         the next scheduling event.
         """
         head = self.queue.peek()
         if head is None:
             return None
-        if self._window_full():
+        if self._prefix()[1]:
             return head.submitted_at
         close = head.submitted_at + self.batch_timeout
         if self.deadline_aware:
@@ -124,30 +139,41 @@ class AdaptiveBatcher:
                     close = min(close, deadline - self.service_estimate)
         return close
 
-    def _window_full(self) -> bool:
-        """Whether the next batch can admit no further request — by count,
-        by a session boundary (isolation policy: the FIFO prefix is capped
-        the moment a different session queues behind the head run, so
-        waiting cannot grow the batch), or by the row cap (waiting longer
-        cannot grow a rows-full batch)."""
-        if len(self.queue) >= self.batch_window:
-            return True
-        if self.isolate_sessions:
-            head_key = None
-            for request in self.queue:
-                if head_key is None:
-                    head_key = request.ordering_key
-                elif request.ordering_key != head_key:
-                    return True
-        max_rows = self._inner.max_rows
-        if max_rows is None:
-            return False
-        rows = 0
+    def _prefix(self) -> tuple[int, bool]:
+        """The next micro-batch's length and whether it is full.
+
+        The batch is the longest FIFO prefix of the queue that fits: at
+        most ``batch_window`` requests and ``max_rows`` rows (a lone
+        oversized request still ships), and under the isolation policy
+        only the head's session.  It is *full* when waiting cannot grow
+        it — by count, by a session boundary or a row-capped request
+        queued behind it, or by the row cap itself.
+        """
+        queued = len(self.queue)
+        if self.max_rows is None and not self.isolate_sessions:
+            return min(queued, self.batch_window), queued >= self.batch_window
+        count = rows = 0
+        head_key = None
         for request in self.queue:
+            if count == self.batch_window:
+                break
+            if count == 0:
+                head_key = request.ordering_key
+            elif (
+                self.isolate_sessions and request.ordering_key != head_key
+            ) or (
+                self.max_rows is not None
+                and rows + request.rows > self.max_rows
+            ):
+                break
+            count += 1
             rows += request.rows
-            if rows >= max_rows:
-                return True
-        return False
+        full = (
+            count == self.batch_window
+            or count < queued
+            or (self.max_rows is not None and rows >= self.max_rows)
+        )
+        return count, full
 
     def next_batch(
         self, now: float, *, flush: bool = False
@@ -160,11 +186,9 @@ class AdaptiveBatcher:
                 drain — never leaves requests to starve).
         """
         close = self.close_time()
-        if close is None:
+        if close is None or not (flush or now >= close):
             return []
-        if flush or now >= close:
-            return self._inner.next_batch()
-        return []
+        return self.queue.pop_window(self._prefix()[0])
 
     def observe_service(self, seconds: float) -> None:
         """Fold one measured batch service time into the slack estimate."""

@@ -4,10 +4,10 @@ Every earlier serving layer ran in **one interpreter**: the C kernels
 release the GIL, but the dispatcher's edge half, noise draws, queueing,
 and framing are serialized, so N worker threads never bought N× compute.
 This module shards the plane across worker *processes*: the parent
-spawns N shard subprocesses, each owning a complete
-:class:`~repro.serve.engine.ServingEngine` (executors, noise stream,
-metrics), and routes every request by **deterministic session hashing**
-(:func:`route_session` — a stable CRC32, never Python's salted
+spawns N shard subprocesses, each owning a complete one-deployment
+:class:`~repro.serve.controlplane.ControlPlane` (executors, noise
+stream, metrics), and routes every request by **deterministic session
+hashing** (:func:`route_session` — a stable CRC32, never Python's salted
 ``hash()``).  Activations and logits cross real sockets as the existing
 SHRB/SHRD frames inside the length-prefixed transport
 (:mod:`repro.serve.transport`).
@@ -63,13 +63,15 @@ from repro.edge.protocol import (
     encode_prediction_batch,
 )
 from repro.errors import ConfigurationError, ShardCrashError
+from repro.serve.controlplane import RequestHandle
 from repro.serve.metrics import ServingMetrics
+from repro.serve.queue import request_images
 from repro.serve.transport import SocketTransport
 
 # ----------------------------------------------------------------------
 # Message kinds (first byte of every transport frame)
 # ----------------------------------------------------------------------
-_MSG_HELLO = 0  # child -> parent: {"shard": i, "token": t} — engine is warm
+_MSG_HELLO = 0  # child -> parent: {"shard", "token", "input_shape"} — plane is warm
 _MSG_SUBMIT = 1  # parent -> child: header + SHRB activation frame
 _MSG_RESULT = 2  # child -> parent: SHRD prediction frame
 _MSG_DRAIN = 3  # parent -> child: flush everything
@@ -133,7 +135,7 @@ def shard_seed(base_seed: int, shard_index: int) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class ShardSpec:
-    """Plain-data recipe a shard subprocess rebuilds its engine from.
+    """Plain-data recipe a shard subprocess rebuilds its plane from.
 
     Every field is arrays, strings, or numbers — never a live model,
     channel, executor, or socket — so the spec pickles identically under
@@ -161,7 +163,7 @@ class ShardSpec:
     shuffle_seed: int | None = None
     channel: dict = field(default_factory=dict)  # Channel(**channel) kwargs
 
-    _LIVE_TYPES = ("Channel", "NoiseStream", "ServingEngine", "ControlPlane")
+    _LIVE_TYPES = ("Channel", "NoiseStream", "ControlPlane")
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -239,13 +241,9 @@ class ShardSpec:
             **knobs,
         )
 
-    def build_engine(self, shard_index: int):
-        """Reconstruct this shard's :class:`ServingEngine` (child side)."""
-        from repro.core.sampler import NoiseCollection
-        from repro.edge.channel import Channel
-        from repro.edge.quantization import QuantizationParams
+    def _model(self):
+        """The captured backbone, rebuilt frozen from plain data."""
         from repro.models import build_model
-        from repro.serve.engine import ServingEngine
 
         model = build_model(
             self.model_name, np.random.default_rng(0), width=self.width
@@ -253,37 +251,61 @@ class ShardSpec:
         model.load_state_dict(self.model_state)
         model.eval()
         model.freeze()
-        noise = None
-        if self.noise_tensors is not None:
-            noise = NoiseCollection(self.noise_tensors.shape[1:])
-            for tensor in self.noise_tensors:
-                noise.add(tensor, accuracy=0.0, in_vivo_privacy=0.0)
+        return model
+
+    def _noise(self):
+        from repro.core.sampler import NoiseCollection
+
+        if self.noise_tensors is None:
+            return None
+        noise = NoiseCollection(self.noise_tensors.shape[1:])
+        for tensor in self.noise_tensors:
+            noise.add(tensor, accuracy=0.0, in_vivo_privacy=0.0)
+        return noise
+
+    def build_engine(self, shard_index: int):
+        """Reconstruct this shard's one-deployment
+        :class:`~repro.serve.controlplane.ControlPlane` (child side)."""
+        from repro.edge.channel import Channel
+        from repro.edge.quantization import QuantizationParams
+        from repro.serve.controlplane import ControlPlane
+
         quantization = None
         if self.quantization is not None:
             scale, zero_point, bits = self.quantization
             quantization = QuantizationParams(
                 scale=scale, zero_point=zero_point, bits=bits
             )
-        return ServingEngine(
-            model,
-            self.cut,
-            self.mean,
-            self.std,
-            noise=noise,
-            channel=Channel(**self.channel) if self.channel else None,
-            rng=np.random.default_rng(shard_seed(self.base_seed, shard_index)),
+        plane = ControlPlane(
             workers=self.workers,
-            batch_window=self.batch_window,
-            max_rows=self.max_rows,
-            batch_timeout=self.batch_timeout,
-            deadline_aware=self.deadline_aware,
-            isolate_sessions=self.isolate_sessions,
-            quantization=quantization,
-            weight_bits=self.weight_bits,
+            channel=Channel(**self.channel) if self.channel else None,
             kernel_backend=self.kernel_backend,
-            shuffle=self.shuffle,
-            shuffle_seed=self.shuffle_seed,
         )
+        try:
+            plane.register(
+                self.model_name,
+                self._model(),
+                self.cut,
+                mean=self.mean,
+                std=self.std,
+                noise=self._noise(),
+                rng=np.random.default_rng(
+                    shard_seed(self.base_seed, shard_index)
+                ),
+                batch_window=self.batch_window,
+                max_rows=self.max_rows,
+                batch_timeout=self.batch_timeout,
+                deadline_aware=self.deadline_aware,
+                isolate_sessions=self.isolate_sessions,
+                quantization=quantization,
+                weight_bits=self.weight_bits,
+                shuffle=self.shuffle,
+                shuffle_seed=self.shuffle_seed,
+            )
+        except BaseException:
+            plane.close()
+            raise
+        return plane
 
     def reference_session(self, shard_index: int, n_shards: int):
         """The sequential reference this shard must be bit-identical to.
@@ -292,27 +314,14 @@ class ShardSpec:
         subsequence shard ``shard_index`` serves (see
         :func:`route_session`).
         """
-        from repro.core.sampler import NoiseCollection
         from repro.edge.device import InferenceSession
-        from repro.models import build_model
 
-        model = build_model(
-            self.model_name, np.random.default_rng(0), width=self.width
-        )
-        model.load_state_dict(self.model_state)
-        model.eval()
-        model.freeze()
-        noise = None
-        if self.noise_tensors is not None:
-            noise = NoiseCollection(self.noise_tensors.shape[1:])
-            for tensor in self.noise_tensors:
-                noise.add(tensor, accuracy=0.0, in_vivo_privacy=0.0)
         return InferenceSession(
-            model,
+            self._model(),
             self.cut,
             self.mean,
             self.std,
-            noise=noise,
+            noise=self._noise(),
             rng=np.random.default_rng(shard_seed(self.base_seed, shard_index)),
             kernel_backend=self.kernel_backend,
             weight_bits=self.weight_bits,
@@ -327,29 +336,32 @@ def _shard_main(
 ) -> None:
     """Entry point of one shard subprocess.
 
-    Builds the engine from the spec (slow part: kernel compilation —
+    Builds the plane from the spec (slow part: kernel compilation —
     shared across shards via the ``REPRO_KERNEL_DIR`` artifact cache),
     connects back to the parent, announces readiness, then serves until
     shutdown or parent death.
     """
-    engine = spec.build_engine(shard_index)
+    plane = spec.build_engine(shard_index)
     sock = socket.create_connection(address, timeout=30.0)
     sock.settimeout(None)
     transport = SocketTransport(sock, shard_id=shard_index)
-    transport.send(_pack_json(_MSG_HELLO, {"shard": shard_index, "token": token}))
+    transport.send(_pack_json(_MSG_HELLO, {
+        "shard": shard_index,
+        "token": token,
+        "input_shape": list(plane.deployment().model.input_shape),
+    }))
 
     pending: dict[int, int] = {}  # local id -> global id
 
-    def deliver(local_ids: Iterable[int]) -> None:
+    def deliver(handles: list[RequestHandle]) -> None:
         # One SHRD frame per delivery batch: per-frame overhead amortises
         # across every result the pump turn produced.
-        local_ids = list(local_ids)
-        if not local_ids:
+        if not handles:
             return
         ids, splits, parts = [], [], []
-        for local_id in local_ids:
-            logits = engine.result(local_id)
-            ids.append(pending.pop(local_id))
+        for handle in handles:
+            logits = plane.result(handle)
+            ids.append(pending.pop(handle.request_id))
             splits.append(logits.shape[0])
             parts.append(logits)
         transport.send(
@@ -367,8 +379,8 @@ def _shard_main(
             )
         )
 
-    # Engine turns are ~100x the cost of a socket read, so the loop
-    # drains the inbound socket greedily and only runs the engine when
+    # Plane turns are ~100x the cost of a socket read, so the loop
+    # drains the inbound socket greedily and only runs the plane when
     # the parent has momentarily stopped streaming (or the admitted
     # backlog passes the high watermark — submissions must not outrun
     # serving without bound).  Partial windows are only force-flushed
@@ -386,7 +398,7 @@ def _shard_main(
             if frame is None:
                 if pending:
                     flush = (time.monotonic() - last_rx) >= idle_flush
-                    delivered = engine.pump(flush=flush)
+                    delivered = plane.pump(flush=flush)
                     deliver(delivered)
                     unpumped = 0
                     # Nothing deliverable means the workers are mid-batch:
@@ -415,23 +427,24 @@ def _shard_main(
                     header["sessions"],
                     header["slos"],
                 ):
-                    local_id = engine.submit(
+                    handle = plane.submit(
                         tensor[offset : offset + rows],
                         slo_seconds=slo,
                         session_id=session,
                     )
                     offset += rows
-                    pending[local_id] = global_id
+                    pending[handle.request_id] = global_id
                     unpumped += 1
                 if unpumped >= high_watermark:
-                    deliver(engine.pump())
+                    deliver(plane.pump())
                     unpumped = 0
             elif kind == _MSG_DRAIN:
-                deliver(engine.drain())
+                deliver(plane.drain())
                 transport.send(_pack_json(_MSG_DRAINED, {"shard": shard_index}))
             elif kind == _MSG_METRICS:
+                metrics = plane.deployment().metrics
                 transport.send(
-                    _pack_json(_MSG_METRICS_REPLY, engine.metrics.to_payload())
+                    _pack_json(_MSG_METRICS_REPLY, metrics.to_payload())
                 )
             elif kind == _MSG_SHUTDOWN:
                 break
@@ -440,7 +453,7 @@ def _shard_main(
     except ShardCrashError:
         pass  # the parent died; nothing left to serve for
     finally:
-        engine.close()
+        plane.close()
         transport.close()
 
 
@@ -483,7 +496,7 @@ class ShardedServingEngine:
         start_method: ``fork`` / ``spawn`` / ``forkserver``; ``None``
             uses the platform default.  Both ``fork`` and ``spawn`` are
             supported — the spec carries no live state.
-        spawn_timeout: Seconds to wait for a shard to build its engine
+        spawn_timeout: Seconds to wait for a shard to build its plane
             and report ready.
         auto_heal: Respawn dead shards and replay their logs (default).
             When off, a shard death surfaces as
@@ -512,6 +525,7 @@ class ShardedServingEngine:
         if coalesce is not None and coalesce < 1:
             raise ConfigurationError(f"need coalesce >= 1, got {coalesce}")
         self.spec = spec
+        self._image_shape: tuple[int, ...] | None = None  # from each HELLO
         self.n_shards = shards
         self.auto_heal = auto_heal
         self.coalesce = coalesce or max(1, spec.batch_window)
@@ -584,6 +598,7 @@ class ShardedServingEngine:
                     shard_id=shard.index,
                 )
             break
+        self._image_shape = tuple(meta["input_shape"])
         conn.setblocking(False)
         shard.process = process
         shard.transport = transport
@@ -736,9 +751,15 @@ class ShardedServingEngine:
         slo_seconds: float | None = None,
         session_id: Hashable | None = None,
     ) -> int:
-        """Route one request to its shard; returns the global request id."""
+        """Route one request to its shard; returns the global request id.
+
+        The request is checked against the model's input shape first, so
+        a malformed one is refused here rather than failing its shard's
+        whole SUBMIT frame.
+        """
         if self._closed:
             raise ConfigurationError("sharded engine is closed")
+        images = request_images(images, slo_seconds, self._image_shape)
         global_id = next(self._next_id)
         shard = self._shards[self.route(session_id)]
         logged = _Logged(
@@ -774,7 +795,7 @@ class ShardedServingEngine:
         for shard in self._shards:
             shard.drained = False
         # DRAIN barriers are per-incarnation: a shard healed mid-drain has
-        # a fresh engine that never saw the barrier, so track which
+        # a fresh plane that never saw the barrier, so track which
         # generation each DRAIN actually reached and re-send on respawn.
         drain_sent: dict[int, int] = {}
         while True:

@@ -13,6 +13,8 @@ Two bug classes are regression-locked here alongside the new evaluator:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,37 @@ class TestAmplifiedEpsilon:
         assert amplified_epsilon(0.0, 100) == 0.0
         for n in (2, 10, 100, 10_000):
             assert amplified_epsilon(2.0, n) <= 2.0
+
+    def test_theorem_precondition(self):
+        """Feldman, McMillan and Talwar (arXiv:2012.12803), Theorem 3.1,
+        holds only for epsilon0 <= log(n / (16 log(2 / delta))); below
+        that many reports the local guarantee epsilon0 stands.  At
+        delta = 1e-5 the smallest qualifying n is 531 at epsilon0 = 1 and
+        3923 at epsilon0 = 3."""
+        assert amplified_epsilon(1.0, 530) == 1.0
+        assert amplified_epsilon(1.0, 531) < 1.0
+        assert amplified_epsilon(3.0, 3922) == 3.0
+        assert amplified_epsilon(3.0, 3923) < 3.0
+        # Serving-window-sized anonymity sets never qualify.
+        assert amplified_epsilon(3.0, 100) == 3.0
+        assert amplified_epsilon(2.0, 64) == 2.0
+
+    def test_theorem_closed_form(self):
+        """Theorem 3.1's bound: epsilon <= log(1 + (e^e0 - 1) / (e^e0 + 1)
+        * (8 sqrt(e^e0 log(4 / delta)) / sqrt(n) + 8 e^e0 / n))."""
+        delta = 1e-5
+        for epsilon0, n in ((1.0, 10_000), (0.5, 1_000), (2.0, 100_000)):
+            e0 = math.exp(epsilon0)
+            theorem = math.log(
+                1 + (e0 - 1) / (e0 + 1) * (
+                    8 * math.sqrt(e0 * math.log(4 / delta)) / math.sqrt(n)
+                    + 8 * e0 / n
+                )
+            )
+            assert amplified_epsilon(epsilon0, n, delta) == pytest.approx(
+                theorem, rel=1e-12
+            )
+        assert amplified_epsilon(1.0, 10_000) == pytest.approx(0.1988, abs=1e-4)
 
     def test_monotone_in_n(self):
         values = [amplified_epsilon(1.0, n) for n in (10, 100, 1000, 100_000)]

@@ -248,6 +248,26 @@ class TestPlaneFrontDoor:
             plane.submit(images, deployment="dep0")
             plane.drain()
 
+    def test_malformed_request_never_takes_a_token(self, bundle, collection):
+        """Requests are validated before the admission gate: a malformed
+        one is refused with ConfigurationError without spending the
+        bucket's only token, so the next valid request is admitted."""
+        clock = _VirtualClock()
+        images = bundle.test_set.images[:1]
+        with _admission_plane(
+            bundle, collection, clock, admission_rate_rps=1.0,
+            admission_burst=1.0,
+        ) as plane:
+            for bad in (images[None], images[:0], images[:, :, :-1]):
+                with pytest.raises(ConfigurationError):
+                    plane.submit(bad, deployment="dep0")
+            with pytest.raises(ConfigurationError, match="SLO"):
+                plane.submit(images, deployment="dep0", slo_seconds=0.0)
+            handle = plane.submit(images, deployment="dep0")
+            assert plane.metrics_by_deployment()["dep0"].rejected_requests == 0
+            assert plane.drain() == [handle]
+            assert plane.result(handle).shape == (1, 10)
+
     def test_unmeetable_slo_is_shed_as_overload(self, bundle, collection):
         clock = _VirtualClock()
         images = bundle.test_set.images[:1]

@@ -26,7 +26,7 @@ from repro.config import TINY, Config
 from repro.core import NoiseCollection, SplitInferenceModel
 from repro.edge import Channel, InferenceSession
 from repro.errors import AdmissionError, ConfigurationError, ServingFaultError
-from repro.serve import AsyncServingClient, ControlPlane, ServingEngine
+from repro.serve import AsyncServingClient, ControlPlane
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +108,8 @@ class TestConcurrentAwaits:
         for a, b in zip(expected, actual):
             np.testing.assert_array_equal(a, b)
 
-    def test_facade_over_single_deployment_engine(self, bundle, collection):
-        """The engine IS a control plane; the facade drives it directly
+    def test_facade_over_single_deployment_plane(self, bundle, collection):
+        """A one-deployment plane: the facade drives it directly
         (deployment defaults to its sole tenant)."""
         images = bundle.test_set.images
         stream = [images[i : i + 1] for i in range(6)]
@@ -122,13 +122,14 @@ class TestConcurrentAwaits:
         expected = [sequential.infer(x) for x in stream]
 
         async def main():
-            engine = ServingEngine(
-                bundle.model, cut, mean, std, noise=collection,
-                rng=np.random.default_rng(7), workers=2, batch_window=4,
-                batch_timeout=0.0,
+            plane = ControlPlane(workers=2)
+            plane.register(
+                "lenet", bundle.model, cut, mean=mean, std=std,
+                noise=collection, rng=np.random.default_rng(7),
+                batch_window=4, batch_timeout=0.0,
             )
-            with engine:
-                async with AsyncServingClient(engine) as client:
+            with plane:
+                async with AsyncServingClient(plane) as client:
                     return await asyncio.gather(
                         *[client.submit(x) for x in stream]
                     )

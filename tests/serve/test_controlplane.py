@@ -32,6 +32,7 @@ autoscaler, and context release on close.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -213,6 +214,29 @@ class TestRoutingAndRegistry:
         with _make_plane(bundle, collections, n_deployments=2) as plane:
             with pytest.raises(ConfigurationError, match="must\\s+name"):
                 plane.submit(images)
+
+    def test_wrong_image_shape_is_refused_at_submit(self, bundle, collections):
+        """A request whose images do not fit the deployment's input shape
+        is refused at the front door.  It never reaches a window, so the
+        requests batched around it — and later requests of its session —
+        are all delivered."""
+        images = bundle.test_set.images
+        with _make_plane(
+            bundle, collections, n_deployments=1, window=4
+        ) as plane:
+            first = plane.submit(images[0:1], session_id="s")
+            with pytest.raises(ConfigurationError, match="shape"):
+                plane.submit(
+                    np.zeros((3, 32, 32), np.float32), session_id="s"
+                )
+            rest = [plane.submit(images[i : i + 1], session_id="s")
+                    for i in (1, 2)]
+            assert plane.drain() == [first, *rest]
+            assert plane.pending == 0 and plane.in_flight == 0
+            for handle in (first, *rest):
+                assert plane.result(handle).shape == (1, 10)
+            later = plane.submit(images[3:4], session_id="s")
+            assert plane.drain() == [later]
 
     def test_per_deployment_request_ids(self, bundle, collections):
         images = bundle.test_set.images[:1]
@@ -894,7 +918,7 @@ class TestElasticLifecycle:
             # An explicit heal target overrides the shrink target — the
             # deferred-shrink pass must not undo it on the next pump.
             assert plane.heal(to=3) == 2
-            plane.pump_handles()
+            plane.pump()
             assert plane.alive_workers == 3
             assert plane.pool_metrics.pool_size_samples
             assert max(plane.pool_metrics.pool_size_samples) >= 3
@@ -924,7 +948,7 @@ class TestElasticLifecycle:
                              deployment="dep0")
                 for i in range(12)
             ]
-            plane.pump_handles()  # backlog of 6 windows: the pool grows
+            plane.pump()  # backlog of 6 windows: the pool grows
             assert plane.alive_workers == 2
             assert scaler.decisions
             assert scaler.decisions[0].previous == 1
@@ -936,7 +960,7 @@ class TestElasticLifecycle:
             # the pool decays back to min_workers.
             for _ in range(8):
                 clock.advance(0.1)
-                plane.pump_handles()
+                plane.pump()
             assert plane.alive_workers == 1
             assert any(d.target < d.previous for d in scaler.decisions)
             assert max(plane.pool_metrics.pool_size_samples) >= 2
@@ -963,3 +987,25 @@ class TestElasticLifecycle:
             assert context.servers == {}
             assert context.channels == {}
         assert plane.alive_workers == 0
+
+    def test_pool_threads_stop_on_close_and_on_collection(
+        self, bundle, collections
+    ):
+        """Pool threads exit when the plane closes, and when a plane
+        nobody closed is garbage-collected (they hold it weakly)."""
+        closed = _make_plane(bundle, collections, n_deployments=1, workers=2)
+        abandoned = _make_plane(
+            bundle, collections, n_deployments=1, workers=2
+        )
+        for plane in (closed, abandoned):
+            plane.submit(bundle.test_set.images[:1], deployment="dep0")
+            plane.drain()
+        threads = list(closed._threads) + list(abandoned._threads)
+        assert len(threads) == 4
+        assert all(thread.is_alive() for thread in threads)
+        closed.close()
+        del closed, abandoned, plane
+        gc.collect()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()

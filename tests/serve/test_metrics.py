@@ -245,8 +245,8 @@ class TestMixingIndex:
 class TestShuffleAccounting:
     def test_record_shuffle_counts_distinct_sessions(self):
         metrics = ServingMetrics()
-        metrics.record_shuffle(["A", "B", "A", "C"])
-        metrics.record_shuffle(["A", "A"])
+        metrics.record_shuffle(["A", "B", "A", "C"], [1, 1, 1, 1])
+        metrics.record_shuffle(["A", "A"], [1, 1])
         assert metrics.shuffled_batches == 2
         assert metrics.anonymity_sets == [3, 1]
         assert metrics.mean_anonymity_set == pytest.approx(2.0)
@@ -262,19 +262,45 @@ class TestShuffleAccounting:
         from repro.privacy.shuffle_eval import amplified_epsilon
 
         metrics = ServingMetrics()
-        metrics.record_shuffle([f"u{i}" for i in range(64)])
-        metrics.record_shuffle([f"u{i}" for i in range(8)])
+        metrics.record_shuffle([f"u{i}" for i in range(64)], [1] * 64)
+        metrics.record_shuffle([f"u{i}" for i in range(8)], [1] * 8)
         assert metrics.shuffle_amplification(1.0) == pytest.approx(
             amplified_epsilon(1.0, 8)
         )
         # Amplification never exceeds the local guarantee.
         assert metrics.shuffle_amplification(0.5) <= 0.5
 
+    def test_amplification_composes_a_sessions_rows(self):
+        """Each row is one epsilon0-LDP report, so the k rows one session
+        puts in a shuffled batch are jointly (k * epsilon0)-LDP by basic
+        composition: the bound is evaluated at the composed epsilon over
+        the number of distinct sessions."""
+        from repro.privacy.shuffle_eval import amplified_epsilon
+
+        sessions = [f"u{i}" for i in range(10_000)]
+        metrics = ServingMetrics()
+        metrics.record_shuffle(sessions + ["u0", "u0"], [1] * 10_002)
+        assert metrics.anonymity_sets == [10_000]
+        assert metrics.max_session_rows == 3
+        assert metrics.shuffle_amplification(0.5) == pytest.approx(
+            amplified_epsilon(1.5, 10_000)
+        )
+        assert metrics.shuffle_amplification(0.5) > amplified_epsilon(
+            0.5, 10_000
+        )
+        # Multi-row requests count their rows, not one report each.
+        rows = ServingMetrics()
+        rows.record_shuffle(sessions, [1] * 9_999 + [4])
+        assert rows.max_session_rows == 4
+        assert rows.shuffle_amplification(0.5) == pytest.approx(
+            amplified_epsilon(2.0, 10_000)
+        )
+
     def test_surfaces_in_dict_and_format(self):
         import json
 
         metrics = ServingMetrics()
-        metrics.record_shuffle(["A", "B"])
+        metrics.record_shuffle(["A", "B"], [1, 1])
         payload = metrics.as_dict()
         assert payload["shuffled_batches"] == 1
         assert payload["mean_anonymity_set"] == pytest.approx(2.0)
@@ -305,7 +331,7 @@ def _loaded_metrics(seed: int, workers: int = 2) -> ServingMetrics:
     for worker in range(workers):
         metrics.record_worker(worker, float(rng.uniform(0.01, 0.5)))
     metrics.record_mixing(["A", "B", "A"], [1, 2, 1])
-    metrics.record_shuffle(["A", "B", "A"])
+    metrics.record_shuffle(["A", "B", "A"], [1, 2, 1])
     metrics.requeued_batches = int(rng.integers(0, 3))
     metrics.rejected_requests = int(rng.integers(0, 3))
     metrics.shed_requests = int(rng.integers(0, 2))

@@ -1,9 +1,10 @@
-"""Multi-worker serving engine: parity, ordering, and determinism.
+"""Multi-worker serving on a one-deployment plane: parity, ordering, and
+determinism.
 
-The acceptance property of the deadline-aware multi-worker engine: on
+The acceptance property of the deadline-aware multi-worker plane: on
 randomized request streams (arrival jitter is irrelevant to content —
 batch composition is decided by the FIFO dispatcher — but sizes, SLOs,
-sessions, and worker counts all vary), the engine produces **bit-identical
+sessions, and worker counts all vary), the plane produces **bit-identical
 logits** to the sequential reference path, releases responses of one
 session in submission order, and draws noise deterministically no matter
 how worker threads race.
@@ -25,7 +26,7 @@ from repro.core import NoiseCollection, ShredderPipeline, SplitInferenceModel
 from repro.edge import Channel, InferenceSession, _fastexec
 from repro.edge.protocol import decode_activation_batch
 from repro.errors import ConfigurationError
-from repro.serve import ServingEngine
+from repro.serve import ControlPlane
 
 _ENV_SEED = os.environ.get("REPRO_SERVE_SEED")
 _ENV_WORKERS = int(os.environ.get("REPRO_SERVE_WORKERS", "0"))
@@ -71,14 +72,19 @@ def _random_stream(bundle, rng, n_requests):
     return stream, slos, sessions
 
 
-def _engine(bundle, collection, *, seed=11, workers=1, window=4, **kwargs):
-    cut = bundle.model.last_conv_cut()
-    mean, std = np.zeros(1, np.float32), np.ones(1, np.float32)
-    return ServingEngine(
-        bundle.model, cut, mean, std, noise=collection,
-        rng=np.random.default_rng(seed), workers=workers,
-        batch_window=window, **kwargs,
+def _engine(
+    bundle, collection, *, seed=11, workers=1, window=4, channel=None,
+    kernel_backend="auto", plane=ControlPlane, **register,
+):
+    """A one-deployment plane (``plane`` may be a ControlPlane subclass)."""
+    engine = plane(workers=workers, channel=channel,
+                   kernel_backend=kernel_backend)
+    engine.register(
+        "lenet", bundle.model, bundle.model.last_conv_cut(),
+        noise=collection, rng=np.random.default_rng(seed),
+        batch_window=window, **register,
     )
+    return engine
 
 
 class TestBitwiseParity:
@@ -133,7 +139,9 @@ class TestBitwiseParity:
         )
         with _engine(bundle, collection, workers=4) as engine:
             engine.infer_stream(stream, slo_seconds=slos, session_ids=sessions)
-            assert engine.noise_stream.draws == sum(len(r) for r in stream)
+            assert engine.deployment().noise_stream.draws == sum(
+                len(r) for r in stream
+            )
 
     def test_deadline_unaware_engine_same_bits(self, bundle, collection):
         """Scheduling policy shifts *when* batches close, never *what*
@@ -147,23 +155,25 @@ class TestBitwiseParity:
             np.testing.assert_array_equal(x, y)
 
 
-class _StallRequestZero(ServingEngine):
+class _StallRequestZero(ControlPlane):
     """Deterministically delays the micro-batch carrying request id 0, so
     later batches always complete first — forcing the ordering gate."""
 
     STALL_SECONDS = 0.05
 
-    def _service_batch(self, uplink):
-        if 0 in decode_activation_batch(uplink).request_ids:
+    def _execute(self, task):
+        if 0 in decode_activation_batch(task.uplink).request_ids:
             time.sleep(self.STALL_SECONDS)
-        return super()._service_batch(uplink)
+        return super()._execute(task)
 
 
 def _poll(engine, *, until, timeout=5.0):
     delivered = []
     deadline = time.perf_counter() + timeout
     while time.perf_counter() < deadline:
-        delivered.extend(engine.pump(flush=True))
+        delivered.extend(
+            handle.request_id for handle in engine.pump(flush=True)
+        )
         if until(delivered):
             return delivered
         time.sleep(0.002)
@@ -175,12 +185,9 @@ class TestSessionOrdering:
         """Requests of one session interleaved across two batches: the
         stalled first batch must gate the finished second one."""
         images = bundle.test_set.images
-        cut = bundle.model.last_conv_cut()
-        mean, std = np.zeros(1, np.float32), np.ones(1, np.float32)
-        with _StallRequestZero(
-            bundle.model, cut, mean, std, noise=collection,
-            rng=np.random.default_rng(1), workers=2, batch_window=2,
-            batch_timeout=0.0,
+        with _engine(
+            bundle, collection, seed=1, workers=2, window=2,
+            batch_timeout=0.0, plane=_StallRequestZero,
         ) as engine:
             for i, session in enumerate(["A", "B", "A", "B"]):
                 engine.submit(images[i : i + 1], session_id=session)
@@ -197,12 +204,9 @@ class TestSessionOrdering:
         """Without session ids the second batch's results become
         deliverable while the first batch is still in flight."""
         images = bundle.test_set.images
-        cut = bundle.model.last_conv_cut()
-        mean, std = np.zeros(1, np.float32), np.ones(1, np.float32)
-        with _StallRequestZero(
-            bundle.model, cut, mean, std, noise=collection,
-            rng=np.random.default_rng(1), workers=2, batch_window=2,
-            batch_timeout=0.0,
+        with _engine(
+            bundle, collection, seed=1, workers=2, window=2,
+            batch_timeout=0.0, plane=_StallRequestZero,
         ) as engine:
             for i in range(4):
                 engine.submit(images[i : i + 1])
@@ -230,7 +234,7 @@ class TestEngineMechanics:
         )
         with _engine(bundle, collection, workers=2) as engine:
             engine.infer_stream(stream, slo_seconds=slos, session_ids=sessions)
-            metrics = engine.metrics
+            metrics = engine.deployment().metrics
             assert metrics.requests == 10
             assert metrics.samples == sum(len(r) for r in stream)
             assert metrics.micro_batches >= 3
@@ -241,7 +245,7 @@ class TestEngineMechanics:
             assert metrics.uplink_bytes > 0 and metrics.downlink_bytes > 0
             assert metrics.wall_seconds > 0
             assert sum(metrics.worker_batches.values()) == metrics.micro_batches
-            report = engine.report()
+            report = engine.report_for()
             assert report.requests == 10
             assert report.uplink_bytes == metrics.uplink_bytes
             assert report.simulated_seconds > 0
@@ -256,28 +260,27 @@ class TestEngineMechanics:
             channel=Channel(latency_ms=2.0, realtime=True), batch_timeout=0.0,
         ) as engine:
             engine.infer_stream(stream)
-            assert set(engine.metrics.worker_batches) == {0, 1, 2, 3}
+            assert set(engine.deployment().metrics.worker_batches) == {
+                0, 1, 2, 3
+            }
 
     def test_worker_error_propagates_without_wedging(self, bundle, collection):
         """A worker failure surfaces once; the failed batch's requests are
         lost but the engine — and their session — keeps serving."""
 
-        class FailOnce(ServingEngine):
+        class FailOnce(ControlPlane):
             failures = 0
 
-            def _service_batch(self, uplink):
+            def _execute(self, task):
                 if type(self).failures == 0:
                     type(self).failures += 1
                     raise RuntimeError("worker down")
-                return super()._service_batch(uplink)
+                return super()._execute(task)
 
         FailOnce.failures = 0
         images = bundle.test_set.images
-        cut = bundle.model.last_conv_cut()
-        mean, std = np.zeros(1, np.float32), np.ones(1, np.float32)
-        with FailOnce(
-            bundle.model, cut, mean, std, noise=collection,
-            rng=np.random.default_rng(1), batch_timeout=0.0,
+        with _engine(
+            bundle, collection, seed=1, batch_timeout=0.0, plane=FailOnce,
         ) as engine:
             lost = engine.submit(images[:1], session_id="S")
             with pytest.raises(RuntimeError, match="worker down"):
@@ -306,7 +309,7 @@ class TestPipelineDeploy:
         collection = pipeline.collect(2, iterations=10)
         engine = pipeline.deploy(collection, workers=2, batch_window=4)
         sequential = pipeline.deploy(collection, batched=False)
-        assert isinstance(engine, ServingEngine)
+        assert isinstance(engine, ControlPlane)
         images = bundle.test_set.images
         stream = [images[i : i + 1] for i in range(6)]
         expected = [sequential.infer(x) for x in stream]

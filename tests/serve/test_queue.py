@@ -1,4 +1,4 @@
-"""Request queue and micro-batcher unit tests."""
+"""Request queue and FIFO-prefix batching unit tests."""
 
 from __future__ import annotations
 
@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve import MicroBatcher, RequestQueue
+from repro.serve import AdaptiveBatcher, RequestQueue
 
 
 def image(n=1):
     return np.zeros((n, 1, 4, 4), dtype=np.float32)
+
+
+def fifo_batcher(queue, batch_window, max_rows=None):
+    """The greedy fixed-window policy: no deadlines, no waiting."""
+    return AdaptiveBatcher(
+        queue, batch_window, max_rows=max_rows, batch_timeout=0.0,
+        deadline_aware=False,
+    )
 
 
 class TestRequestQueue:
@@ -47,15 +55,15 @@ class TestRequestQueue:
             queue.pop_window(0)
 
 
-class TestMicroBatcher:
+class TestFifoPrefixBatches:
     def test_window_respected(self):
         queue = RequestQueue()
         for _ in range(10):
             queue.submit(image())
-        batcher = MicroBatcher(queue, batch_window=4)
+        batcher = fifo_batcher(queue, batch_window=4)
         sizes = []
         while True:
-            batch = batcher.next_batch()
+            batch = batcher.next_batch(0.0, flush=True)
             if not batch:
                 break
             sizes.append(len(batch))
@@ -65,28 +73,28 @@ class TestMicroBatcher:
         queue = RequestQueue()
         for rows in (3, 3, 3):
             queue.submit(image(rows))
-        batcher = MicroBatcher(queue, batch_window=8, max_rows=6)
-        first = batcher.next_batch()
+        batcher = fifo_batcher(queue, batch_window=8, max_rows=6)
+        first = batcher.next_batch(0.0, flush=True)
         assert [r.rows for r in first] == [3, 3]
-        second = batcher.next_batch()
+        second = batcher.next_batch(0.0, flush=True)
         assert [r.rows for r in second] == [3]
 
     def test_oversized_request_still_ships_alone(self):
         queue = RequestQueue()
         queue.submit(image(10))
         queue.submit(image(1))
-        batcher = MicroBatcher(queue, batch_window=4, max_rows=4)
-        first = batcher.next_batch()
+        batcher = fifo_batcher(queue, batch_window=4, max_rows=4)
+        first = batcher.next_batch(0.0, flush=True)
         assert [r.rows for r in first] == [10]
-        assert [r.rows for r in batcher.next_batch()] == [1]
+        assert [r.rows for r in batcher.next_batch(0.0, flush=True)] == [1]
 
     def test_order_preserved_after_putback(self):
         queue = RequestQueue()
         ids = [queue.submit(image(2)) for _ in range(4)]
-        batcher = MicroBatcher(queue, batch_window=4, max_rows=4)
+        batcher = fifo_batcher(queue, batch_window=4, max_rows=4)
         seen = []
         while True:
-            batch = batcher.next_batch()
+            batch = batcher.next_batch(0.0, flush=True)
             if not batch:
                 break
             seen.extend(r.request_id for r in batch)
@@ -95,9 +103,9 @@ class TestMicroBatcher:
     def test_invalid_config_rejected(self):
         queue = RequestQueue()
         with pytest.raises(ConfigurationError):
-            MicroBatcher(queue, batch_window=0)
+            fifo_batcher(queue, batch_window=0)
         with pytest.raises(ConfigurationError):
-            MicroBatcher(queue, batch_window=2, max_rows=0)
+            fifo_batcher(queue, batch_window=2, max_rows=0)
 
 
 class TestSloAndSessions:

@@ -200,7 +200,7 @@ class TestShuffledShardSpec:
             ]
             engine.drain()
             actual = [engine.result(request_id) for request_id in ids]
-            assert engine.metrics.shuffled_batches > 0
+            assert engine.deployment().metrics.shuffled_batches > 0
         finally:
             engine.close()
         for a, b in zip(expected, actual):
@@ -303,6 +303,27 @@ class TestShardedParity:
             with pytest.raises(ConfigurationError):
                 engine.result(ids[0])  # results are collected exactly once
         expected = _reference_outputs(spec, 2, stream, sessions)
+        for a, b in zip(actual, expected):
+            np.testing.assert_array_equal(a, b)
+
+    def test_wrong_image_shape_is_refused_at_submit(self, bundle, spec):
+        """A malformed request is refused before it is logged or staged:
+        it cannot fail its shard's SUBMIT frame and strand the requests
+        coalesced with it."""
+        images = bundle.test_set.images
+        with ShardedServingEngine(
+            spec, shards=1, start_method="fork", coalesce=4
+        ) as engine:
+            first = engine.submit(images[0:1], session_id="s")
+            with pytest.raises(ConfigurationError, match="shape"):
+                engine.submit(np.zeros((3, 32, 32), np.float32), session_id="s")
+            rest = [engine.submit(images[i : i + 1], session_id="s")
+                    for i in (1, 2, 3)]
+            engine.drain(timeout=60.0)
+            assert engine.outstanding == 0
+            actual = [engine.result(i) for i in (first, *rest)]
+        stream = [images[i : i + 1] for i in range(4)]
+        expected = _reference_outputs(spec, 1, stream, ["s"] * 4)
         for a, b in zip(actual, expected):
             np.testing.assert_array_equal(a, b)
 
