@@ -1354,7 +1354,7 @@ def main() -> int:
                 mean=mean, std=std, noise=collection,
                 rng=np.random.default_rng(7),
                 batch_window=ACCEPTANCE_WINDOW, batch_timeout=0.0,
-                shuffle=shuffled, shuffle_seed=7,
+                shuffle=shuffled, shuffle_seed=7 if shuffled else None,
             )
             begin = time.perf_counter()
             logits = plane.infer_stream(pm_stream, session_ids=pm_sessions)

@@ -32,6 +32,7 @@ from repro.config import Config, get_scale
 from repro.eval import build_pipeline, get_benchmark
 from repro.models import get_pretrained
 from repro.serve import (
+    DeploymentSpec,
     ShardSpec,
     ShardedServingEngine,
     generate_trace,
@@ -53,16 +54,14 @@ def main() -> None:
     collection = pipeline.collect(benchmark.n_members)
 
     # Everything a shard subprocess needs, as plain data: model weights,
-    # cut, noise member tensors, seeds.  Works under fork and spawn.
-    channels = bundle.model.input_shape[0]
+    # cut, noise member tensors, seeds.  Works under fork and spawn.  The
+    # bundle's datasets are already normalised: identity normalisation,
+    # the deployment spec's default.
     spec = ShardSpec.capture(
         bundle.model,
         pipeline.split.cut,
-        mean=np.zeros(channels, dtype=np.float32),
-        std=np.ones(channels, dtype=np.float32),
-        noise=collection,
+        DeploymentSpec(noise=collection, batch_window=8),
         base_seed=config.seed,
-        batch_window=8,
     )
 
     # A bursty trace drawn from a million-user population: most users

@@ -196,12 +196,57 @@ def _parse_autoscale(
     return bounds
 
 
-def _cmd_serve_multi(args: argparse.Namespace) -> int:
+def _serve_spec(args: argparse.Namespace):
+    """The one deployment spec every ``repro serve`` path serves: the
+    flags given, over the spec's defaults."""
+    from repro.serve import DeploymentSpec
+
+    flags = {
+        "batch_window": args.batch_window,
+        "batch_timeout": (
+            None if args.batch_timeout_ms is None else args.batch_timeout_ms / 1e3
+        ),
+        "isolate_sessions": args.batch_policy == "isolate",
+        "quantize_bits": args.quantize_bits,
+        "weight_bits": args.weight_bits,
+        "max_pending": args.max_pending,
+        "admission_rate_rps": args.admission_rate,
+        "shuffle": args.shuffle,
+        "shuffle_seed": args.shuffle_seed,
+    }
+    return DeploymentSpec(
+        **{name: value for name, value in flags.items() if value is not None}
+    )
+
+
+def _serve_channel(args: argparse.Namespace) -> dict:
+    """``Channel`` kwargs of the serving link."""
+    return {
+        "bandwidth_mbps": args.bandwidth_mbps,
+        "latency_ms": args.latency_ms,
+        "realtime": args.realtime_channel,
+    }
+
+
+def _serve_collection(args, config, network, cut=None, label=""):
+    """``(bundle, pipeline, collection)``: the backbone (pretrained if
+    needed) and the noise collection a serve path deploys."""
+    from repro.eval import build_pipeline, load_benchmark
+
+    bundle, benchmark = load_benchmark(network, config, verbose=True)
+    pipeline = build_pipeline(bundle, benchmark, config, cut=cut)
+    members = args.members or benchmark.n_members
+    print(f"{label}training {members} noise tensors for {network} ...")
+    return bundle, pipeline, pipeline.collect(members)
+
+
+def _cmd_serve_multi(args: argparse.Namespace, spec) -> int:
     """Multi-deployment control-plane serving (``--deployment name=net:cut``)."""
+    from dataclasses import replace
+
     import numpy as np
 
     from repro.edge import Channel
-    from repro.eval import build_pipeline, load_benchmark
     from repro.serve import ControlPlane
 
     config = _make_config(args)
@@ -215,14 +260,9 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
         network, _, cut = rest.partition(":")
         parsed.append((name, network, cut or None))
     autoscale = _parse_autoscale(args.autoscale, args.workers)
-    channel = Channel(
-        bandwidth_mbps=args.bandwidth_mbps,
-        latency_ms=args.latency_ms,
-        realtime=args.realtime_channel,
-    )
     plane = ControlPlane(
         workers=args.workers,
-        channel=channel,
+        channel=Channel(**_serve_channel(args)),
         kernel_backend=args.kernel_backend,
         max_workers=autoscale[1] if autoscale else None,
         auto_heal=bool(autoscale),
@@ -233,30 +273,10 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
         )
     traffic: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, network, cut in parsed:
-        bundle, benchmark = load_benchmark(network, config, verbose=True)
-        pipeline = build_pipeline(bundle, benchmark, config, cut=cut)
-        members = args.members or benchmark.n_members
-        print(f"[{name}] training {members} noise tensors for {network} ...")
-        collection = pipeline.collect(members)
-        plane.register(
-            name,
-            bundle.model,
-            pipeline.split.cut,
-            noise=collection,
-            rng=np.random.default_rng(config.child_seed("serving", name)),
-            batch_window=args.batch_window,
-            batch_timeout=(
-                args.batch_timeout_ms / 1e3
-                if args.batch_timeout_ms is not None
-                else 0.005
-            ),
-            isolate_sessions=args.batch_policy == "isolate",
-            weight_bits=args.weight_bits,
-            max_pending=args.max_pending,
-            admission_rate_rps=args.admission_rate,
-            shuffle=args.shuffle,
-            shuffle_seed=args.shuffle_seed,
+        bundle, pipeline, collection = _serve_collection(
+            args, config, network, cut, f"[{name}] "
         )
+        pipeline.register_on(plane, name, replace(spec, noise=collection), name)
         traffic[name] = (bundle.test_set.images, bundle.test_set.labels)
     requests = {
         name: min(args.requests, len(images))
@@ -265,7 +285,7 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
     print(
         f"serving {sum(requests.values())} single-image requests across "
         f"{len(parsed)} deployments on {args.workers} shared workers "
-        f"(window {args.batch_window}, {args.batch_policy} batches) ..."
+        f"(window {spec.batch_window}, {args.batch_policy} batches) ..."
     )
     slo = args.slo_ms / 1e3 if args.slo_ms is not None else None
     handles: dict[str, list] = {name: [] for name in traffic}
@@ -339,11 +359,12 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_sharded(args: argparse.Namespace) -> int:
+def _cmd_serve_sharded(args: argparse.Namespace, spec) -> int:
     """Process-sharded serving driven by the open-loop trace generator."""
+    from dataclasses import replace
+
     import numpy as np
 
-    from repro.eval import build_pipeline, load_benchmark
     from repro.serve import (
         ShardSpec,
         ShardedServingEngine,
@@ -353,46 +374,26 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     )
 
     config = _make_config(args)
-    bundle, benchmark = load_benchmark(args.network, config, verbose=True)
-    pipeline = build_pipeline(bundle, benchmark, config)
-    members = args.members or benchmark.n_members
-    print(f"training {members} noise tensors for {args.network} ...")
-    collection = pipeline.collect(members)
-
-    # The bundle's datasets are already normalised (identity device
-    # normalisation), matching pipeline.deploy().
-    channels = bundle.model.input_shape[0]
-    spec = ShardSpec.capture(
+    bundle, pipeline, collection = _serve_collection(
+        args, config, args.network or "lenet"
+    )
+    shard_spec = ShardSpec.capture(
         bundle.model,
         pipeline.split.cut,
-        mean=np.zeros(channels, dtype=np.float32),
-        std=np.ones(channels, dtype=np.float32),
-        noise=collection,
+        replace(spec, noise=collection),
         base_seed=config.seed,
         workers=args.workers,
-        batch_window=args.batch_window,
-        batch_timeout=(
-            args.batch_timeout_ms / 1e3
-            if args.batch_timeout_ms is not None
-            else 0.0
-        ),
-        weight_bits=args.weight_bits,
         kernel_backend=args.kernel_backend,
-        shuffle=args.shuffle,
-        shuffle_seed=args.shuffle_seed,
-        channel={
-            "bandwidth_mbps": args.bandwidth_mbps,
-            "latency_ms": args.latency_ms,
-            "realtime": args.realtime_channel,
-        },
+        channel=_serve_channel(args),
     )
     images = bundle.test_set.images
     labels = bundle.test_set.labels
     requests = min(args.requests, len(images))
+    shape = args.trace or "poisson"
     trace = generate_trace(
         requests,
-        shape=args.trace,
-        mean_rate_rps=args.trace_rate,
+        shape=shape,
+        mean_rate_rps=2000.0 if args.trace_rate is None else args.trace_rate,
         seed=config.seed,
         n_users=1_000_000,
         zipf_exponent=1.1,
@@ -400,15 +401,15 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     stats = trace_stats(trace)
     stream = [images[i : i + 1] for i in range(requests)]
     print(
-        f"serving {requests} single-image requests from a {args.trace!r} "
+        f"serving {requests} single-image requests from a {shape!r} "
         f"trace ({stats['distinct_sessions']} distinct users, "
         f"{stats['mean_rate_rps']:.0f} req/s offered) across "
         f"{args.shards} shards x {args.workers} workers "
-        f"(window {args.batch_window}) ..."
+        f"(window {spec.batch_window}) ..."
     )
     slo = args.slo_ms / 1e3 if args.slo_ms is not None else None
     ids: list[int] = []
-    with ShardedServingEngine(spec, shards=args.shards) as engine:
+    with ShardedServingEngine(shard_spec, shards=args.shards) as engine:
         iterator = iter(stream)
 
         def submit(event) -> None:
@@ -443,65 +444,62 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from repro.edge import Channel
-    from repro.eval import build_pipeline, load_benchmark
+    from repro.serve import ControlPlane
 
-    if args.deployment:
-        if args.shards is not None:
-            raise ConfigurationError(
-                "--shards runs the single-deployment sharded plane; it "
-                "cannot be combined with --deployment"
-            )
-        return _cmd_serve_multi(args)
-    if args.shards is not None:
-        return _cmd_serve_sharded(args)
-    if args.autoscale is not None:
+    if args.deployment and args.shards is not None:
+        raise ConfigurationError(
+            "--shards runs the single-deployment sharded plane; it "
+            "cannot be combined with --deployment"
+        )
+    if args.autoscale is not None and not args.deployment:
         raise ConfigurationError(
             "--autoscale resizes the shared multi-deployment pool; use it "
             "with --deployment NAME=NET[:CUT]"
         )
+    if args.compare_sequential and (args.deployment or args.shards is not None):
+        raise ConfigurationError(
+            "--compare-sequential times the single-deployment plane; it "
+            "cannot be combined with --deployment or --shards"
+        )
+    if args.deployment and args.network is not None:
+        raise ConfigurationError(
+            "--network picks the single-deployment backbone; each "
+            "--deployment NAME=NET[:CUT] names its own"
+        )
+    if args.shards is None and (args.trace or args.trace_rate is not None):
+        raise ConfigurationError(
+            "--trace and --trace-rate shape the open-loop trace of the "
+            "sharded path; use them with --shards N"
+        )
+    spec = _serve_spec(args)
+    if args.deployment:
+        return _cmd_serve_multi(args, spec)
+    if args.shards is not None:
+        return _cmd_serve_sharded(args, spec)
 
-    config = _make_config(args)
-    bundle, benchmark = load_benchmark(args.network, config, verbose=True)
-    pipeline = build_pipeline(bundle, benchmark, config)
-    members = args.members or benchmark.n_members
-    print(f"training {members} noise tensors for {args.network} ...")
-    collection = pipeline.collect(members)
-
-    channel = Channel(
-        bandwidth_mbps=args.bandwidth_mbps,
-        latency_ms=args.latency_ms,
-        realtime=args.realtime_channel,
+    bundle, pipeline, collection = _serve_collection(
+        args, _make_config(args), args.network or "lenet"
     )
-    plane = pipeline.deploy(
-        collection,
-        batch_window=args.batch_window,
+    plane = ControlPlane(
         workers=args.workers,
-        batch_timeout=(
-            args.batch_timeout_ms / 1e3
-            if args.batch_timeout_ms is not None
-            else 0.005
-        ),
-        isolate_sessions=args.batch_policy == "isolate",
-        channel=channel,
-        quantize_bits=args.quantize_bits,
-        weight_bits=args.weight_bits,
+        channel=Channel(**_serve_channel(args)),
         kernel_backend=args.kernel_backend,
-        max_pending=args.max_pending,
-        admission_rate_rps=args.admission_rate,
-        shuffle=args.shuffle,
-        shuffle_seed=args.shuffle_seed,
+    )
+    deployment = pipeline.register_on(
+        plane, "default", replace(spec, noise=collection)
     )
     images = bundle.test_set.images
     labels = bundle.test_set.labels
     requests = min(args.requests, len(images))
-    deployment = plane.deployment()
     backend = deployment.device._executor.backend
     print(
         f"serving {requests} single-image requests through the control "
-        f"plane ({args.workers} workers, window {args.batch_window}, "
+        f"plane ({args.workers} workers, window {deployment.batch_window}, "
         f"{backend} kernels"
         + (f", SLO {args.slo_ms:g} ms" if args.slo_ms is not None else "")
         + (f", {args.quantize_bits}-bit wire" if args.quantize_bits else "")
@@ -543,7 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.compare_sequential:
         sequential = pipeline.deploy(
             collection, batched=False, kernel_backend=args.kernel_backend,
-            weight_bits=args.weight_bits,
+            weight_bits=spec.weight_bits,
         )
         start = time.perf_counter()
         for i in range(requests):
@@ -669,10 +667,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the batched split-inference serving runtime on test traffic",
     )
-    serve.add_argument("--network", default="lenet")
     serve.add_argument(
-        "--batch-window", type=int, default=8,
-        help="requests stacked per micro-batch (default 8)",
+        "--network", default=None,
+        help="backbone of the single-plane and --shards paths (default "
+        "lenet; each --deployment names its own)",
+    )
+    serve.add_argument(
+        "--batch-window", type=int, default=None,
+        help="requests stacked per micro-batch (default: the deployment "
+        "spec's)",
     )
     serve.add_argument(
         "--requests", type=int, default=64,
@@ -706,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-timeout-ms", type=float, default=None,
         help="longest the head request waits for its window to fill "
-        "(default 5 ms)",
+        "(default: the deployment spec's)",
     )
     serve.add_argument(
         "--realtime-channel", action="store_true",
@@ -767,13 +770,14 @@ def build_parser() -> argparse.ArgumentParser:
         "shard runs --workers cloud worker threads)",
     )
     serve.add_argument(
-        "--trace", choices=["poisson", "diurnal", "bursty"], default="poisson",
+        "--trace", choices=["poisson", "diurnal", "bursty"], default=None,
         help="arrival shape of the open-loop trace replayed against the "
         "sharded plane (with --shards; default poisson)",
     )
     serve.add_argument(
-        "--trace-rate", type=float, default=2000.0, metavar="RPS",
-        help="mean offered rate of the generated trace (with --shards)",
+        "--trace-rate", type=float, default=None, metavar="RPS",
+        help="mean offered rate of the generated trace (with --shards; "
+        "default 2000)",
     )
     serve.add_argument(
         "--autoscale", default=None, metavar="MIN:MAX",

@@ -24,7 +24,7 @@ Activations of the frozen local half are materialised through the shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,6 +47,11 @@ from repro.privacy.metrics import (
     estimate_leakage,
     information_loss_percent,
 )
+
+
+#: The :class:`repro.serve.DeploymentSpec` fields the sequential
+#: reference (``deploy(batched=False)``) honours.
+_SEQUENTIAL_FIELDS = ("noise", "model", "cut", "mean", "std", "rng", "weight_bits")
 
 
 @dataclass
@@ -297,126 +302,55 @@ class ShredderPipeline:
         noise: NoiseCollection | None = None,
         *,
         batched: bool = True,
-        batch_window: int = 8,
         workers: int = 1,
-        batch_timeout: float = 0.005,
-        deadline_aware: bool = True,
-        isolate_sessions: bool = False,
         channel: Channel | None = None,
-        quantize_bits: int | None = None,
-        weight_bits: int | None = None,
         kernel_backend: str = "auto",
-        rng: np.random.Generator | None = None,
-        max_pending: int | None = None,
-        admission_rate_rps: float | None = None,
-        shuffle: bool = False,
-        shuffle_seed: int | None = None,
+        **knobs,
     ):
-        """Stand up serving for this pipeline's split backbone.
+        """Stand up serving of ``noise`` (``None``: the privacy-free
+        baseline) for this pipeline's split backbone.
 
-        By default this returns a :class:`repro.serve.ControlPlane`
-        hosting one deployment, built from one
-        :class:`repro.serve.DeploymentSpec` exactly as :meth:`deploy_many`
-        builds each of its tenants: a request queue and batcher in front
-        of one stacked edge/cloud round trip per micro-batch, served by
-        ``workers`` cloud threads.  Every request method of the plane
-        (``submit``, ``infer_stream``, ``report_for``, ...) defaults to
-        that sole deployment.  ``batched=False`` returns the sequential
-        reference path (:class:`repro.edge.InferenceSession`), the oracle
-        the batched plane is tested against.  Both produce bit-identical
-        predictions on the same request stream when given identically
-        seeded generators.
-
-        The bundle's datasets are already normalised, so the device is
-        configured with identity normalisation.
-
-        Args:
-            noise: Trained collection (e.g. from :meth:`collect`); ``None``
-                deploys the privacy-free baseline.
-            batched: The batched plane, or the sequential path.
-            batch_window: Requests stacked per micro-batch.
-            workers: Cloud worker threads.
-            batch_timeout: Longest the head request waits for its window
-                to fill.
-            deadline_aware: Close windows on request SLO slack; ``False``
-                is the fixed-window policy.
-            isolate_sessions: Batch-composition policy: ``True`` never
-                mixes two sessions in one micro-batch (the mixing index
-                reads 0); default ``False`` (``mixed``).
-            channel: Link model (default: fast clean link).
-            quantize_bits: When set, calibrate an affine quantiser on the
-                held-out (noisy) activations and quantise each stacked
-                uplink payload once (batched only).
-            weight_bits: ``8`` serves every half on int8-quantised
-                weights (the opt-in ``int8_weights`` IR rewrite,
-                label-agreement-gated).  Available on both paths — the
-                sequential reference quantises identically, so parity
-                holds within the weight regime.
-            kernel_backend: Forward-executor backend for every half of the
-                deployment — ``"auto"`` (compiled C kernels when a system
-                compiler is available; the default), ``"native"``
-                (require them), or ``"numpy"``.  Both paths use the
-                selected backend, keeping batched / sequential parity
-                intact (see :mod:`repro.edge.executor`).
-            rng: Noise-sampling randomness; defaults to a config-derived
-                seed so deployments are reproducible.
-            max_pending / admission_rate_rps: Admission-control knobs
-                (batched only).  Over capacity the plane's ``submit``
-                raises a typed :class:`~repro.errors.AdmissionError`.
-            shuffle / shuffle_seed: Enable the seeded cross-session row
-                shuffling stage (batched only; see
-                :class:`repro.serve.scheduler.Shuffler`).  Parity is
-                preserved — the recorded inverse restores per-request
-                order bit-exactly.
+        ``knobs`` are :class:`repro.serve.DeploymentSpec` fields, where
+        every per-deployment knob is documented.  By default this returns
+        a :class:`repro.serve.ControlPlane` of ``workers`` cloud threads
+        over ``channel`` and ``kernel_backend`` kernels, hosting one
+        deployment, ``"default"``, registered as :meth:`deploy_many`
+        registers each tenant; every request method of the plane defaults
+        to it.  ``batched=False`` returns the sequential reference
+        (:class:`repro.edge.InferenceSession`), the oracle the plane is
+        tested against; it refuses the batching, admission, shuffling and
+        quantisation fields.  Both produce bit-identical predictions on
+        the same request stream when given identically seeded generators.
         """
         from repro.edge import InferenceSession
         from repro.serve import ControlPlane, DeploymentSpec
 
-        rng = rng or np.random.default_rng(self.config.child_seed("serving"))
-        if not batched:
-            if (
-                quantize_bits is not None
-                or shuffle
-                or workers != 1
-                or max_pending is not None
-                or admission_rate_rps is not None
-            ):
-                raise ConfigurationError(
-                    "quantize_bits / shuffle / workers / max_pending / "
-                    "admission_rate_rps are batched-serving features; "
-                    "deploy(batched=True) to use them"
-                )
-            channels = self.bundle.model.input_shape[0]
-            return InferenceSession(
-                self.bundle.model, self.split.cut,
-                np.zeros(channels, dtype=np.float32),
-                np.ones(channels, dtype=np.float32),
-                noise, channel=channel, rng=rng,
-                kernel_backend=kernel_backend, weight_bits=weight_bits,
+        spec = DeploymentSpec(noise=noise, **knobs)
+        if batched:
+            plane = ControlPlane(
+                workers=workers, channel=channel, kernel_backend=kernel_backend
             )
-        spec = DeploymentSpec(
-            noise=noise,
-            batch_window=batch_window,
-            batch_timeout=batch_timeout,
-            deadline_aware=deadline_aware,
-            isolate_sessions=isolate_sessions,
-            quantize_bits=quantize_bits,
-            weight_bits=weight_bits,
-            rng=rng,
-            max_pending=max_pending,
-            admission_rate_rps=admission_rate_rps,
-            shuffle=shuffle,
-            shuffle_seed=shuffle_seed,
+            try:
+                self.register_on(plane, "default", spec)
+            except BaseException:
+                plane.close()
+                raise
+            return plane
+        if workers != 1:
+            raise ConfigurationError(
+                "workers is a batched-serving feature; deploy(batched=True) "
+                "to use it"
+            )
+        spec.refuse(
+            [f.name for f in fields(spec) if f.name not in _SEQUENTIAL_FIELDS],
+            "is a batched-serving feature; deploy(batched=True) to use it",
         )
-        plane = ControlPlane(
-            workers=workers, channel=channel, kernel_backend=kernel_backend
+        model, cut, spec = self._resolve(spec)
+        return InferenceSession(
+            model, cut, *spec.normalisation(model.input_shape[0]), spec.noise,
+            channel=channel, rng=spec.rng,
+            kernel_backend=kernel_backend, weight_bits=spec.weight_bits,
         )
-        try:
-            self._register(plane, "default", spec)
-        except BaseException:
-            plane.close()
-            raise
-        return plane
 
     def deploy_many(
         self,
@@ -434,38 +368,17 @@ class ShredderPipeline:
 
         Each entry of ``deployments`` becomes a named tenant on a shared
         cloud worker pool (:class:`repro.serve.ControlPlane`): its own
-        noise collection, cut, batching window/policy, single-owner noise
+        noise collection, cut, batching policy, single-owner noise
         stream, and metrics — while every worker thread serves
         micro-batches from any of them through a per-deployment executor
         cache pre-warmed at registration.
 
-        Args:
-            deployments: ``{name: spec}`` where ``spec`` is a
-                :class:`repro.serve.DeploymentSpec`, a plain dict of its
-                fields, a bare :class:`~repro.core.sampler.NoiseCollection`
-                (all other knobs defaulted), or ``None`` (privacy-free
-                baseline deployment).  A spec's ``batch_window=None`` asks
-                the planner for the largest window meeting the spec's
-                ``target_slo_seconds`` at its ``arrival_rate_rps``
-                (per-deployment planner windows).
-            workers: Cloud worker threads shared by every deployment.
-            channel: Link prototype cloned per (worker, deployment).
-            kernel_backend: Default executor backend (specs may override;
-                one backend per deployment, as in :meth:`deploy`).
-            fault_injector: Optional crash-injection hook (see
-                :class:`repro.serve.ControlPlane`).
-            clock: Time source for scheduling/latency accounting.
-            max_workers: Elastic pool ceiling for
-                :meth:`~repro.serve.ControlPlane.scale_to` / healing /
-                the autoscaler (default: fixed at ``workers``).
-            auto_heal: Respawn crashed workers automatically during
-                crash recovery.
-
-        Specs may carry admission-control knobs (``max_pending``,
-        ``admission_rate_rps``, ``admission_burst``, ``shed_unmeetable``)
-        — over capacity, submissions to that deployment raise typed
-        :class:`~repro.errors.AdmissionError` /
-        :class:`~repro.errors.OverloadError`.
+        ``deployments`` maps each name to a
+        :class:`repro.serve.DeploymentSpec`, a plain dict of its fields,
+        a bare :class:`~repro.core.sampler.NoiseCollection` (all other
+        knobs defaulted), or ``None`` (privacy-free baseline).  The
+        keyword arguments are the plane's (see
+        :class:`repro.serve.ControlPlane`).
 
         Returns:
             The control plane with every deployment registered; route
@@ -497,32 +410,42 @@ class ShredderPipeline:
                         f"deployment {name!r}: expected a DeploymentSpec, "
                         f"dict, NoiseCollection, or None, got {type(raw).__name__}"
                     )
-                self._register(plane, name, spec, name)
+                self.register_on(plane, name, spec, name)
         except BaseException:
             # Never leak the worker pool when a late registration fails.
             plane.close()
             raise
         return plane
 
-    def _register(self, plane, name: str, spec, *seed_tags: object) -> None:
-        """Register one :class:`repro.serve.DeploymentSpec` on ``plane``.
+    def register_on(self, plane, name: str, spec, *seed_tags: object):
+        """Register ``spec`` as deployment ``name`` of ``plane``, resolving
+        the fields only a pipeline can (see :meth:`_resolve`); returns the
+        registered :class:`repro.serve.controlplane.Deployment`.
 
         ``seed_tags`` extend the config-derived noise and calibration
         seeds (``deploy_many`` passes the tenant name, so tenants draw
         decorrelated streams).
         """
+        return plane.register(name, *self._resolve(spec, *seed_tags))
+
+    def _resolve(self, spec, *seed_tags: object):
+        """``(model, cut, spec)`` with the pipeline-only fields resolved:
+        ``model`` and ``cut`` default to this pipeline's, ``quantize_bits``
+        becomes a ``quantization`` calibrated on the held-out (noisy)
+        activations, and ``rng`` defaults to a config-derived seed."""
         from repro.edge import calibrate
 
         model = spec.model or self.bundle.model
         cut = spec.cut or self.split.cut
-        quantization = None
+        quantization = spec.quantization
         if spec.quantize_bits is not None:
             if spec.model is not None or cut != self.split.cut:
                 raise ConfigurationError(
-                    f"deployment {name!r}: quantize_bits calibrates "
-                    "on this pipeline's held-out activations, so it "
-                    "requires the pipeline's own model and cut"
+                    "quantize_bits calibrates on this pipeline's held-out "
+                    "activations, so it requires the pipeline's own model "
+                    "and cut"
                 )
+            spec.refuse(("quantization",), "conflicts with quantize_bits")
             calibration = self.trainer.eval_activations
             if spec.noise is not None and len(spec.noise):
                 calibration = calibration + spec.noise.sample_batch(
@@ -532,32 +455,14 @@ class ShredderPipeline:
                     len(calibration),
                 )
             quantization = calibrate(calibration, bits=spec.quantize_bits)
-        rng = spec.rng or np.random.default_rng(
-            self.config.child_seed("serving", *seed_tags)
-        )
-        plane.register(
-            name,
-            model,
-            cut,
-            noise=spec.noise,
-            rng=rng,
-            batch_window=spec.batch_window,
-            max_rows=spec.max_rows,
-            batch_timeout=spec.batch_timeout,
-            deadline_aware=spec.deadline_aware,
-            isolate_sessions=spec.isolate_sessions,
-            quantization=quantization,
-            weight_bits=spec.weight_bits,
-            kernel_backend=spec.kernel_backend,
-            target_slo_seconds=spec.target_slo_seconds,
-            arrival_rate_rps=spec.arrival_rate_rps,
-            service_seconds_per_sample=spec.service_seconds_per_sample,
-            max_pending=spec.max_pending,
-            admission_rate_rps=spec.admission_rate_rps,
-            admission_burst=spec.admission_burst,
-            shed_unmeetable=spec.shed_unmeetable,
-            shuffle=spec.shuffle,
-            shuffle_seed=spec.shuffle_seed,
+        rng = spec.rng
+        if rng is None:
+            rng = np.random.default_rng(
+                self.config.child_seed("serving", *seed_tags)
+            )
+        return model, cut, replace(
+            spec, model=None, cut=None, quantize_bits=None,
+            quantization=quantization, rng=rng,
         )
 
     def run(

@@ -298,40 +298,3 @@ def plan_batch_window(
         per_request_wire_bytes=batched.wire_bytes,
     )
 
-
-def plan_deployment_windows(
-    deployments: dict[str, dict],
-    **shared,
-) -> dict[str, WindowPlan]:
-    """Size a batching window per named deployment of a control plane.
-
-    Multi-tenant serving wants *per-deployment* windows: each tenant has
-    its own cut (activation size → wire cost), arrival rate, and latency
-    SLO, so one shared window either starves tight-SLO tenants or wastes
-    occupancy on loose ones.  This walks :func:`plan_batch_window` once
-    per deployment and returns the plans keyed by deployment name —
-    exactly what :meth:`repro.core.ShredderPipeline.deploy_many` (or a
-    direct :class:`~repro.serve.controlplane.ControlPlane` registration
-    with ``batch_window=None``) consumes.
-
-    Args:
-        deployments: ``{name: kwargs}`` where each kwargs dict supplies
-            :func:`plan_batch_window` arguments (``model``, ``cut``,
-            ``target_slo_seconds``, ``arrival_rate_rps``, ...).
-        **shared: Defaults merged under every deployment's kwargs (e.g.
-            one ``channel`` or ``service_seconds_per_sample`` for all).
-    """
-    if not deployments:
-        raise ConfigurationError("need at least one deployment to plan for")
-    plans: dict[str, WindowPlan] = {}
-    for name, overrides in deployments.items():
-        kwargs = {**shared, **overrides}
-        missing = {"model", "cut"} - set(kwargs)
-        if missing:
-            raise ConfigurationError(
-                f"deployment {name!r}: planner needs {sorted(missing)}"
-            )
-        model = kwargs.pop("model")
-        cut = kwargs.pop("cut")
-        plans[name] = plan_batch_window(model, cut, **kwargs)
-    return plans

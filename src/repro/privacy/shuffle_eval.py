@@ -282,9 +282,10 @@ class ShuffleLeakageReport:
             :attr:`repro.serve.metrics.ServingMetrics.mixing_index`.
         mean_anonymity_set / min_anonymity_set: Distinct sessions per
             frame.
-        epsilon_amplified: :func:`amplified_epsilon` at the minimum
-            anonymity set (``None`` without an ``epsilon0``, or when the
-            configuration never shuffled a frame).
+        epsilon_amplified: The shuffled frames'
+            :meth:`~repro.serve.metrics.ServingMetrics.shuffle_amplification`
+            (``None`` without an ``epsilon0``, or when the configuration
+            never shuffled a frame).
         batches / rows: Tap volume.
     """
 
@@ -360,8 +361,8 @@ def evaluate_shuffle_leakage(
             and therefore every number in this report — is invariant to
             ``workers``.  The sweep exposes the axis so the invariance is
             measured, not assumed.
-        epsilon0 / delta: When given, report :func:`amplified_epsilon`
-            at the configuration's minimum anonymity set.
+        epsilon0 / delta: When given, report the amplified epsilon of
+            ``epsilon0``-LDP rows (see ``epsilon_amplified``).
     """
     if workers < 1:
         raise ConfigurationError(f"need >= 1 worker, got {workers}")
@@ -382,10 +383,14 @@ def evaluate_shuffle_leakage(
         shards=shards,
     )
 
+    from repro.serve.metrics import ServingMetrics
+
+    # Accounted as a live plane accounts its shuffled micro-batches, so
+    # a session's rows compose by the same rule.
+    shuffled = ServingMetrics()
     claimed: list = []
     true: list = []
     chance_weighted = 0.0
-    anonymity: list[int] = []
     mixing: list[float] = []
     observed_rows = []
     observed_indices: list[int] = []
@@ -406,7 +411,7 @@ def evaluate_shuffle_leakage(
         for session in frame.claimed_sessions:
             mixing.append((n - counts[session]) / n)
         if shuffle and n > 1:
-            anonymity.append(frame.anonymity_set)
+            shuffled.record_shuffle(frame.claimed_sessions, [1] * n)
         observed_rows.append(frame.rows)
         observed_indices.extend(frame.true_indices)
 
@@ -420,7 +425,7 @@ def evaluate_shuffle_leakage(
         np.asarray(observed_indices),
         k=min(5, len(activations)),
     )
-    min_anonymity = min(anonymity) if anonymity else None
+    anonymity = shuffled.anonymity_sets
     return ShuffleLeakageReport(
         positional_accuracy=float(np.mean(claimed_arr == true_arr)),
         positional_chance=chance_weighted / rows,
@@ -430,10 +435,10 @@ def evaluate_shuffle_leakage(
         reid_advantage=reid.advantage,
         mixing_index=(float(np.mean(mixing)) if mixing else None),
         mean_anonymity_set=(float(np.mean(anonymity)) if anonymity else None),
-        min_anonymity_set=min_anonymity,
+        min_anonymity_set=min(anonymity) if anonymity else None,
         epsilon_amplified=(
-            amplified_epsilon(epsilon0, min_anonymity, delta)
-            if epsilon0 is not None and min_anonymity is not None
+            shuffled.shuffle_amplification(epsilon0, delta)
+            if epsilon0 is not None
             else None
         ),
         batches=len(frames),

@@ -31,13 +31,11 @@ control plane, in three pieces:
   batch ever reached a worker: re-executing the pure cloud half on the
   same uplink bytes is deterministic.
 
-Batch composition is an explicit, measurable policy rather than an
-accident: micro-batches never span deployments (each deployment has its
-own batcher), and within a deployment the ``isolate_sessions`` knob picks
-between ``mixed`` batches (maximal occupancy) and single-session batches.
-Either way :attr:`ServingMetrics.mixing_index` reports the realised
-cross-user mixing — the fraction of batch rows a request shared its
-stacked activation with that belong to other sessions.
+Every per-deployment knob is one field of :class:`DeploymentSpec`.
+Micro-batches never span deployments (each deployment has its own
+batcher), and :attr:`ServingMetrics.mixing_index` reports the realised
+cross-user mixing within one — the fraction of batch rows a request
+shared its stacked activation with that belong to other sessions.
 
 :meth:`repro.core.ShredderPipeline.deploy` returns a one-deployment
 plane, the asyncio front-end (:mod:`repro.serve.aio`) drives a plane from
@@ -77,13 +75,8 @@ of invariant-preserving operations (all dispatcher-thread-only):
   old ``(model, cut, noise, stream)``, requests admitted *after* to a
   fresh reference over the new one — the drain barrier guarantees no
   request straddles the two regimes.
-* **Admission control** — deployments registered with ``max_pending`` /
-  ``admission_rate_rps`` / ``shed_unmeetable`` gate every submission
-  through an :class:`~repro.serve.admission.AdmissionController`; over
-  capacity the submit call raises a typed
-  :class:`~repro.errors.AdmissionError` or
-  :class:`~repro.errors.OverloadError` (429-style) instead of queueing
-  doomed work.  All rejection happens *at the front door*: once a
+* **Admission control** — a deployment's admission gate rejects typed
+  (429-style) at the front door instead of queueing doomed work: once a
   request is admitted it is served exactly once, in order,
   bit-identically — overload never drops admitted work.
 """
@@ -94,7 +87,7 @@ import math
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from queue import Empty, SimpleQueue
 from threading import Lock, Thread
 from typing import (
@@ -137,7 +130,7 @@ from repro.errors import (
 from repro.models.base import SplittableModel
 from repro.serve.admission import AdmissionController
 from repro.serve.metrics import ServingMetrics
-from repro.serve.queue import InferenceRequest, RequestQueue
+from repro.serve.queue import InferenceRequest, RequestQueue, stream_requests
 from repro.serve.scheduler import AdaptiveBatcher, BatchPermutation, Shuffler
 
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
@@ -154,65 +147,113 @@ class RequestHandle(NamedTuple):
 
 @dataclass(frozen=True)
 class DeploymentSpec:
-    """Declarative description of one deployment for ``deploy`` and
-    ``deploy_many``.
+    """Every per-deployment serving knob, declared once.
 
-    ``None`` fields fall back to the pipeline's (or the plane's) defaults.
+    :meth:`ControlPlane.register`, :meth:`repro.core.ShredderPipeline.deploy`
+    and ``deploy_many``, :meth:`repro.serve.shard.ShardSpec.capture` and
+    ``repro serve`` all take this spec (or keyword overrides of its
+    fields).  A layer that cannot honour a field it is given raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
 
     Attributes:
         noise: Trained collection; ``None`` serves the privacy-free
             baseline.
-        cut: Cut-point name (default: the pipeline's cut).
-        model: Backbone override (default: the pipeline's bundle model).
+        model / cut: Backbone and cut-point overrides a pipeline resolves
+            (default: its own); the plane and shards take both as
+            arguments instead.
+        mean / std: Per-channel input normalisation (default: identity).
+        rng: Noise-sampling randomness, a generator or an owned
+            :class:`~repro.core.sampler.NoiseStream` (default: fresh
+            entropy; a pipeline derives a seed from its config).
+        quantize_bits: Calibrate an affine uplink quantiser on the
+            pipeline's held-out (noisy) activations (pipeline only).
+        quantization: Affine-quantise each stacked uplink payload once.
+        weight_bits: ``8`` serves both halves on int8-quantised weights
+            (the opt-in ``int8_weights`` IR rewrite, label-agreement
+            gated); parity holds within a weight regime, never across.
+        channel: This deployment's link prototype (default: the plane's);
+            every worker serves over its own clone.
         batch_window: Requests per micro-batch; ``None`` asks the planner
-            to choose from ``target_slo_seconds`` / ``arrival_rate_rps``.
+            (:func:`~repro.edge.planner.plan_batch_window`) for the
+            largest window meeting ``target_slo_seconds`` at
+            ``arrival_rate_rps``.
         max_rows: Optional cap on stacked image rows per micro-batch.
         batch_timeout: Longest the head request waits for its window.
-        deadline_aware: Close windows on SLO slack (default) or fixed.
-        isolate_sessions: Batch-composition policy (``True`` = one session
-            per micro-batch; ``False`` = ``mixed``).
-        quantize_bits: Affine-quantise the stacked uplink payload
-            (pipeline deployments only — calibration needs the pipeline's
-            held-out activations).
-        weight_bits: ``8`` serves the deployment on int8-quantised weights
-            (opt-in ``int8_weights`` IR rewrite, label-agreement-gated);
-            the sequential reference must match — parity holds within a
-            weight regime, never across.
-        kernel_backend: Executor backend override (default: the plane's).
-        target_slo_seconds / arrival_rate_rps / service_seconds_per_sample:
-            Planner inputs used when ``batch_window`` is ``None``.
-        rng: Noise-sampling randomness (default: a config-derived seed).
+        deadline_aware: Close windows on request SLO slack (default) or
+            on a fixed window.
+        isolate_sessions: Batch-composition policy: ``True`` never mixes
+            two sessions in one micro-batch (the mixing index reads 0);
+            ``False`` is ``mixed``.
+        target_slo_seconds: Latency target of the planner and of the
+            autoscaler's SLO-pressure signal.
+        arrival_rate_rps / service_seconds_per_sample: Further planner
+            inputs (``batch_window=None`` only).
         max_pending / admission_rate_rps / admission_burst /
-        shed_unmeetable: Admission-control knobs (see
-            :class:`~repro.serve.admission.AdmissionController`); all
-            disabled by default.
-        shuffle / shuffle_seed: Enable the seeded cross-session row
-            shuffling stage (:class:`~repro.serve.scheduler.Shuffler`)
-            on closed micro-batches; the inverse permutation is recorded
-            so results restore to per-session order bit-exactly.
+        shed_unmeetable: Admission gate
+            (:class:`~repro.serve.admission.AdmissionController`): over
+            capacity, ``submit`` raises a typed
+            :class:`~repro.errors.AdmissionError` /
+            :class:`~repro.errors.OverloadError`.  All off by default.
+        shuffle / shuffle_seed: Permute every closed micro-batch's rows
+            across sessions before encoding
+            (:class:`~repro.serve.scheduler.Shuffler`, seed default 0);
+            the recorded inverse restores per-request order bit-exactly.
     """
 
     noise: NoiseCollection | None = None
-    cut: str | None = None
     model: SplittableModel | None = None
+    cut: str | None = None
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
+    rng: np.random.Generator | NoiseStream | None = None
+    quantize_bits: int | None = None
+    quantization: QuantizationParams | None = None
+    weight_bits: int | None = None
+    channel: Channel | None = None
     batch_window: int | None = 8
     max_rows: int | None = None
     batch_timeout: float = 0.005
     deadline_aware: bool = True
     isolate_sessions: bool = False
-    quantize_bits: int | None = None
-    weight_bits: int | None = None
-    kernel_backend: str | None = None
     target_slo_seconds: float | None = None
     arrival_rate_rps: float | None = None
     service_seconds_per_sample: float = 0.0
-    rng: np.random.Generator | None = None
     max_pending: int | None = None
     admission_rate_rps: float | None = None
     admission_burst: float | None = None
     shed_unmeetable: bool = False
     shuffle: bool = False
     shuffle_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch_window is not None:
+            self.refuse(
+                ("arrival_rate_rps", "service_seconds_per_sample"),
+                "is a planner input; it needs batch_window=None",
+            )
+        if self.admission_rate_rps is None:
+            self.refuse(("admission_burst",), "needs admission_rate_rps")
+        if not self.shuffle:
+            self.refuse(("shuffle_seed",), "needs shuffle=True")
+
+    def refuse(self, names: Sequence[str], reason: str) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` naming the
+        first of ``names`` this spec sets to a non-default value."""
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.name in names and not (
+                value is spec_field.default
+                or (spec_field.default is not None and value == spec_field.default)
+            ):
+                raise ConfigurationError(f"{spec_field.name} {reason}")
+
+    def normalisation(self, channels: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(mean, std)`` for ``channels`` input channels, identity
+        where unset."""
+        return (
+            np.zeros(channels, np.float32) if self.mean is None else self.mean,
+            np.ones(channels, np.float32) if self.std is None else self.std,
+        )
 
 
 @dataclass
@@ -227,20 +268,18 @@ class Deployment:
     name: str
     model: SplittableModel
     cut: str
+    #: The registered spec, its link prototype and normalisation filled in.
+    spec: DeploymentSpec
     device: EdgeDevice
     remote: object  # the remote Sequential; workers build servers from it
     queue: RequestQueue
     batcher: AdaptiveBatcher
     metrics: ServingMetrics
-    batch_window: int
-    kernel_backend: str
-    weight_bits: int | None
+    batch_window: int  # the spec's, or the planner's choice
     edge_kilomacs: float
     activation_shapes: list[tuple[int, ...]]
-    channel_prototype: Channel
     admission: AdmissionController | None = None
     shuffler: Shuffler | None = None
-    target_slo_seconds: float | None = None
     window_wire_seconds: float = 0.0
     channels: list[Channel] = field(default_factory=list)
     #: The per-session ordering gate (session requests only): results
@@ -359,8 +398,8 @@ class ControlPlane:
             :meth:`scale_to` moves it).
         channel: Link prototype; each (worker, deployment) pair serves
             over its own clone.  Default: fast clean link.
-        kernel_backend: Default executor backend for deployments that do
-            not override it.
+        kernel_backend: Executor backend of every deployment's edge and
+            cloud halves.
         fault_injector: Crash-injection hook for fault-tolerance testing:
             called as ``hook(worker_id, task)`` before a worker services a
             batch; returning ``True`` kills that worker (its context
@@ -435,57 +474,20 @@ class ControlPlane:
         name: str,
         model: SplittableModel,
         cut: str,
-        *,
-        mean: np.ndarray | None = None,
-        std: np.ndarray | None = None,
-        noise: NoiseCollection | None = None,
-        rng: np.random.Generator | NoiseStream | None = None,
-        batch_window: int | None = 8,
-        max_rows: int | None = None,
-        batch_timeout: float = 0.005,
-        deadline_aware: bool = True,
-        isolate_sessions: bool = False,
-        quantization: QuantizationParams | None = None,
-        weight_bits: int | None = None,
-        kernel_backend: str | None = None,
-        channel: Channel | None = None,
-        target_slo_seconds: float | None = None,
-        arrival_rate_rps: float | None = None,
-        service_seconds_per_sample: float = 0.0,
-        max_pending: int | None = None,
-        admission_rate_rps: float | None = None,
-        admission_burst: float | None = None,
-        shed_unmeetable: bool = False,
-        shuffle: bool = False,
-        shuffle_seed: int | None = None,
+        spec: DeploymentSpec | None = None,
+        /,
+        **overrides,
     ) -> Deployment:
-        """Register one named deployment and pre-warm every worker for it.
+        """Register ``spec`` (keyword ``overrides`` replace its fields) as
+        deployment ``name`` of ``model`` cut at ``cut``, and pre-warm
+        every worker for it.
 
-        A ``batch_window`` of ``None`` asks the planner for the largest
-        window meeting ``target_slo_seconds`` at ``arrival_rate_rps``
-        (:func:`repro.edge.planner.plan_batch_window`), so each deployment
-        can run its own planner-chosen window.
-
-        ``shuffle`` inserts the :class:`~repro.serve.scheduler.Shuffler`
-        stage: every closed micro-batch's stacked rows are permuted
-        across sessions under a seeded policy (``shuffle_seed``, default
-        0) before encoding, and the recorded inverse restores per-request
-        order at collection — bit parity with the sequential reference is
-        preserved while the wire frame's row order stops revealing which
-        session a row belongs to.  Shuffle-amplification accounting
-        (anonymity sets per shuffled batch) lands in the deployment's
-        :class:`~repro.serve.metrics.ServingMetrics`.
-
-        ``max_pending`` / ``admission_rate_rps`` / ``admission_burst`` /
-        ``shed_unmeetable`` install a per-deployment admission gate
-        (:class:`~repro.serve.admission.AdmissionController`): over
-        capacity, :meth:`submit` raises a typed
-        :class:`~repro.errors.AdmissionError` /
-        :class:`~repro.errors.OverloadError` instead of enqueueing.
-
-        Registration must happen while no micro-batch is in flight (it
-        re-equips every live worker context).
+        The spec's ``model``, ``cut`` and ``quantize_bits`` need a
+        pipeline to resolve them and are refused here.  Registration must
+        happen while no micro-batch is in flight (it re-equips every live
+        worker context).
         """
+        spec = replace(spec or DeploymentSpec(), **overrides)
         if self._closed:
             raise ConfigurationError("serving control plane is closed")
         if name in self.registry:
@@ -497,22 +499,22 @@ class ControlPlane:
                 "cannot register a deployment while micro-batches are in "
                 "flight; drain first"
             )
-        channels_count = model.input_shape[0]
-        if mean is None:
-            mean = np.zeros(channels_count, dtype=np.float32)
-        if std is None:
-            std = np.ones(channels_count, dtype=np.float32)
-        backend = kernel_backend or self.kernel_backend
-        prototype = channel or self._channel_prototype
+        spec.refuse(
+            ("model", "cut", "quantize_bits"),
+            "is resolved by a pipeline; register takes the model and cut "
+            "as arguments and a calibrated quantization",
+        )
+        channel = spec.channel or self._channel_prototype
         # Quantised uplinks shrink the wire working set; the planner
         # prices the window off the actual payload width.
         wire_bytes_per_element = (
-            float(quantization.bytes_per_element)
-            if quantization is not None
+            float(spec.quantization.bytes_per_element)
+            if spec.quantization is not None
             else BYTES_PER_ELEMENT
         )
+        batch_window = spec.batch_window
         if batch_window is None:
-            if target_slo_seconds is None or arrival_rate_rps is None:
+            if spec.target_slo_seconds is None or spec.arrival_rate_rps is None:
                 raise ConfigurationError(
                     f"deployment {name!r}: batch_window=None needs "
                     "target_slo_seconds and arrival_rate_rps for the planner"
@@ -520,46 +522,37 @@ class ControlPlane:
             batch_window = plan_batch_window(
                 model,
                 cut,
-                target_slo_seconds=target_slo_seconds,
-                arrival_rate_rps=arrival_rate_rps,
-                service_seconds_per_sample=service_seconds_per_sample,
-                channel=prototype,
+                target_slo_seconds=spec.target_slo_seconds,
+                arrival_rate_rps=spec.arrival_rate_rps,
+                service_seconds_per_sample=spec.service_seconds_per_sample,
+                channel=channel,
                 bytes_per_element=wire_bytes_per_element,
             ).window
-        local, remote = model.split(cut)
-        stream = rng if isinstance(rng, NoiseStream) else NoiseStream(rng)
-        device = EdgeDevice(
-            local, mean, std, noise, stream, quantization,
-            kernel_backend=backend,
-            weight_bits=weight_bits,
+        mean, std = spec.normalisation(model.input_shape[0])
+        spec = replace(spec, mean=mean, std=std, channel=channel)
+        device, remote, activation_shapes = self._split(
+            model, cut, spec, batch_window
         )
         queue = RequestQueue(clock=self._clock, image_shape=model.input_shape)
         batcher = AdaptiveBatcher(
             queue,
             batch_window,
-            max_rows=max_rows,
-            batch_timeout=batch_timeout,
-            deadline_aware=deadline_aware,
-            isolate_sessions=isolate_sessions,
+            max_rows=spec.max_rows,
+            batch_timeout=spec.batch_timeout,
+            deadline_aware=spec.deadline_aware,
+            isolate_sessions=spec.isolate_sessions,
         )
-        # Pre-size the edge executor for every batch geometry the window
-        # can produce (partial windows ship under deadline-aware closing,
-        # so sizes 1..batch_window all occur).
-        activation_shapes = [
-            device.warm((rows, *model.input_shape))
-            for rows in range(1, batch_window + 1)
-        ]
         admission = None
         if (
-            max_pending is not None
-            or admission_rate_rps is not None
-            or shed_unmeetable
+            spec.max_pending is not None
+            or spec.admission_rate_rps is not None
+            or spec.shed_unmeetable
         ):
             admission = AdmissionController(
-                max_pending=max_pending,
-                rate_rps=admission_rate_rps,
-                burst=admission_burst,
-                shed_unmeetable=shed_unmeetable,
+                max_pending=spec.max_pending,
+                rate_rps=spec.admission_rate_rps,
+                burst=spec.admission_burst,
+                shed_unmeetable=spec.shed_unmeetable,
                 clock=self._clock,
             )
         # One full window's wire time on this deployment's link — the
@@ -569,72 +562,112 @@ class ControlPlane:
             model,
             cut,
             batch_window,
-            arrival_rate_rps=arrival_rate_rps or 1.0,
-            service_seconds_per_sample=service_seconds_per_sample,
-            channel=prototype,
+            arrival_rate_rps=1.0,
+            service_seconds_per_sample=0.0,
+            channel=channel,
             bytes_per_element=wire_bytes_per_element,
         )[2]
         deployment = Deployment(
             name=name,
             model=model,
             cut=cut,
+            spec=spec,
             device=device,
             remote=remote,
             queue=queue,
             batcher=batcher,
             metrics=ServingMetrics(),
             batch_window=batch_window,
-            kernel_backend=backend,
-            weight_bits=weight_bits,
             edge_kilomacs=cut_cost(model, cut).kilomacs,
             activation_shapes=activation_shapes,
-            channel_prototype=prototype,
             admission=admission,
             shuffler=(
-                Shuffler(seed=0 if shuffle_seed is None else shuffle_seed)
-                if shuffle
+                Shuffler(seed=0 if spec.shuffle_seed is None else spec.shuffle_seed)
+                if spec.shuffle
                 else None
             ),
-            target_slo_seconds=target_slo_seconds,
             window_wire_seconds=window_wire_seconds,
         )
-        # Equip every live worker context with this deployment's executor
-        # and channel clone, pre-warmed.  Contexts are all parked in the
-        # pool (no flights in flight), so draining them is race-free.
         # The registry entry is added only once every context is equipped
         # — a mid-warm failure (e.g. kernel_backend="native" without a
         # compiler) must not leave a routable deployment that would
         # KeyError inside the workers.
+        self._equip_all(deployment)
+        self.registry.add(deployment)
+        return deployment
+
+    def _split(
+        self,
+        model: SplittableModel,
+        cut: str,
+        spec: DeploymentSpec,
+        batch_window: int,
+    ) -> tuple[EdgeDevice, object, list[tuple[int, ...]]]:
+        """The edge device, remote half and warm activation shapes of a
+        resolved spec (registration and :meth:`swap` both build here)."""
+        local, remote = model.split(cut)
+        device = EdgeDevice(
+            local, spec.mean, spec.std, spec.noise, spec.rng, spec.quantization,
+            kernel_backend=self.kernel_backend,
+            weight_bits=spec.weight_bits,
+        )
+        # Pre-size the edge executor for every batch geometry the window
+        # can produce (partial windows ship under deadline-aware closing,
+        # so sizes 1..batch_window all occur).
+        activation_shapes = [
+            device.warm((rows, *model.input_shape))
+            for rows in range(1, batch_window + 1)
+        ]
+        return device, remote, activation_shapes
+
+    def _equip_all(self, deployment: Deployment) -> None:
+        """Equip every live worker context for ``deployment``; on failure
+        each context gets its previous executor and link back.
+
+        Contexts are all parked in the pool (no flights in flight), so
+        draining them is race-free.
+        """
+        name = deployment.name
         contexts = [self._checkout_context() for _ in range(self.alive_workers)]
+        saved = [
+            (context, context.servers.get(name), context.channels.get(name))
+            for context in contexts
+        ]
         try:
             for context in contexts:
                 self._equip(context, deployment)
-            self.registry.add(deployment)
         except BaseException:
-            for context in contexts:
-                context.servers.pop(name, None)
-                context.channels.pop(name, None)
+            for context, server, channel in saved:
+                for slot, previous in (
+                    (context.servers, server), (context.channels, channel)
+                ):
+                    if previous is None:
+                        slot.pop(name, None)
+                    else:
+                        slot[name] = previous
             raise
         finally:
             for context in contexts:
                 self._contexts.put(context)
-        return deployment
 
     def _equip(self, context: _WorkerContext, deployment: Deployment) -> None:
-        """Give one worker context a pre-warmed executor + channel clone
-        for ``deployment`` (registration, healing, and pool growth all
-        funnel through here so every context is interchangeable)."""
+        """Give one worker context a pre-warmed executor (and, unless it
+        already has one, a channel clone) for ``deployment``.
+        Registration, swap, healing and pool growth all funnel through
+        here so every context is interchangeable; a swap keeps each
+        worker's link and its accumulated statistics."""
         server = CloudServer(
             deployment.remote,
-            deployment.kernel_backend,
-            weight_bits=deployment.weight_bits,
+            self.kernel_backend,
+            weight_bits=deployment.spec.weight_bits,
         )
         for shape in deployment.activation_shapes:
-            server.warm(shape, quantization=deployment.device.quantization)
+            server.warm(shape, quantization=deployment.spec.quantization)
         context.servers[deployment.name] = server
-        worker_channel = deployment.channel_prototype.clone()
-        context.channels[deployment.name] = worker_channel
-        deployment.channels.append(worker_channel)
+        if deployment.name not in context.channels:
+            worker_channel = deployment.spec.channel.clone()
+            context.channels[deployment.name] = worker_channel
+            deployment.channels.append(worker_channel)
 
     def _spawn(self) -> _WorkerContext:
         """Create, equip, and park one fresh worker context."""
@@ -851,39 +884,18 @@ class ControlPlane:
         slo_seconds: float | Sequence[float | None] | None = None,
         session_ids: Sequence[Hashable] | None = None,
     ) -> list[np.ndarray]:
-        """Submit a whole request stream, drain it, and return per-request
-        logits in submission order.
-
-        Args:
-            stream: Per-request image batches.
-            deployment: Target deployment (``None`` = the sole one).
-            slo_seconds: One SLO for every request (scalar) or one per
-                request (sequence, ``None`` entries = no SLO).
-            session_ids: Optional per-request session keys.
-        """
-        stream = list(stream)
-        if slo_seconds is None or np.isscalar(slo_seconds):
-            slos = [slo_seconds] * len(stream)
-        else:
-            slos = list(slo_seconds)
-            if len(slos) != len(stream):
-                raise ConfigurationError(
-                    f"{len(slos)} SLOs for {len(stream)} requests"
-                )
-        if session_ids is None:
-            sessions: list[Hashable] = [None] * len(stream)
-        else:
-            sessions = list(session_ids)
-            if len(sessions) != len(stream):
-                raise ConfigurationError(
-                    f"{len(sessions)} session ids for {len(stream)} requests"
-                )
+        """Submit a whole request stream to ``deployment`` (``None`` =
+        the sole one), drain it, and return per-request logits in
+        submission order (SLOs and session ids as for
+        :func:`~repro.serve.queue.stream_requests`)."""
         handles = [
             self.submit(
                 images, deployment=deployment, slo_seconds=slo,
                 session_id=session,
             )
-            for images, slo, session in zip(stream, slos, sessions)
+            for images, slo, session in stream_requests(
+                stream, slo_seconds, session_ids
+            )
         ]
         self.drain()
         return [self.result(handle) for handle in handles]
@@ -1093,69 +1105,35 @@ class ControlPlane:
         deployment = self.registry.get(name)
         delivered = self.drain_deployment(name, timeout=timeout)
         delivered.extend(self._quiesce(timeout=timeout))
-        new_model = model if model is not None else deployment.model
-        new_cut = cut if cut is not None else deployment.cut
-        new_noise = (
-            deployment.device.noise if noise is _UNSET else noise
-        )
-        if rng is None:
-            stream = deployment.device.noise_stream
-        elif isinstance(rng, NoiseStream):
-            stream = rng
-        else:
-            stream = NoiseStream(rng)
-        quantization = (
-            deployment.device.quantization
-            if model is None and cut is None
-            else None
-        )
-        local, remote = new_model.split(new_cut)
+        old = deployment.spec
         # The weight regime survives the swap: a new model's weights are
         # re-quantised from scratch by the fresh executors (the int8 code
         # planes live in the lowered programs, never in the deployment).
-        device = EdgeDevice(
-            local,
-            deployment.device.mean,
-            deployment.device.std,
-            new_noise,
-            stream,
-            quantization,
-            kernel_backend=deployment.kernel_backend,
-            weight_bits=deployment.weight_bits,
+        spec = replace(
+            old,
+            noise=old.noise if noise is _UNSET else noise,
+            rng=deployment.noise_stream if rng is None else rng,
+            quantization=(
+                old.quantization if model is None and cut is None else None
+            ),
         )
-        activation_shapes = [
-            device.warm((rows, *new_model.input_shape))
-            for rows in range(1, deployment.batch_window + 1)
-        ]
-        contexts = [self._checkout_context() for _ in range(self.alive_workers)]
-        saved = [(context, context.servers.get(name)) for context in contexts]
+        model = model if model is not None else deployment.model
+        cut = cut if cut is not None else deployment.cut
+        swapped = ("model", "cut", "spec", "device", "remote", "activation_shapes")
+        parts = (model, cut, spec) + self._split(
+            model, cut, spec, deployment.batch_window
+        )
+        before = [getattr(deployment, attribute) for attribute in swapped]
+        for attribute, value in zip(swapped, parts):
+            setattr(deployment, attribute, value)
         try:
-            for context in contexts:
-                server = CloudServer(
-                    remote,
-                    deployment.kernel_backend,
-                    weight_bits=deployment.weight_bits,
-                )
-                for shape in activation_shapes:
-                    server.warm(shape, quantization=quantization)
-                # The channel clone survives the swap: same link, and its
-                # accumulated statistics stay with the deployment.
-                context.servers[name] = server
+            self._equip_all(deployment)
         except BaseException:
-            for context, old_server in saved:
-                if old_server is not None:
-                    context.servers[name] = old_server
+            for attribute, value in zip(swapped, before):
+                setattr(deployment, attribute, value)
             raise
-        finally:
-            for context in contexts:
-                self._contexts.put(context)
-        deployment.model = new_model
-        deployment.queue.image_shape = tuple(new_model.input_shape)
-        deployment.cut = new_cut
-        deployment.device = device
-        deployment.remote = remote
-        deployment.activation_shapes = activation_shapes
-        deployment.edge_kilomacs = cut_cost(new_model, new_cut).kilomacs
+        deployment.queue.image_shape = tuple(model.input_shape)
+        deployment.edge_kilomacs = cut_cost(model, cut).kilomacs
         return delivered
 
     def unregister(
@@ -1663,12 +1641,12 @@ class Autoscaler:
             )
             backlog_batches += queued_batches
             if (
-                deployment.target_slo_seconds is not None
+                deployment.spec.target_slo_seconds is not None
                 and queued_batches
                 and per_batch > 0.0
             ):
                 predicted = per_batch * math.ceil(queued_batches / max(1, alive))
-                if predicted > deployment.target_slo_seconds:
+                if predicted > deployment.spec.target_slo_seconds:
                     slo_pressure = True
         target = alive
         reason = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,6 +113,35 @@ def request_images(
             f"a latency SLO must be positive, got {slo_seconds}"
         )
     return images
+
+
+def stream_requests(
+    stream: Iterable[np.ndarray],
+    slo_seconds: float | Sequence[float | None] | None = None,
+    session_ids: Sequence[Hashable] | None = None,
+) -> list[tuple[np.ndarray, float | None, Hashable | None]]:
+    """Pair every request of a stream with its SLO and session id.
+
+    ``slo_seconds`` is one SLO for every request (a scalar or ``None``)
+    or one per request (``None`` entries = no SLO); ``session_ids`` is
+    ``None`` or one key per request.
+
+    Raises:
+        ConfigurationError: A per-request sequence whose length is not
+            the stream's.
+    """
+    stream = list(stream)
+    if slo_seconds is None or np.isscalar(slo_seconds):
+        slos = [slo_seconds] * len(stream)
+    else:
+        slos = list(slo_seconds)
+    sessions = [None] * len(stream) if session_ids is None else list(session_ids)
+    for what, values in (("SLOs", slos), ("session ids", sessions)):
+        if len(values) != len(stream):
+            raise ConfigurationError(
+                f"{len(values)} {what} for {len(stream)} requests"
+            )
+    return list(zip(stream, slos, sessions))
 
 
 class RequestQueue:

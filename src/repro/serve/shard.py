@@ -49,7 +49,7 @@ import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -63,9 +63,9 @@ from repro.edge.protocol import (
     encode_prediction_batch,
 )
 from repro.errors import ConfigurationError, ShardCrashError
-from repro.serve.controlplane import RequestHandle
+from repro.serve.controlplane import DeploymentSpec, RequestHandle
 from repro.serve.metrics import ServingMetrics
-from repro.serve.queue import request_images
+from repro.serve.queue import request_images, stream_requests
 from repro.serve.transport import SocketTransport
 
 # ----------------------------------------------------------------------
@@ -137,8 +137,10 @@ def shard_seed(base_seed: int, shard_index: int) -> int:
 class ShardSpec:
     """Plain-data recipe a shard subprocess rebuilds its plane from.
 
-    Every field is arrays, strings, or numbers — never a live model,
-    channel, executor, or socket — so the spec pickles identically under
+    Every field is arrays, strings, numbers or a plain-data
+    :class:`~repro.serve.controlplane.DeploymentSpec` (its fields a shard
+    cannot honour are refused) — never a live model, channel, executor,
+    noise stream or socket — so the spec pickles identically under
     ``fork`` and ``spawn``.  Build one with :meth:`capture`.
     """
 
@@ -146,99 +148,86 @@ class ShardSpec:
     width: float
     model_state: dict[str, np.ndarray]
     cut: str
-    mean: np.ndarray
-    std: np.ndarray
     noise_tensors: np.ndarray | None  # (members, *activation_shape)
+    deployment: DeploymentSpec = field(default_factory=DeploymentSpec)
     base_seed: int = 7
     workers: int = 1
-    batch_window: int = 8
-    max_rows: int | None = None
-    batch_timeout: float = 0.0
-    deadline_aware: bool = True
-    isolate_sessions: bool = False
-    quantization: tuple[float, int, int] | None = None
-    weight_bits: int | None = None
     kernel_backend: str = "auto"
-    shuffle: bool = False
-    shuffle_seed: int | None = None
     channel: dict = field(default_factory=dict)  # Channel(**channel) kwargs
 
-    _LIVE_TYPES = ("Channel", "NoiseStream", "ControlPlane")
-
     def __post_init__(self) -> None:
-        for name, value in (
-            ("channel", self.channel),
-            ("quantization", self.quantization),
-        ):
-            if type(value).__name__ in self._LIVE_TYPES:
-                raise ConfigurationError(
-                    f"ShardSpec.{name} must be plain data, got a live "
-                    f"{type(value).__name__}; pass its parameters instead"
-                )
         if self.channel and not isinstance(self.channel, dict):
             raise ConfigurationError(
-                "ShardSpec.channel must be a dict of Channel kwargs "
-                f"(got {type(self.channel).__name__})"
+                "ShardSpec.channel must be plain data, a dict of Channel "
+                f"kwargs (got {type(self.channel).__name__})"
             )
         if self.workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {self.workers}")
+        self.deployment.refuse(
+            ("model", "cut", "noise", "rng", "channel", "quantize_bits"),
+            "cannot reach a shard process: capture takes the model and cut "
+            "(and stores the noise as tensors), a calibrated quantization "
+            "and channel kwargs, and each shard seeds its noise from "
+            "base_seed",
+        )
+        self.deployment.refuse(
+            ("max_pending", "admission_rate_rps", "admission_burst",
+             "shed_unmeetable"),
+            "is not served by shards: the sharded parent has no admission "
+            "gate",
+        )
 
     @classmethod
     def capture(
         cls,
         model,
         cut: str,
+        spec: DeploymentSpec | None = None,
+        /,
         *,
-        mean: np.ndarray,
-        std: np.ndarray,
-        noise=None,
         width: float | None = None,
         base_seed: int = 7,
+        workers: int = 1,
+        kernel_backend: str = "auto",
         channel: dict | None = None,
-        quantization=None,
-        **knobs,
+        **overrides,
     ) -> "ShardSpec":
-        """Serialise a live ``(model, cut, noise)`` deployment to plain data.
+        """Serialise a live deployment of ``spec`` (keyword ``overrides``
+        replace its fields) to plain data.
 
         Args:
             model: A :class:`~repro.models.SplittableModel` (its name and
                 state dict are captured; the live object stays behind).
-            noise: A :class:`~repro.core.NoiseCollection` or ``None``.
+            cut: The cut point every shard serves.
+            spec: The deployment; its noise collection travels as member
+                tensors.
             width: Channel-width multiplier the model was built with;
                 defaults to the current scale's default.
-            channel: ``Channel`` constructor kwargs (never the object).
-            quantization: A ``QuantizationParams`` or ``(scale, zero
-                point, bits)`` tuple.
-            knobs: Remaining :class:`ShardSpec` fields (workers,
-                batch_window, ...).
+            base_seed / workers / kernel_backend / channel: The shard
+                planes' fields (``channel`` is ``Channel`` kwargs, never
+                the object).
         """
         from repro.config import get_scale
         from repro.models import default_width
 
+        spec = replace(spec or DeploymentSpec(), **overrides)
         if width is None:
             width = default_width(get_scale())
         state = {k: np.asarray(v).copy() for k, v in model.state_dict().items()}
         tensors = None
-        if noise is not None:
-            tensors = np.stack([s.tensor for s in noise.samples])
-        if quantization is not None and not isinstance(quantization, tuple):
-            quantization = (
-                float(quantization.scale),
-                int(quantization.zero_point),
-                int(quantization.bits),
-            )
+        if spec.noise is not None:
+            tensors = np.stack([s.tensor for s in spec.noise.samples])
         return cls(
             model_name=model.model_name,
             width=float(width),
             model_state=state,
             cut=cut,
-            mean=np.asarray(mean, dtype=np.float32).copy(),
-            std=np.asarray(std, dtype=np.float32).copy(),
             noise_tensors=tensors,
+            deployment=replace(spec, noise=None),
             base_seed=base_seed,
+            workers=workers,
+            kernel_backend=kernel_backend,
             channel=channel if channel is not None else {},
-            quantization=quantization,
-            **knobs,
         )
 
     def _model(self):
@@ -263,19 +252,15 @@ class ShardSpec:
             noise.add(tensor, accuracy=0.0, in_vivo_privacy=0.0)
         return noise
 
+    def _rng(self, shard_index: int) -> np.random.Generator:
+        return np.random.default_rng(shard_seed(self.base_seed, shard_index))
+
     def build_engine(self, shard_index: int):
         """Reconstruct this shard's one-deployment
         :class:`~repro.serve.controlplane.ControlPlane` (child side)."""
         from repro.edge.channel import Channel
-        from repro.edge.quantization import QuantizationParams
         from repro.serve.controlplane import ControlPlane
 
-        quantization = None
-        if self.quantization is not None:
-            scale, zero_point, bits = self.quantization
-            quantization = QuantizationParams(
-                scale=scale, zero_point=zero_point, bits=bits
-            )
         plane = ControlPlane(
             workers=self.workers,
             channel=Channel(**self.channel) if self.channel else None,
@@ -283,24 +268,8 @@ class ShardSpec:
         )
         try:
             plane.register(
-                self.model_name,
-                self._model(),
-                self.cut,
-                mean=self.mean,
-                std=self.std,
-                noise=self._noise(),
-                rng=np.random.default_rng(
-                    shard_seed(self.base_seed, shard_index)
-                ),
-                batch_window=self.batch_window,
-                max_rows=self.max_rows,
-                batch_timeout=self.batch_timeout,
-                deadline_aware=self.deadline_aware,
-                isolate_sessions=self.isolate_sessions,
-                quantization=quantization,
-                weight_bits=self.weight_bits,
-                shuffle=self.shuffle,
-                shuffle_seed=self.shuffle_seed,
+                self.model_name, self._model(), self.cut, self.deployment,
+                noise=self._noise(), rng=self._rng(shard_index),
             )
         except BaseException:
             plane.close()
@@ -316,15 +285,15 @@ class ShardSpec:
         """
         from repro.edge.device import InferenceSession
 
+        model = self._model()
         return InferenceSession(
-            self._model(),
+            model,
             self.cut,
-            self.mean,
-            self.std,
+            *self.deployment.normalisation(model.input_shape[0]),
             noise=self._noise(),
-            rng=np.random.default_rng(shard_seed(self.base_seed, shard_index)),
+            rng=self._rng(shard_index),
             kernel_backend=self.kernel_backend,
-            weight_bits=self.weight_bits,
+            weight_bits=self.deployment.weight_bits,
         )
 
 
@@ -387,8 +356,8 @@ def _shard_main(
     # once the inbound side has been quiet for a grace period: flushing
     # on every momentary socket gap would dispatch fragment batches,
     # each paying a full wire round-trip on latency-bound channels.
-    high_watermark = 4 * max(1, spec.batch_window)
-    idle_flush = max(spec.batch_timeout, 0.002)
+    high_watermark = 4 * max(1, plane.deployment().batch_window)
+    idle_flush = max(spec.deployment.batch_timeout, 0.002)
     unpumped = 0
     last_rx = time.monotonic()
 
@@ -528,7 +497,7 @@ class ShardedServingEngine:
         self._image_shape: tuple[int, ...] | None = None  # from each HELLO
         self.n_shards = shards
         self.auto_heal = auto_heal
-        self.coalesce = coalesce or max(1, spec.batch_window)
+        self.coalesce = coalesce or max(1, spec.deployment.batch_window or 1)
         self.respawned_shards = 0
         self._spawn_timeout = spawn_timeout
         self._ctx = multiprocessing.get_context(start_method)
@@ -844,19 +813,13 @@ class ShardedServingEngine:
         slo_seconds: float | Sequence[float | None] | None = None,
         session_ids: Sequence[Hashable] | None = None,
     ) -> list[np.ndarray]:
-        """Submit a whole stream, drain it, return logits in order."""
-        stream = list(stream)
-        if slo_seconds is None or np.isscalar(slo_seconds):
-            slos: list = [slo_seconds] * len(stream)
-        else:
-            slos = list(slo_seconds)
-        if session_ids is None:
-            sessions: list = [None] * len(stream)
-        else:
-            sessions = list(session_ids)
+        """Submit a whole stream, drain it, return logits in order
+        (arguments as for :meth:`ControlPlane.infer_stream`)."""
         ids = [
             self.submit(images, slo_seconds=slo, session_id=session)
-            for images, slo, session in zip(stream, slos, sessions)
+            for images, slo, session in stream_requests(
+                stream, slo_seconds, session_ids
+            )
         ]
         self.drain()
         return [self.result(request_id) for request_id in ids]

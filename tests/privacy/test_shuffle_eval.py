@@ -289,18 +289,32 @@ class TestEvaluator:
         assert one == eight
 
     def test_amplification_reported_at_min_anonymity(self, stream):
+        """Two of the six sessions put 2 rows in every window-8 frame, and
+        a session's rows compose before amplification (the rule
+        ``ServingMetrics.shuffle_amplification`` applies to a live plane)."""
         activations, sessions = stream
         report = evaluate_shuffle_leakage(
             activations, sessions, batch_window=8, shuffle=True, epsilon0=1.0
         )
         assert report.min_anonymity_set is not None
         assert report.epsilon_amplified == amplified_epsilon(
-            1.0, report.min_anonymity_set
+            2.0, report.min_anonymity_set
         )
         unshuffled = evaluate_shuffle_leakage(
             activations, sessions, batch_window=8, epsilon0=1.0
         )
         assert unshuffled.epsilon_amplified is None
+
+    def test_amplification_per_row_with_one_row_per_session(self, stream):
+        """With one row per session per frame nothing composes, so the
+        figure is the per-row bound at the minimum anonymity set."""
+        activations, _ = stream
+        sessions = [f"user-{i}" for i in range(len(activations))]
+        report = evaluate_shuffle_leakage(
+            activations, sessions, batch_window=8, shuffle=True, epsilon0=1.0
+        )
+        assert report.min_anonymity_set == 8
+        assert report.epsilon_amplified == amplified_epsilon(1.0, 8)
 
     def test_report_is_json_ready(self, stream):
         import json

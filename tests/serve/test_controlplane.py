@@ -40,7 +40,7 @@ import pytest
 
 from repro.config import TINY, Config
 from repro.core import NoiseCollection, ShredderPipeline, SplitInferenceModel
-from repro.edge import Channel, InferenceSession, plan_deployment_windows
+from repro.edge import Channel, InferenceSession, plan_batch_window
 from repro.errors import (
     ConfigurationError,
     ServingFaultError,
@@ -682,19 +682,31 @@ class TestDeployMany:
             pipeline.deploy_many({"x": 42})
 
     def test_planner_windows_per_deployment(self, bundle):
+        """Two planned deployments of one plane each get the planner's
+        window for their own SLO."""
         cut = bundle.model.last_conv_cut()
-        plans = plan_deployment_windows(
-            {
-                "tight": {"target_slo_seconds": 0.030, "arrival_rate_rps": 500.0},
-                "loose": {"target_slo_seconds": 0.500, "arrival_rate_rps": 500.0},
-            },
-            model=bundle.model,
-            cut=cut,
+        planned = DeploymentSpec(
+            batch_window=None,
+            arrival_rate_rps=500.0,
             service_seconds_per_sample=1e-4,
         )
-        assert set(plans) == {"tight", "loose"}
-        assert plans["tight"].window <= plans["loose"].window
-        assert plans["loose"].feasible
+        with ControlPlane() as plane:
+            tight = plane.register(
+                "tight", bundle.model, cut, planned, target_slo_seconds=0.030
+            )
+            loose = plane.register(
+                "loose", bundle.model, cut, planned, target_slo_seconds=0.500
+            )
+        assert tight.batch_window <= loose.batch_window
+        plan = plan_batch_window(
+            bundle.model,
+            cut,
+            target_slo_seconds=0.500,
+            arrival_rate_rps=500.0,
+            service_seconds_per_sample=1e-4,
+        )
+        assert plan.feasible
+        assert loose.batch_window == plan.window
 
 
 class _StepClock:

@@ -278,7 +278,7 @@ class TestQuantizedServing:
         )
         stream = _single_image_stream(lenet_module_bundle, 7)
         deployment = batched.deployment()
-        server = CloudServer(deployment.remote, deployment.kernel_backend)
+        server = CloudServer(deployment.remote, batched.kernel_backend)
         # Reference: run the sequential device, quantise each request's
         # activation as its own single-request frame, and push the codes
         # through the quantised server path one request at a time.

@@ -20,6 +20,7 @@ stream seed, ``REPRO_SERVE_SHARDS`` adds a shard count,
 ``REPRO_SERVE_FAULT=1`` enables the kill legs.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -29,10 +30,14 @@ import numpy as np
 import pytest
 
 from repro.config import TINY, Config
-from repro.core import NoiseCollection, SplitInferenceModel
+from repro.core import NoiseCollection, ShredderPipeline, SplitInferenceModel
 from repro.edge import Channel
+from repro.edge.costs import cut_cost
+from repro.edge.quantization import QuantizationParams
 from repro.errors import ConfigurationError
 from repro.serve import (
+    ControlPlane,
+    DeploymentSpec,
     ShardSpec,
     ShardedServingEngine,
     generate_trace,
@@ -79,6 +84,7 @@ def spec(bundle, collection):
         base_seed=7,
         workers=1,
         batch_window=4,
+        batch_timeout=0.0,
         kernel_backend="numpy",
     )
 
@@ -182,12 +188,13 @@ class TestShuffledShardSpec:
             noise=collection,
             base_seed=7,
             batch_window=4,
+            batch_timeout=0.0,
             kernel_backend="numpy",
             shuffle=True,
             shuffle_seed=9,
         )
         spec = replace(base)  # still plain data; dataclass ops work
-        assert spec.shuffle and spec.shuffle_seed == 9
+        assert spec.deployment.shuffle and spec.deployment.shuffle_seed == 9
         stream, _, sessions = _random_stream(
             bundle, np.random.default_rng(13), 8
         )
@@ -244,6 +251,150 @@ class TestSpawnSafety:
         expected = _reference_outputs(spec, 2, stream, sessions)
         for a, b in zip(actual, expected):
             np.testing.assert_array_equal(a, b)
+
+
+def _field_values(bundle, collection):
+    """One non-default value for every :class:`DeploymentSpec` field."""
+    from repro.models import build_model
+
+    wider = build_model("lenet", np.random.default_rng(3), width=2.0)
+    return {
+        "noise": collection,
+        "model": wider,
+        "cut": bundle.model.cut_names()[0],
+        "mean": np.full(1, 0.25, np.float32),
+        "std": np.full(1, 2.0, np.float32),
+        "rng": np.random.default_rng(5),
+        "quantize_bits": 8,
+        "quantization": QuantizationParams(scale=0.05, zero_point=128, bits=8),
+        "weight_bits": 8,
+        "channel": Channel(latency_ms=1.0),
+        "batch_window": 3,
+        "max_rows": 5,
+        "batch_timeout": 0.0,
+        "deadline_aware": False,
+        "isolate_sessions": True,
+        "target_slo_seconds": 0.25,
+        "arrival_rate_rps": 100.0,
+        "service_seconds_per_sample": 1e-4,
+        "max_pending": 3,
+        "admission_rate_rps": 50.0,
+        "admission_burst": 4.0,
+        "shed_unmeetable": True,
+        "shuffle": True,
+        "shuffle_seed": 9,
+    }
+
+
+def _member_tensors(noise):
+    return np.stack([sample.tensor for sample in noise.samples])
+
+
+#: How a plane deployment (registered directly, or rebuilt in a shard)
+#: shows each field it honours.
+_DEPLOYMENT_PROBES = {
+    "noise": lambda d, v: np.array_equal(
+        _member_tensors(d.device.noise), _member_tensors(v)
+    ),
+    "mean": lambda d, v: np.array_equal(d.device.mean, v),
+    "std": lambda d, v: np.array_equal(d.device.std, v),
+    "rng": lambda d, v: d.noise_stream.acquire() is v,
+    "quantization": lambda d, v: d.device.quantization == v,
+    "weight_bits": lambda d, v: d.device._executor.weight_bits == v,
+    "channel": lambda d, v: all(c.latency_ms == v.latency_ms for c in d.channels),
+    "batch_window": lambda d, v: d.batch_window == d.batcher.batch_window == v,
+    "max_rows": lambda d, v: d.batcher.max_rows == v,
+    "batch_timeout": lambda d, v: d.batcher.batch_timeout == v,
+    "deadline_aware": lambda d, v: d.batcher.deadline_aware == v,
+    "isolate_sessions": lambda d, v: d.batcher.isolate_sessions == v,
+    "target_slo_seconds": lambda d, v: d.spec.target_slo_seconds == v,
+    "max_pending": lambda d, v: d.admission.max_pending == v,
+    "admission_rate_rps": lambda d, v: d.admission.bucket.rate_rps == v,
+    "shed_unmeetable": lambda d, v: d.admission.shed_unmeetable == v,
+    "shuffle": lambda d, v: (d.shuffler is not None) == v,
+}
+
+#: How the sequential reference (``deploy(batched=False)``) shows them.
+_SESSION_PROBES = {
+    "noise": lambda s, v: s.device.noise is v,
+    "model": lambda s, v: s.report().edge_kilomacs_per_sample
+    == cut_cost(v, s.cut).kilomacs,
+    "cut": lambda s, v: s.cut == v,
+    "mean": lambda s, v: np.array_equal(s.device.mean, v),
+    "std": lambda s, v: np.array_equal(s.device.std, v),
+    "rng": lambda s, v: s.device.noise_stream.acquire() is v,
+    "weight_bits": lambda s, v: s.device._executor.weight_bits
+    == s.server._executor.weight_bits == v,
+    "channel": lambda s, v: s.channel is v,
+}
+
+
+class TestDeclaredOnce:
+    """Every :class:`DeploymentSpec` field reaches each entry point that
+    takes a spec: the built deployment reflects the value, or the call
+    raises a :class:`ConfigurationError` naming the field.  A new field
+    fails here until it has a value below and each entry point honours
+    or refuses it."""
+
+    FIELDS = [spec_field.name for spec_field in dataclasses.fields(DeploymentSpec)]
+
+    @staticmethod
+    def _honoured_or_refused(build, probes, name, value):
+        try:
+            built = build()
+        except ConfigurationError as error:
+            assert str(error).split()[0] == name, (
+                f"refusal does not name {name}: {error}"
+            )
+            return
+        assert name in probes, f"{name} was neither honoured nor refused"
+        assert probes[name](built, value), f"{name} was dropped"
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_register(self, bundle, collection, name):
+        value = _field_values(bundle, collection)[name]
+        with ControlPlane(kernel_backend="numpy") as plane:
+            self._honoured_or_refused(
+                lambda: plane.register(
+                    "d", bundle.model, bundle.model.last_conv_cut(),
+                    **{name: value},
+                ),
+                _DEPLOYMENT_PROBES,
+                name,
+                value,
+            )
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_shard_spec(self, bundle, collection, name):
+        value = _field_values(bundle, collection)[name]
+        planes = []
+
+        def build():
+            spec = ShardSpec.capture(
+                bundle.model, bundle.model.last_conv_cut(),
+                DeploymentSpec(**{name: value}), kernel_backend="numpy",
+            )
+            planes.append(spec.build_engine(0))
+            return planes[0].deployment()
+
+        try:
+            self._honoured_or_refused(build, _DEPLOYMENT_PROBES, name, value)
+        finally:
+            for plane in planes:
+                plane.close()
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_sequential_deploy(self, bundle, collection, name):
+        value = _field_values(bundle, collection)[name]
+        pipeline = ShredderPipeline(bundle, config=Config(scale=TINY))
+        self._honoured_or_refused(
+            lambda: pipeline.deploy(
+                batched=False, kernel_backend="numpy", **{name: value}
+            ),
+            _SESSION_PROBES,
+            name,
+            value,
+        )
 
 
 class TestShardedParity:
@@ -326,6 +477,20 @@ class TestShardedParity:
         expected = _reference_outputs(spec, 1, stream, ["s"] * 4)
         for a, b in zip(actual, expected):
             np.testing.assert_array_equal(a, b)
+
+    def test_stream_argument_lengths_are_checked(self, bundle, spec):
+        """A per-request SLO or session list of the wrong length is
+        refused before anything is submitted, as on the plane."""
+        images = bundle.test_set.images
+        stream = [images[i : i + 1] for i in range(6)]
+        with ShardedServingEngine(spec, shards=1, start_method="fork") as engine:
+            with pytest.raises(
+                ConfigurationError, match="2 session ids for 6 requests"
+            ):
+                engine.infer_stream(stream, session_ids=["a", "b"])
+            with pytest.raises(ConfigurationError, match="3 SLOs for 6 requests"):
+                engine.infer_stream(stream, slo_seconds=[0.1, None, 0.2])
+            assert engine.outstanding == 0
 
     def test_merged_metrics_cover_all_shards(self, bundle, spec):
         stream, _, sessions = _random_stream(bundle, np.random.default_rng(2), 8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 class TestParser:
@@ -129,3 +130,62 @@ class TestNewCommands:
         assert len(collection) == 2
         fitted = FittedNoiseDistribution.load(tmp_path / "collection.laplace.npz")
         assert fitted.family == "laplace"
+
+
+def _uplink_megabytes(out: str) -> list[float]:
+    """Each printed deployment's uplink volume."""
+    return [
+        float(line.split()[1])
+        for line in out.splitlines()
+        if line.startswith("wire ")
+    ]
+
+
+class TestServe:
+    """``repro serve`` honours or refuses every flag on every path
+    (single plane, ``--deployment`` and ``--shards``)."""
+
+    @pytest.fixture(autouse=True)
+    def _shared_cache(self, _isolated_cache, session_cache_dir, monkeypatch):
+        # The tiny lenet pretrains once for the whole class.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(session_cache_dir))
+
+    @staticmethod
+    def _serve(*flags: str) -> int:
+        return main(
+            ["--scale", "tiny", "serve", "--members", "2", "--requests", "16",
+             *flags]
+        )
+
+    def test_sharded_path_honours_session_isolation(self, capsys):
+        assert self._serve("--shards", "1", "--batch-policy", "isolate") == 0
+        assert "cross-user mix    0.0%" in capsys.readouterr().out
+
+    def test_multi_deployment_path_quantizes_the_uplink(self, capsys):
+        tenants = ("--deployment", "a=lenet", "--deployment", "b=lenet")
+        self._serve(*tenants)
+        plain = _uplink_megabytes(capsys.readouterr().out)
+        self._serve(*tenants, "--quantize-bits", "8")
+        quantized = _uplink_megabytes(capsys.readouterr().out)
+        assert len(plain) == len(quantized) == 2
+        assert all(0 < q <= p / 2 for q, p in zip(quantized, plain))
+
+    def test_sharded_path_refuses_admission(self):
+        with pytest.raises(ConfigurationError, match="max_pending"):
+            self._serve("--shards", "1", "--max-pending", "4")
+
+    @pytest.mark.parametrize(
+        "flags, refused",
+        [
+            (["--deployment", "a=lenet", "--compare-sequential"],
+             "--compare-sequential"),
+            (["--shards", "1", "--compare-sequential"], "--compare-sequential"),
+            (["--deployment", "a=lenet", "--network", "svhn"], "--network"),
+            (["--trace", "bursty"], "--trace"),
+            (["--deployment", "a=lenet", "--trace-rate", "500"], "--trace-rate"),
+            (["--shuffle-seed", "3"], "shuffle_seed"),
+        ],
+    )
+    def test_flags_a_path_cannot_honour_are_refused(self, flags, refused):
+        with pytest.raises(ConfigurationError, match=refused):
+            self._serve(*flags)
