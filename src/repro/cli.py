@@ -34,7 +34,7 @@ import time
 from typing import Callable, Sequence
 
 from repro.config import Config, get_scale
-from repro.errors import ConfigurationError, OverloadError
+from repro.errors import ConfigurationError, OverloadError, ReproError
 
 
 def _make_config(args: argparse.Namespace) -> Config:
@@ -373,6 +373,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, spec) -> int:
         trace_stats,
     )
 
+    ShardSpec.refuse_unserved(spec)  # before any training
     config = _make_config(args)
     bundle, pipeline, collection = _serve_collection(
         args, config, args.network or "lenet"
@@ -806,9 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 when the
+    library refuses the arguments, as argparse does)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -5,8 +5,8 @@ about: transfer time = latency + bytes/bandwidth, with optional random drops
 (retried up to a bound).  By default wall-clock time is *simulated*, not
 slept, so the whole deployment story runs instantly in tests and
 benchmarks; ``realtime=True`` additionally sleeps the transfer time, which
-is what lets the multi-worker serving engine demonstrate real overlap of
-wire waits (the dominant serving latency) across concurrent micro-batches.
+is what lets a multi-worker :class:`~repro.serve.ControlPlane` demonstrate
+real overlap of wire waits (the dominant serving latency) across concurrent micro-batches.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class Channel:
     def clone(self, rng: np.random.Generator | None = None) -> "Channel":
         """A channel with the same link parameters but fresh statistics.
 
-        The serving engine gives every cloud worker its own clone:
-        :class:`ChannelStats` accumulation is not thread-safe, and separate
-        stats per worker are exactly what per-worker occupancy reporting
-        wants anyway.
+        A :class:`~repro.serve.ControlPlane` gives every cloud worker its
+        own clone: :class:`ChannelStats` accumulation is not thread-safe,
+        and separate stats per worker are exactly what per-worker occupancy
+        reporting wants anyway.
 
         Raises:
             ChannelOwnershipError: When the channel is mid-transmission on

@@ -1,7 +1,8 @@
 """Batch-invariant forward executor for the serving runtime.
 
-The batched serving engine stacks many requests into one forward pass, and
-its contract with the retained sequential path is *bit-for-bit* equality:
+The batched serving plane (:class:`~repro.serve.ControlPlane`) stacks many
+requests into one forward pass, and its contract with the retained
+sequential path is *bit-for-bit* equality:
 given the same per-request noise draws, a request must produce the same
 logits whether it travelled alone or inside a micro-batch.  Plain BLAS does
 not give that guarantee — a 2-D GEMM picks kernels and blocking by matrix
@@ -27,11 +28,11 @@ Native backend (``kernel_backend="native"`` / the ``"auto"`` default)
 
 When a system C compiler is available, each lowered program runs in **one
 C call per segment** via :class:`repro.edge._fastexec.CompiledProgram`:
-per-sample im2col + register-blocked conv GEMM, a direct (im2col-free)
-kernel for eligible stride-1 convs, row-blocked linear dot products, fused
-scale/bias/BatchNorm/ReLU/pool/noise-add epilogues, standalone affine and
-LRN passes, and quantised-code ingest — all over reusable ping-pong
-scratch arenas.
+one flat-plane conv kernel for every float conv (vector lanes over
+consecutive positions of the padded, per-stride phase planes), row-blocked
+linear dot products, fused scale/bias/BatchNorm/ReLU/pool/noise-add
+epilogues, standalone affine and LRN passes, and quantised-code ingest —
+all over reusable ping-pong scratch arenas.
 
 *Backend selection* happens **once, at executor construction**:
 ``"auto"`` picks the native backend when the kernel compiles (and the
@@ -39,8 +40,8 @@ input is float32 or quantised codes), else numpy; ``"native"`` requires it
 (raising :class:`~repro.errors.ConfigurationError` otherwise); ``"numpy"``
 forces the numpy interpreter.  Every executor a deployment creates — the
 edge device's, each cloud worker's — must use the same backend, which the
-device/engine constructors guarantee by threading one ``kernel_backend``
-value through.
+device/server constructors guarantee by threading one ``kernel_backend``
+value through (a :class:`~repro.serve.ControlPlane` passes its own).
 
 *Determinism contract*: both backends produce results that are a pure
 function of the input row — per-sample conv GEMMs, row-blocked linear
@@ -112,8 +113,9 @@ geometry every micro-batch, and repeated malloc/mmap churn dominated the
 step overhead before buffers were cached by input shape.  Irregular (tail)
 micro-batches still work — they simply key new scratch.  Call
 :meth:`BatchInvariantExecutor.warm` with the planned batch shape at deploy
-time to pre-size everything off the latency path (the serving engine does
-this with the planner's chosen window).  The final output is always
+time to pre-size everything off the latency path (the
+:class:`~repro.serve.ControlPlane` does this with the planner's chosen
+window).  The final output is always
 freshly owned, safe to hold across calls.
 
 Invariance across the four backbones and both backends is enforced by
@@ -122,7 +124,7 @@ suite in ``tests/edge/test_native_kernels.py`` (which also toggles every
 IR rewrite on/off).  Used by
 :class:`~repro.edge.device.EdgeDevice` (single-request ``process`` *and*
 stacked ``forward_batch``) and :class:`~repro.edge.device.CloudServer`,
-which is what makes the batched session's parity guarantee hold by
+which is what makes the serving plane's parity guarantee hold by
 construction, and by
 :meth:`~repro.core.split.SplitInferenceModel.activations`, which builds
 one per call with the edge device's defaults so the noise trainer, the
@@ -613,8 +615,8 @@ class BatchInvariantExecutor:
         allocation jitter.  ``quantization`` warms the quantised-ingest
         geometry (the input is synthesised at the code dtype);
         ``epilogue_add`` additionally warms the noise-add epilogue.  The
-        serving engine calls this at deploy time with the planner's chosen
-        window.
+        :class:`~repro.serve.ControlPlane` calls this at deploy time with
+        the planner's chosen window.
         """
         if quantization is not None:
             dtype = np.uint8 if quantization.bits <= 8 else np.uint16

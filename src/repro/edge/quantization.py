@@ -6,9 +6,9 @@ communicated tensor — an 8-bit affine code cuts communication 4× — and
 because Shredder's noisy activations already tolerate large perturbation,
 quantisation error is essentially free accuracy-wise.  This module
 provides the uniform affine quantiser used by the deployment runtime and
-the communication-ablation benchmark.  The batched serving engine
-(:mod:`repro.serve`) quantises each micro-batch's *stacked* payload once —
-the code parameters travel in the batched frame header (see
+the communication-ablation benchmark.  The batched serving plane
+(:class:`repro.serve.ControlPlane`) quantises each micro-batch's *stacked*
+payload once — the code parameters travel in the batched frame header (see
 :mod:`repro.edge.protocol`) and the cloud executor ingests the raw codes
 directly: with the ``int8_ingest`` IR rewrite active
 (:mod:`repro.edge.ir`) the uint8/uint16 codes feed the first conv/GEMM

@@ -163,14 +163,20 @@ class ShardSpec:
             )
         if self.workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {self.workers}")
-        self.deployment.refuse(
+        self.refuse_unserved(self.deployment)
+
+    @staticmethod
+    def refuse_unserved(spec: DeploymentSpec) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` naming a field
+        of ``spec`` that no shard process can honour."""
+        spec.refuse(
             ("model", "cut", "noise", "rng", "channel", "quantize_bits"),
             "cannot reach a shard process: capture takes the model and cut "
             "(and stores the noise as tensors), a calibrated quantization "
             "and channel kwargs, and each shard seeds its noise from "
             "base_seed",
         )
-        self.deployment.refuse(
+        spec.refuse(
             ("max_pending", "admission_rate_rps", "admission_burst",
              "shed_unmeetable"),
             "is not served by shards: the sharded parent has no admission "

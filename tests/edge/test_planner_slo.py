@@ -1,7 +1,7 @@
 """SLO-aware batching-window planning and planner invariants.
 
 Golden-value and invariant tests for the cost model's batch axis feeding
-the serving engine: :func:`repro.edge.plan_batch_window` must pick the
+the serving plane (:class:`repro.serve.ControlPlane`): :func:`repro.edge.plan_batch_window` must pick the
 largest window meeting the target SLO under its own latency model, and
 :class:`repro.edge.CuttingPointPlanner` recommendations must never violate
 the cost model's invariants (frontier membership, budget, dominance).

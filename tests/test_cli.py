@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
 
 
 class TestParser:
@@ -170,9 +169,11 @@ class TestServe:
         assert len(plain) == len(quantized) == 2
         assert all(0 < q <= p / 2 for q, p in zip(quantized, plain))
 
-    def test_sharded_path_refuses_admission(self):
-        with pytest.raises(ConfigurationError, match="max_pending"):
-            self._serve("--shards", "1", "--max-pending", "4")
+    def test_sharded_path_refuses_admission(self, capsys):
+        assert self._serve("--shards", "1", "--max-pending", "4") == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("repro: error: max_pending")
+        assert "training" not in out
 
     @pytest.mark.parametrize(
         "flags, refused",
@@ -186,6 +187,7 @@ class TestServe:
             (["--shuffle-seed", "3"], "shuffle_seed"),
         ],
     )
-    def test_flags_a_path_cannot_honour_are_refused(self, flags, refused):
-        with pytest.raises(ConfigurationError, match=refused):
-            self._serve(*flags)
+    def test_flags_a_path_cannot_honour_are_refused(self, flags, refused, capsys):
+        assert self._serve(*flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and refused in err
