@@ -753,7 +753,7 @@ def privacy_mixing(bench: Workload) -> dict:
             for label, shuffled in (("plain", False), ("shuffled", True))},
         "tradeoff_surface": sweep_mixing_tradeoff(
             acts, sessions, batch_windows=(2, ACCEPTANCE_WINDOW),
-            shard_counts=(1, 2), worker_counts=(1,),
+            shard_counts=(1, 2),
             isolation_policies=(False, True), shuffle_modes=(False, True),
             shuffle_seed=7, epsilon0=1.0),
     }

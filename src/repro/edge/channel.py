@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class ChannelStats:
     bytes_sent: int = 0
     simulated_seconds: float = 0.0
     drops: int = 0
-    per_message_seconds: list[float] = field(default_factory=list)
 
 
 class Channel:
@@ -142,7 +141,6 @@ class Channel:
                     continue
                 self.stats.messages += 1
                 self.stats.bytes_sent += len(blob)
-                self.stats.per_message_seconds.append(elapsed)
                 return blob
         finally:
             self._busy.release()

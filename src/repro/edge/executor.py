@@ -73,7 +73,7 @@ batch-invariant numpy kernels:
   forward works), epilogue ops applied in place on the result;
 * **linear** — the one geometry-sensitive op in the stack, replaced by a
   row-blocked product: ``np.matmul(x[:, None, :], W.T)`` broadcasts one
-  ``(1, K) @ (K, N)`` GEMM per row (:func:`batch_invariant_linear`);
+  ``(1, K) @ (K, N)`` GEMM per row;
 * **maxpool2d** — a window-max reduction over the strided im2col view
   (no argmax bookkeeping: serving never needs the pooling gradient);
 * **affine** (eval-mode BatchNorm, standalone or in a conv epilogue) and
@@ -148,21 +148,6 @@ KERNEL_BACKENDS = ("auto", "native", "numpy")
 
 #: Dtypes the IR interpreters accept directly (f32 + quantised codes).
 _IR_DTYPES = (np.dtype(np.float32), np.dtype(np.uint8), np.dtype(np.uint16))
-
-
-def batch_invariant_linear(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
-) -> np.ndarray:
-    """Row-blocked affine map ``x @ weight.T + bias``.
-
-    Each row is multiplied by the weight matrix in its own broadcast GEMM
-    call, so the result for row ``i`` is a pure function of row ``i`` — the
-    batch geometry cannot perturb it.
-    """
-    out = np.matmul(x[:, None, :], weight.T)[:, 0, :]
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def _affine(x: np.ndarray, affine: ir.ChannelAffine) -> np.ndarray:

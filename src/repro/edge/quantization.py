@@ -139,30 +139,6 @@ def wire_bytes(shape: tuple[int, ...], params: QuantizationParams) -> int:
 
 
 @dataclass(frozen=True)
-class QuantizedActivation:
-    """A quantised activation plus everything needed to decode it."""
-
-    codes: np.ndarray
-    params: QuantizationParams
-
-    def dequantized(self) -> np.ndarray:
-        """Reconstruct the float activation."""
-        return dequantize(self.codes, self.params)
-
-    @property
-    def payload_bytes(self) -> int:
-        """Bytes this activation occupies on the wire."""
-        return wire_bytes(self.codes.shape, self.params)
-
-
-def compress_activation(
-    activation: np.ndarray, params: QuantizationParams
-) -> QuantizedActivation:
-    """Quantise one activation batch for transmission."""
-    return QuantizedActivation(codes=quantize(activation, params), params=params)
-
-
-@dataclass(frozen=True)
 class WeightQuantization:
     """Per-output-channel symmetric weight codes.
 

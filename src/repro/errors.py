@@ -71,10 +71,9 @@ class ChannelOwnershipError(ChannelError):
 class WorkerCrashError(ReproError, RuntimeError):
     """A cloud worker died while servicing a micro-batch.
 
-    Raised inside the worker (by the fault-injection hook or by the pool
-    when no live worker context remains) and caught by the dispatcher,
-    which requeues the in-flight batch onto the surviving workers
-    exactly-once.  Carries the crashed ``worker_id`` when known.
+    Raised inside the worker when the fault-injection hook kills it, and
+    caught by the dispatcher, which requeues the in-flight batch onto the
+    surviving workers exactly-once.  Carries the crashed ``worker_id``.
     """
 
     def __init__(self, message: str, worker_id: int | None = None) -> None:

@@ -10,8 +10,6 @@ which is the derivative Shredder's optimisation needs (paper eq. in §2.1).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.errors import ShapeError
@@ -36,13 +34,6 @@ GRADW_TILE_ELEMENTS = 1 << 21
 #: time for the wide shallow layers that dominate backbone pre-training.
 GRADW_WHOLE_BATCH_ELEMENTS = 4 << 20
 
-#: Worker threads for the tiled weight-gradient contraction.  BLAS holds
-#: the GIL released, so tiles genuinely overlap on multi-core hosts;
-#: partial sums are reduced in tile order, and the einsum/tiled path
-#: choice depends only on the batch geometry, keeping the result bitwise
-#: independent of the thread count.
-GRADW_THREADS_ENV_VAR = "REPRO_GRADW_THREADS"
-
 
 def _conv2d_grad_w(
     x_data: np.ndarray,
@@ -66,24 +57,20 @@ def _conv2d_grad_w(
     instead copied tile-by-tile into a bounded buffer for one
     ``tensordot`` each — peak transient memory is
     :data:`GRADW_TILE_ELEMENTS` floats instead of the whole batch's
-    windows.  Set ``REPRO_GRADW_THREADS`` to contract tiles concurrently;
-    the per-tile partials are accumulated in ascending tile order either
-    way, so results are bitwise independent of the thread count.
+    windows, and the per-tile partials are accumulated in ascending tile
+    order.
     """
     n = len(x_data)
     kh, kw = kernel
     c_in = x_data.shape[1]
     m = grad3.shape[2]
     per_sample = c_in * kh * kw * m
-    # The path choice depends only on the geometry — never on the thread
-    # count — so gradients are bitwise identical for any REPRO_GRADW_THREADS.
     if n * per_sample <= GRADW_WHOLE_BATCH_ELEMENTS:
         windows = extract_windows(x_data, kernel, stride, padding)
         grad4 = grad3.reshape(n, grad3.shape[1], windows.shape[4], windows.shape[5])
         grad_w = np.einsum("nopq,ncijpq->ocij", grad4, windows, optimize=True)
         return grad_w.reshape(grad3.shape[1], c_in * kh * kw)
     tile = max(1, GRADW_TILE_ELEMENTS // max(1, per_sample))
-    threads = int(os.environ.get(GRADW_THREADS_ENV_VAR, "1") or "1")
 
     def contract(start: int) -> np.ndarray:
         windows = extract_windows(
@@ -95,17 +82,9 @@ def _conv2d_grad_w(
             grad3[start : start + tile], cols, axes=([0, 2], [0, 2])
         )
 
-    starts = range(0, n, tile)
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(contract, starts))
-    else:
-        partials = [contract(start) for start in starts]
-    grad_w = partials[0]
-    for partial in partials[1:]:
-        grad_w += partial
+    grad_w = contract(0)
+    for start in range(tile, n, tile):
+        grad_w += contract(start)
     return grad_w
 
 

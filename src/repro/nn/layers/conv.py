@@ -15,11 +15,9 @@ class Conv2d(Module):
     """2-D cross-correlation with optional bias.
 
     Forward lowers to im2col + batched matmul; the weight-gradient
-    contraction in the backward pass is *tiled* over the batch
+    contraction in the backward pass is *tiled* over large batches
     (:func:`repro.nn.functional._conv2d_grad_w`), bounding the transient
-    im2col copy and contracting tiles concurrently when
-    ``REPRO_GRADW_THREADS`` is set — results are bitwise independent of
-    the thread count.
+    im2col copy.
 
     Args:
         in_channels / out_channels: Channel counts.

@@ -336,7 +336,6 @@ def evaluate_shuffle_leakage(
     shuffle_seed: int = 0,
     isolate_sessions: bool = False,
     shards: int = 1,
-    workers: int = 1,
     epsilon0: float | None = None,
     delta: float = 1e-5,
 ) -> ShuffleLeakageReport:
@@ -354,18 +353,9 @@ def evaluate_shuffle_leakage(
         batch_window / shuffle / shuffle_seed / isolate_sessions /
         shards: Batch-composition knobs, forwarded to
             :func:`tap_wire_batches`.
-        workers: Cloud worker count of the configuration under test.
-            Accepted (and swept) to *verify* a property of the serving
-            design rather than exercise one: the dispatcher closes every
-            window before any worker touches it, so batch composition —
-            and therefore every number in this report — is invariant to
-            ``workers``.  The sweep exposes the axis so the invariance is
-            measured, not assumed.
         epsilon0 / delta: When given, report the amplified epsilon of
             ``epsilon0``-LDP rows (see ``epsilon_amplified``).
     """
-    if workers < 1:
-        raise ConfigurationError(f"need >= 1 worker, got {workers}")
     activations = np.asarray(activations)
     wire = activations if observed is None else np.asarray(observed)
     if len(wire) != len(activations):
@@ -453,7 +443,6 @@ def sweep_mixing_tradeoff(
     observed: np.ndarray | None = None,
     batch_windows=(2, 4, 8),
     shard_counts=(1, 2),
-    worker_counts=(1,),
     isolation_policies=(False, True),
     shuffle_modes=(False, True),
     shuffle_seed: int = 0,
@@ -475,29 +464,26 @@ def sweep_mixing_tradeoff(
     surface: list[dict] = []
     for batch_window in batch_windows:
         for shards in shard_counts:
-            for workers in worker_counts:
-                for isolate in isolation_policies:
-                    for shuffle in shuffle_modes:
-                        report = evaluate_shuffle_leakage(
-                            activations,
-                            session_ids,
-                            observed=observed,
-                            batch_window=batch_window,
-                            shuffle=shuffle,
-                            shuffle_seed=shuffle_seed,
-                            isolate_sessions=isolate,
-                            shards=shards,
-                            workers=workers,
-                            epsilon0=epsilon0,
-                            delta=delta,
-                        )
-                        row = {
-                            "batch_window": int(batch_window),
-                            "shards": int(shards),
-                            "workers": int(workers),
-                            "isolate_sessions": bool(isolate),
-                            "shuffle": bool(shuffle),
-                        }
-                        row.update(report.as_dict())
-                        surface.append(row)
+            for isolate in isolation_policies:
+                for shuffle in shuffle_modes:
+                    report = evaluate_shuffle_leakage(
+                        activations,
+                        session_ids,
+                        observed=observed,
+                        batch_window=batch_window,
+                        shuffle=shuffle,
+                        shuffle_seed=shuffle_seed,
+                        isolate_sessions=isolate,
+                        shards=shards,
+                        epsilon0=epsilon0,
+                        delta=delta,
+                    )
+                    row = {
+                        "batch_window": int(batch_window),
+                        "shards": int(shards),
+                        "isolate_sessions": bool(isolate),
+                        "shuffle": bool(shuffle),
+                    }
+                    row.update(report.as_dict())
+                    surface.append(row)
     return surface

@@ -20,9 +20,10 @@ control plane, in three pieces:
   deployment's queue; results are addressed by :class:`RequestHandle`
   ``(deployment, request_id)``.  With one deployment registered, every
   request method defaults to it.
-* a **shared worker pool** — ``workers`` cloud threads execute encoded
-  micro-batches from *any* deployment (each worker context holds one
-  :class:`~repro.edge.device.CloudServer` + channel clone per deployment).
+* a **shared worker pool** — ``workers`` cloud workers execute encoded
+  micro-batches from *any* deployment, each on its own thread (each
+  worker holds one :class:`~repro.edge.device.CloudServer` + channel
+  clone per deployment).
 * **crash recovery** — a worker that dies mid-batch (via the
   ``fault_injector`` hook) is detected by the dispatcher, its in-flight
   batch is requeued to the surviving workers exactly once per crash, and
@@ -50,20 +51,21 @@ The plane's pool and registry are mutable at runtime, under a small set
 of invariant-preserving operations (all dispatcher-thread-only):
 
 * **Healing** — :meth:`ControlPlane.heal` (or ``auto_heal=True``, which
-  heals inside crash recovery) re-spawns crashed worker contexts up to
+  heals inside crash recovery) re-spawns crashed workers up to
   ``target_workers``, each pre-warmed with every registered deployment's
   :class:`~repro.edge.device.CloudServer` executor cache and a fresh
   channel clone.  Capacity comes back, and bit parity is untouched:
   noise was drawn on the dispatcher before dispatch, so which (old or
   respawned) worker executes the pure cloud half cannot change a bit.
 * **Scaling** — :meth:`ControlPlane.scale_to` grows/shrinks the pool
-  between 1 and ``max_workers`` contexts; :meth:`enable_autoscale`
+  between 1 and ``max_workers`` workers; :meth:`enable_autoscale`
   installs an :class:`Autoscaler` that does it automatically from the
   metrics signals the plane already emits (arrival rates, backlog,
   service-time EWMA, SLO pressure) with the planner's
   :func:`~repro.edge.planner.predict_window_latency` wire term as the
-  cold-start feedforward estimate.  Shrinking only retires *parked*
-  contexts — an executing batch always finishes first.
+  cold-start feedforward estimate.  A shrink queues one stop marker per
+  surplus worker behind the micro-batches already queued, so every
+  admitted batch is served before a worker leaves.
 * **Hot swap / unregister** — :meth:`swap` and :meth:`unregister` first
   drain the deployment's queue to a barrier
   (:meth:`drain_deployment` + a full in-flight quiesce, raising
@@ -89,7 +91,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from queue import Empty, SimpleQueue
-from threading import Lock, Thread
+from threading import Thread
 from typing import (
     Callable,
     Hashable,
@@ -344,15 +346,14 @@ class DeploymentRegistry:
 
 
 @dataclass
-class _WorkerContext:
-    """One cloud worker's private runtime: per-deployment executors and
-    channel clones.  Checked out of the shared pool for one micro-batch at
-    a time; a crashed worker's context is never returned."""
+class _Worker:
+    """One cloud worker: its per-deployment executors and channel clones,
+    used by its own pool thread (see :func:`_work`) and emptied as that
+    thread leaves."""
 
     worker_id: int
-    servers: dict[str, CloudServer]
-    channels: dict[str, Channel]
-    alive: bool = True
+    servers: dict[str, CloudServer] = field(default_factory=dict)
+    channels: dict[str, Channel] = field(default_factory=dict)
 
 
 @dataclass
@@ -402,15 +403,14 @@ class ControlPlane:
             cloud halves.
         fault_injector: Crash-injection hook for fault-tolerance testing:
             called as ``hook(worker_id, task)`` before a worker services a
-            batch; returning ``True`` kills that worker (its context
+            batch; returning ``True`` kills that worker (its thread
             leaves the pool) and the dispatcher requeues the batch on the
             survivors.  ``None`` disables injection.
         clock: Time source for queueing/deadline decisions and latency
             accounting; defaults to the wall clock.
         max_workers: Hard ceiling on pool size for :meth:`scale_to` /
-            :meth:`heal` / the autoscaler (the executor is sized for it
-            up front; idle capacity costs nothing).  Default: ``workers``
-            — the pool is fixed-size unless a larger ceiling is granted.
+            :meth:`heal` / the autoscaler.  Default: ``workers`` — the
+            pool is fixed-size unless a larger ceiling is granted.
         auto_heal: Re-spawn crashed workers automatically during crash
             recovery, restoring the pool to ``target_workers`` (capacity
             healing, not just exactly-once requeue).
@@ -442,21 +442,22 @@ class ControlPlane:
         self._channel_prototype = channel or Channel()
         self._fault_injector = fault_injector
         self._clock = clock or time.perf_counter
-        self._contexts: SimpleQueue[_WorkerContext] = SimpleQueue()
-        self._all_contexts: list[_WorkerContext] = []
+        #: Live workers by id, and how many hold a stop marker whose
+        #: goodbye is not collected yet (dispatcher thread only).
+        self._workers: dict[int, _Worker] = {}
+        self._retiring = 0
         self._next_worker_id = 0
-        self._alive = 0
-        self._alive_guard = Lock()
         #: Pool-level metrics (healing / scaling events); per-deployment
         #: admission counters live on each deployment's own metrics.
         self.pool_metrics = ServingMetrics()
         self._autoscaler: Autoscaler | None = None
         # Pool threads take flights from ``_tasks`` and hand each back on
         # ``_done`` with its result or exception; the dispatcher absorbs
-        # them in completion order.  The threads hold the plane weakly,
-        # and a plane collected unclosed stops them.
+        # them in completion order.  A thread that takes a stop marker
+        # (``None``) says goodbye as ``(None, worker_id)``.  The threads
+        # hold the plane weakly, and a plane collected unclosed stops them.
         self._tasks: SimpleQueue[_Flight | None] = SimpleQueue()
-        self._done: SimpleQueue[tuple[_Flight, object]] = SimpleQueue()
+        self._done: SimpleQueue[tuple[_Flight | None, object]] = SimpleQueue()
         self._threads: list[Thread] = []
         self._stop_threads = weakref.finalize(
             self, _stop_threads, self._tasks, self._threads
@@ -484,8 +485,8 @@ class ControlPlane:
 
         The spec's ``model``, ``cut`` and ``quantize_bits`` need a
         pipeline to resolve them and are refused here.  Registration must
-        happen while no micro-batch is in flight (it re-equips every live
-        worker context).
+        happen while no micro-batch is in flight (it equips every live
+        worker).
         """
         spec = replace(spec or DeploymentSpec(), **overrides)
         if self._closed:
@@ -588,7 +589,7 @@ class ControlPlane:
             ),
             window_wire_seconds=window_wire_seconds,
         )
-        # The registry entry is added only once every context is equipped
+        # The registry entry is added only once every worker is equipped
         # — a mid-warm failure (e.g. kernel_backend="native" without a
         # compiler) must not leave a routable deployment that would
         # KeyError inside the workers.
@@ -621,41 +622,37 @@ class ControlPlane:
         return device, remote, activation_shapes
 
     def _equip_all(self, deployment: Deployment) -> None:
-        """Equip every live worker context for ``deployment``; on failure
-        each context gets its previous executor and link back.
+        """Equip every worker for ``deployment``; on failure each worker
+        gets its previous executor and link back.
 
-        Contexts are all parked in the pool (no flights in flight), so
-        draining them is race-free.
+        Callers hold no micro-batch in flight, so no worker thread is
+        using its executors.
         """
         name = deployment.name
-        contexts = [self._checkout_context() for _ in range(self.alive_workers)]
         saved = [
-            (context, context.servers.get(name), context.channels.get(name))
-            for context in contexts
+            (worker, worker.servers.get(name), worker.channels.get(name))
+            for worker in self._workers.values()
         ]
         try:
-            for context in contexts:
-                self._equip(context, deployment)
+            for worker in self._workers.values():
+                self._equip(worker, deployment)
         except BaseException:
-            for context, server, channel in saved:
+            for worker, server, channel in saved:
                 for slot, previous in (
-                    (context.servers, server), (context.channels, channel)
+                    (worker.servers, server), (worker.channels, channel)
                 ):
                     if previous is None:
                         slot.pop(name, None)
                     else:
                         slot[name] = previous
             raise
-        finally:
-            for context in contexts:
-                self._contexts.put(context)
 
-    def _equip(self, context: _WorkerContext, deployment: Deployment) -> None:
-        """Give one worker context a pre-warmed executor (and, unless it
-        already has one, a channel clone) for ``deployment``.
-        Registration, swap, healing and pool growth all funnel through
-        here so every context is interchangeable; a swap keeps each
-        worker's link and its accumulated statistics."""
+    def _equip(self, worker: _Worker, deployment: Deployment) -> None:
+        """Give one worker a pre-warmed executor (and, unless it already
+        has one, a channel clone) for ``deployment``.  Registration,
+        swap, healing and pool growth all funnel through here so every
+        worker is interchangeable; a swap keeps each worker's link and
+        its accumulated statistics."""
         server = CloudServer(
             deployment.remote,
             self.kernel_backend,
@@ -663,41 +660,28 @@ class ControlPlane:
         )
         for shape in deployment.activation_shapes:
             server.warm(shape, quantization=deployment.spec.quantization)
-        context.servers[deployment.name] = server
-        if deployment.name not in context.channels:
+        worker.servers[deployment.name] = server
+        if deployment.name not in worker.channels:
             worker_channel = deployment.spec.channel.clone()
-            context.channels[deployment.name] = worker_channel
+            worker.channels[deployment.name] = worker_channel
             deployment.channels.append(worker_channel)
 
-    def _spawn(self) -> _WorkerContext:
-        """Create, equip, and park one fresh worker context."""
-        context = _WorkerContext(self._next_worker_id, {}, {})
+    def _spawn(self) -> None:
+        """Create and equip one worker, and start its thread."""
+        worker = _Worker(self._next_worker_id)
         self._next_worker_id += 1
         for deployment in self.registry:
-            self._equip(context, deployment)
-        self._all_contexts.append(context)
-        with self._alive_guard:
-            self._alive += 1
-        if len(self._threads) < self._alive:  # a pool thread per live context
-            thread = Thread(
-                target=_work,
-                args=(weakref.ref(self), self._tasks, self._done),
-                name=f"shredder-cloud-{len(self._threads)}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        self._contexts.put(context)
-        return context
-
-    def _checkout_context(self) -> _WorkerContext:
-        try:
-            return self._contexts.get(timeout=1.0)
-        except Empty:  # pragma: no cover - registration-while-busy guard
-            raise ConfigurationError(
-                "worker contexts unavailable during registration; is the "
-                "plane serving traffic concurrently?"
-            ) from None
+            self._equip(worker, deployment)
+        self._workers[worker.worker_id] = worker
+        self._threads[:] = [thread for thread in self._threads if thread.is_alive()]
+        thread = Thread(
+            target=_work,
+            args=(weakref.ref(self), worker, self._tasks, self._done),
+            name=f"shredder-cloud-{worker.worker_id}",
+            daemon=True,
+        )
+        thread.start()
+        self._threads.append(thread)
 
     # ------------------------------------------------------------------
     # Request lifecycle (dispatcher thread)
@@ -799,9 +783,8 @@ class ControlPlane:
 
     @property
     def alive_workers(self) -> int:
-        """Workers that have not crashed."""
-        with self._alive_guard:
-            return self._alive
+        """Workers that have not crashed and are not retiring."""
+        return len(self._workers) - self._retiring
 
     def pump(self, *, flush: bool = False) -> list[RequestHandle]:
         """One dispatcher turn: dispatch ready windows of every
@@ -816,11 +799,8 @@ class ControlPlane:
             flush: Close partial windows immediately instead of waiting
                 out deadline slack / the batching timeout.
         """
-        if not self._closed:
-            if self._autoscaler is not None:
-                self._autoscaler.step(self._clock())
-            if self.alive_workers > self.target_workers:
-                self._try_shrink()  # deferred shrink: contexts were busy
+        if not self._closed and self._autoscaler is not None:
+            self._autoscaler.step(self._clock())
         self._dispatch_ready(flush=flush)
         return self._collect(block=False)
 
@@ -918,7 +898,7 @@ class ControlPlane:
     def heal(self, *, to: int | None = None) -> int:
         """Re-spawn crashed workers until the pool is back at target.
 
-        Each respawned context is pre-warmed for every registered
+        Each respawned worker is pre-warmed for every registered
         deployment (executor caches via :meth:`CloudServer.warm`, its own
         channel clone), so healed capacity serves without cold-start
         jitter.  Bit parity is untouched: noise draws happened on the
@@ -937,8 +917,7 @@ class ControlPlane:
             self.target_workers if to is None else to, self.max_workers
         )
         if to is not None:
-            # An explicit restore target becomes the new healing target —
-            # otherwise the deferred-shrink pass would undo it next pump.
+            # An explicit restore target becomes the new healing target.
             self.target_workers = max(1, target)
         spawned = 0
         while self.alive_workers < target:
@@ -952,14 +931,13 @@ class ControlPlane:
     def scale_to(self, n: int) -> int:
         """Grow or shrink the pool to ``n`` live workers.
 
-        Growth spawns pre-warmed contexts immediately.  Shrinking only
-        retires *parked* contexts — a context executing a micro-batch
-        finishes it first and is retired on a later pump turn (the pool
-        never abandons admitted work).
+        Growth spawns pre-warmed workers immediately.  A shrink queues one
+        stop marker per surplus worker: each marker waits behind the
+        micro-batches already queued, so the pool never abandons admitted
+        work, and the worker that takes it leaves.
 
         Returns:
-            The live worker count after this call (may still exceed ``n``
-            when a shrink is deferred behind in-flight batches).
+            The live worker count after this call, ``n``.
         """
         if self._closed:
             raise ConfigurationError("serving control plane is closed")
@@ -970,23 +948,11 @@ class ControlPlane:
         self.target_workers = n
         while self.alive_workers < n:
             self._spawn()
-        self._try_shrink()
+        while self.alive_workers > n:
+            self._retiring += 1
+            self._tasks.put(None)
         self.pool_metrics.pool_size_samples.append(self.alive_workers)
         return self.alive_workers
-
-    def _try_shrink(self) -> None:
-        """Retire parked contexts until the pool matches ``target_workers``
-        (best-effort: busy contexts are retried on later pump turns)."""
-        while self.alive_workers > self.target_workers:
-            try:
-                context = self._contexts.get_nowait()
-            except Empty:
-                return
-            if not context.alive:  # pragma: no cover - defensive
-                continue
-            self._kill_context(context)
-            context.servers.clear()
-            context.channels.clear()
 
     def enable_autoscale(
         self,
@@ -1050,8 +1016,9 @@ class ControlPlane:
         return delivered
 
     def _quiesce(self, *, timeout: float = 30.0) -> list[RequestHandle]:
-        """Collect every in-flight micro-batch (no new dispatches) so all
-        worker contexts are parked — the precondition for re-equipping."""
+        """Collect every in-flight micro-batch (no new dispatches) so no
+        worker is using its executors — the precondition for
+        re-equipping."""
         deadline = time.monotonic() + timeout
         delivered: list[RequestHandle] = []
         while self._flights:
@@ -1078,8 +1045,8 @@ class ControlPlane:
 
         The deployment is first drained to a barrier (its queued requests
         dispatch and deliver under the *old* configuration; other tenants
-        keep serving), then every worker context is re-equipped with the
-        new split.  Requests submitted after this call returns are served
+        keep serving), then every worker is re-equipped with the new
+        split.  Requests submitted after this call returns are served
         by the new configuration — bit-identical to a fresh sequential
         reference over the new ``(model, cut, noise, rng)``; no request
         ever straddles the swap point.
@@ -1142,8 +1109,8 @@ class ControlPlane:
         """Remove a deployment under live traffic.
 
         Drains the tenant to a barrier first (queued and in-flight work
-        delivers), strips its executors/channels from every worker
-        context, and removes it from the registry — other tenants keep
+        delivers), strips its executors/channels from every worker, and
+        removes it from the registry — other tenants keep
         serving throughout.  Submissions naming the removed deployment
         then raise :class:`~repro.errors.ConfigurationError`.
 
@@ -1158,14 +1125,9 @@ class ControlPlane:
         deployment = self.registry.get(name)
         self.drain_deployment(name, timeout=timeout)
         self._quiesce(timeout=timeout)
-        contexts = [self._checkout_context() for _ in range(self.alive_workers)]
-        try:
-            for context in contexts:
-                context.servers.pop(name, None)
-                context.channels.pop(name, None)
-        finally:
-            for context in contexts:
-                self._contexts.put(context)
+        for worker in self._workers.values():
+            worker.servers.pop(name, None)
+            worker.channels.pop(name, None)
         self.registry.remove(name)
         deployment.noise_stream.release()
         return dict(deployment.deliverable)
@@ -1214,6 +1176,8 @@ class ControlPlane:
                 for flight in flights:
                     self._flights.add(flight)
                     self._tasks.put(flight)
+        if self.alive_workers <= 0:
+            self._fail_stranded([])
 
     def _dispatch(
         self,
@@ -1272,71 +1236,51 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Cloud half (worker threads)
     # ------------------------------------------------------------------
-    def _execute(self, task: _Flight) -> _ServiceResult:
-        context = self._acquire_context()
+    def _execute(self, worker: _Worker, task: _Flight) -> _ServiceResult:
         started = time.perf_counter()
-        try:
-            if self._fault_injector is not None and self._fault_injector(
-                context.worker_id, task
-            ):
-                self._kill_context(context)
-                raise WorkerCrashError(
-                    f"worker {context.worker_id} crashed servicing a "
-                    f"micro-batch of deployment {task.deployment!r}",
-                    worker_id=context.worker_id,
-                )
-            channel = context.channels[task.deployment]
-            server = context.servers[task.deployment]
-            wire_before = channel.stats.simulated_seconds
-            delivered = decode_activation_batch(channel.transmit(task.uplink))
-            response = server.predict_batch(delivered)
-            downlink = channel.transmit(encode_prediction_batch(response))
-            decoded = decode_prediction_batch(downlink)
-            return _ServiceResult(
-                worker_id=context.worker_id,
-                decoded=decoded,
-                downlink_bytes=len(downlink),
-                wire_seconds=channel.stats.simulated_seconds - wire_before,
-                busy_seconds=time.perf_counter() - started,
+        if self._fault_injector is not None and self._fault_injector(
+            worker.worker_id, task
+        ):
+            raise WorkerCrashError(
+                f"worker {worker.worker_id} crashed servicing a "
+                f"micro-batch of deployment {task.deployment!r}",
+                worker_id=worker.worker_id,
             )
-        finally:
-            if context.alive:
-                self._contexts.put(context)
-
-    def _acquire_context(self) -> _WorkerContext:
-        """Check a live worker context out of the pool.
-
-        Raises :class:`~repro.errors.WorkerCrashError` instead of blocking
-        forever when every worker has crashed while this task queued.
-        """
-        while True:
-            try:
-                return self._contexts.get(timeout=0.05)
-            except Empty:
-                if self.alive_workers == 0:
-                    raise WorkerCrashError(
-                        "no surviving worker context to service the batch"
-                    ) from None
-
-    def _kill_context(self, context: _WorkerContext) -> None:
-        context.alive = False
-        with self._alive_guard:
-            self._alive -= 1
+        channel = worker.channels[task.deployment]
+        server = worker.servers[task.deployment]
+        wire_before = channel.stats.simulated_seconds
+        delivered = decode_activation_batch(channel.transmit(task.uplink))
+        response = server.predict_batch(delivered)
+        downlink = channel.transmit(encode_prediction_batch(response))
+        decoded = decode_prediction_batch(downlink)
+        return _ServiceResult(
+            worker_id=worker.worker_id,
+            decoded=decoded,
+            downlink_bytes=len(downlink),
+            wire_seconds=channel.stats.simulated_seconds - wire_before,
+            busy_seconds=time.perf_counter() - started,
+        )
 
     # ------------------------------------------------------------------
     # Collection + crash recovery (dispatcher thread only)
     # ------------------------------------------------------------------
     def _collect(self, *, block: bool) -> list[RequestHandle]:
-        """Absorb finished micro-batches in completion order; ``block``
-        waits until none is left in flight."""
+        """Absorb finished micro-batches in completion order, and retired
+        workers' goodbyes; ``block`` waits until no micro-batch is left in
+        flight."""
         delivered: list[RequestHandle] = []
-        while self._flights:
+        while self._flights or self._retiring:
             try:
-                flight, outcome = self._done.get(block=block)
+                flight, outcome = self._done.get(block=block and bool(self._flights))
             except Empty:
                 break
+            if flight is None:  # a retired worker's goodbye
+                del self._workers[outcome]
+                self._retiring -= 1
+                continue
             self._flights.discard(flight)
             if isinstance(outcome, WorkerCrashError):
+                del self._workers[outcome.worker_id]
                 self._recover(flight)
             elif isinstance(outcome, BaseException):
                 self._discard_flight(flight)
@@ -1352,24 +1296,40 @@ class ControlPlane:
         shipping its downlink), so re-executing the cloud half on the same
         uplink bytes completes the batch exactly once; noise was drawn on
         the dispatcher long before, so the retried logits are bit-identical
-        to an undisturbed run.  When no worker survives, the flight is
-        discarded and :class:`~repro.errors.ServingFaultError` surfaces —
-        unless ``auto_heal`` is on, in which case the pool is restored to
+        to an undisturbed run.  When no worker survives, the flight and
+        every flight still queued are discarded and one
+        :class:`~repro.errors.ServingFaultError` names them — unless
+        ``auto_heal`` is on, in which case the pool is restored to
         ``target_workers`` first (so even total worker loss recovers).
         """
         self._flights.discard(flight)
         if self.auto_heal and self.alive_workers < self.target_workers:
             self.heal()
-        if self.alive_workers == 0:
-            self._discard_flight(flight)
-            raise ServingFaultError(
-                f"every cloud worker has crashed; micro-batch of deployment "
-                f"{flight.deployment!r} (requests {list(flight.request_ids)}) "
-                "cannot be recovered"
-            )
+        if self.alive_workers <= 0:
+            self._fail_stranded([flight])
         self.registry.get(flight.deployment).metrics.requeued_batches += 1
         self._flights.add(flight)
         self._tasks.put(flight)
+
+    def _fail_stranded(self, lost: list[_Flight]) -> None:
+        """With no worker left, discard ``lost`` and every queued flight and
+        raise one :class:`~repro.errors.ServingFaultError` naming them."""
+        queued = self._take_queued()
+        lost += [task for task in queued if task is not None]
+        # Retiring threads still take their stop markers; the marker of a
+        # retiring worker that crashed instead has no taker.
+        orphans = max(0, self._retiring - len(self._workers))
+        self._retiring -= orphans
+        for _ in range(queued.count(None) - orphans):
+            self._tasks.put(None)
+        for flight in lost:
+            self._discard_flight(flight)
+        if lost:
+            raise ServingFaultError(
+                "every cloud worker has crashed; micro-batches (deployment, "
+                f"requests) {[(f.deployment, list(f.request_ids)) for f in lost]}"
+                " cannot be recovered"
+            )
 
     def _discard_flight(self, flight: _Flight) -> None:
         """Drop a failed micro-batch without wedging the plane.
@@ -1463,44 +1423,32 @@ class ControlPlane:
         """Shut the shared worker pool down (idempotent).
 
         Queued micro-batches no worker has started are dropped; each pool
-        thread finishes the one it is executing, then exits.  The join
-        and the context release run under ``try/finally`` so every worker
-        context — alive, crashed, or retired — is drained and stripped of
-        its executors/channels even if the join is interrupted.  Shutdown
-        must never leak worker threads or keep dead contexts (and their
-        executor caches) reachable, including after a fault left killed
-        contexts outside the pool queue.
+        thread finishes the one it is executing, then exits.  Every worker
+        thread, alive, crashed or retired, empties its worker's executors
+        and channel clones as it leaves, so shutdown leaks no thread and
+        keeps no executor cache reachable; the plane forgets its workers
+        even if the join is interrupted.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            while True:
-                try:
-                    self._tasks.get_nowait()
-                except Empty:
-                    break
+            self._take_queued()
             self._stop_threads()
             for thread in self._threads:
                 thread.join()
         finally:
-            self._release_contexts()
+            self._workers.clear()
+            self._retiring = 0
 
-    def _release_contexts(self) -> None:
-        """Drain the context pool and release every context ever spawned
-        (alive and dead alike): drop executors and channel clones so
-        nothing keeps warm caches alive past :meth:`close`."""
+    def _take_queued(self) -> list[_Flight | None]:
+        """Empty the task queue, returning what it held in queue order."""
+        queued: list[_Flight | None] = []
         while True:
             try:
-                self._contexts.get_nowait()
+                queued.append(self._tasks.get_nowait())
             except Empty:
-                break
-        for context in self._all_contexts:
-            context.alive = False
-            context.servers.clear()
-            context.channels.clear()
-        with self._alive_guard:
-            self._alive = 0
+                return queued
 
     def __enter__(self) -> "ControlPlane":
         return self
@@ -1509,19 +1457,31 @@ class ControlPlane:
         self.close()
 
 
-def _work(plane_ref, tasks: SimpleQueue, done: SimpleQueue) -> None:
-    """One pool thread: run queued flights' cloud halves until told to
-    stop (``None``) or the plane is gone."""
-    while (flight := tasks.get()) is not None:
-        plane = plane_ref()
-        if plane is None:
-            return
-        try:
-            outcome = plane._execute(flight)
-        except BaseException as error:  # re-raised by the collector
-            outcome = error
-        del plane
-        done.put((flight, outcome))
+def _work(
+    plane_ref, worker: _Worker, tasks: SimpleQueue, done: SimpleQueue
+) -> None:
+    """``worker``'s thread: run queued flights' cloud halves until it takes
+    a stop marker (``None``), crashes, or the plane is gone.  It empties
+    the worker before its last message, a goodbye or the crash."""
+    farewell: tuple[_Flight | None, object] = (None, worker.worker_id)
+    try:
+        while (flight := tasks.get()) is not None:
+            plane = plane_ref()
+            if plane is None:
+                return
+            try:
+                outcome = plane._execute(worker, flight)
+            except BaseException as error:  # re-raised by the collector
+                outcome = error
+            del plane
+            if isinstance(outcome, WorkerCrashError):
+                farewell = (flight, outcome)
+                return
+            done.put((flight, outcome))
+    finally:
+        worker.servers.clear()
+        worker.channels.clear()
+        done.put(farewell)
 
 
 def _stop_threads(tasks: SimpleQueue, threads: list[Thread]) -> None:

@@ -81,7 +81,7 @@ class ServingMetrics:
         shed_requests: Requests shed at submission because their SLO was
             already unmeetable (:class:`~repro.errors.OverloadError`).
             Like rejections, shed requests never enter the queue.
-        respawned_workers: Worker contexts re-spawned by healing after a
+        respawned_workers: Workers re-spawned by healing after a
             crash (pool-level; tracked on the plane's pool metrics).
         pool_size_samples: Live-worker-count samples over the session
             (taken at each dispatch and on every scale/heal event) —

@@ -272,9 +272,14 @@ class ShardSpec:
             channel=Channel(**self.channel) if self.channel else None,
             kernel_backend=self.kernel_backend,
         )
+        spec = self.deployment
+        if spec.shuffle:  # each shard shuffles with its own stream
+            spec = replace(
+                spec, shuffle_seed=shard_seed(spec.shuffle_seed or 0, shard_index)
+            )
         try:
             plane.register(
-                self.model_name, self._model(), self.cut, self.deployment,
+                self.model_name, self._model(), self.cut, spec,
                 noise=self._noise(), rng=self._rng(shard_index),
             )
         except BaseException:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.edge import BatchInvariantExecutor, _fastexec, batch_invariant_linear, ir
+from repro.edge import BatchInvariantExecutor, _fastexec, ir
 from repro.models import build_model
 from repro.nn import Linear, Sequential, Tanh, Tensor, no_grad
 from tests.helpers import randomise_batch_norms
@@ -192,16 +192,3 @@ class TestExecutorSafety:
         with no_grad():
             expected = net(Tensor(x)).numpy()
         np.testing.assert_allclose(executor(x), expected, atol=1e-6)
-
-    def test_row_blocked_linear_matches_gemm(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(9, 30)).astype(np.float32)
-        w = rng.normal(size=(12, 30)).astype(np.float32)
-        bias = rng.normal(size=12).astype(np.float32)
-        out = batch_invariant_linear(x, w, bias)
-        np.testing.assert_allclose(out, x @ w.T + bias, atol=1e-5)
-        # And the defining property: rows are geometry-independent.
-        per_row = np.concatenate(
-            [batch_invariant_linear(x[i : i + 1], w, bias) for i in range(9)]
-        )
-        np.testing.assert_array_equal(out, per_row)

@@ -11,7 +11,6 @@ from repro.edge import (
     QuantizationParams,
     WeightQuantization,
     calibrate,
-    compress_activation,
     dequantize,
     quantization_error,
     quantize,
@@ -114,15 +113,6 @@ class TestWireSize:
         params = QuantizationParams(0.1, 0, 8)
         float_bytes = 16 * 4 * 4 * 4
         assert float_bytes / wire_bytes((16, 4, 4), params) == 4.0
-
-    def test_compress_activation(self, rng):
-        activation = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
-        params = calibrate(activation, bits=8)
-        packet = compress_activation(activation, params)
-        assert packet.payload_bytes == 2 * 4 * 4 * 4
-        restored = packet.dequantized()
-        assert restored.shape == activation.shape
-        assert np.abs(restored - activation).max() <= params.scale
 
 
 class TestProperties:

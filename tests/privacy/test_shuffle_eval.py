@@ -278,16 +278,6 @@ class TestEvaluator:
         )
         assert moved.batches == first.batches  # composition unchanged
 
-    def test_worker_count_is_leakage_invariant(self, stream):
-        activations, sessions = stream
-        one = evaluate_shuffle_leakage(
-            activations, sessions, shuffle=True, workers=1
-        )
-        eight = evaluate_shuffle_leakage(
-            activations, sessions, shuffle=True, workers=8
-        )
-        assert one == eight
-
     def test_amplification_reported_at_min_anonymity(self, stream):
         """Two of the six sessions put 2 rows in every window-8 frame, and
         a session's rows compose before amplification (the rule
@@ -328,12 +318,12 @@ class TestSweep:
     def test_surface_covers_the_cross_product_deterministically(self, stream):
         activations, sessions = stream
         kwargs = dict(
-            batch_windows=(2, 8), shard_counts=(1, 2), worker_counts=(1,),
+            batch_windows=(2, 8), shard_counts=(1, 2),
             isolation_policies=(False, True), shuffle_modes=(False, True),
             epsilon0=1.0,
         )
         surface = sweep_mixing_tradeoff(activations, sessions, **kwargs)
-        assert len(surface) == 2 * 2 * 1 * 2 * 2
+        assert len(surface) == 2 * 2 * 2 * 2
         assert surface == sweep_mixing_tradeoff(activations, sessions, **kwargs)
         # Shuffled mixed legs never leak more positionally than their
         # unshuffled twins.

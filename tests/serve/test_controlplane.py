@@ -34,6 +34,9 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -450,6 +453,74 @@ class TestCrashRecovery:
                 plane.drain()
             assert plane.alive_workers == 0
             assert plane.in_flight == 0
+
+    def test_total_worker_loss_discards_every_queued_flight_at_once(
+        self, bundle, collections
+    ):
+        """When the last worker crashes, the crashed flight and every
+        flight still queued fail in one ``ServingFaultError``, as does work
+        dispatched while no worker is left; healed workers then serve new
+        traffic bit-identically (the lost requests drew their noise before
+        dispatch)."""
+        crashing = [True]
+        images = bundle.test_set.images
+        plan = [("dep0", images[i : i + 1], None, None) for i in range(7)]
+        expected = _sequential_reference(bundle, collections, plan, 1)
+        with _make_plane(
+            bundle, collections, n_deployments=1, workers=2, window=1,
+            fault_injector=lambda worker_id, task: crashing[0],
+        ) as plane:
+            for deployment, image, _, _ in plan[:4]:
+                plane.submit(image, deployment=deployment)
+            with pytest.raises(ServingFaultError, match="every cloud worker"):
+                plane.drain()
+            assert plane.in_flight == 0
+            assert plane.alive_workers == 0
+            plane.submit(plan[4][1], deployment="dep0")
+            with pytest.raises(ServingFaultError, match="every cloud worker"):
+                plane.drain()
+            assert plane.in_flight == 0
+            crashing[0] = False
+            assert plane.heal() == 2
+            handles = [
+                plane.submit(image, deployment=deployment)
+                for deployment, image, _, _ in plan[5:]
+            ]
+            assert sorted(plane.drain()) == sorted(handles)
+            for handle, reference in zip(handles, expected[5:]):
+                np.testing.assert_array_equal(plane.result(handle), reference)
+
+    def test_crashed_retiring_worker_strands_no_stop_marker(
+        self, bundle, collections
+    ):
+        """Both workers crash on the flights queued ahead of a shrink's
+        stop marker, so no thread is left to take it: the pool reads 0
+        workers, and one heal restores exactly one."""
+        release = threading.Event()
+        crashing = [True]
+
+        def injector(worker_id, task):
+            release.wait(timeout=10.0)
+            return crashing[0]
+
+        images = bundle.test_set.images
+        with _make_plane(
+            bundle, collections, n_deployments=1, workers=2, window=1,
+            fault_injector=injector,
+        ) as plane:
+            for i in range(2):
+                plane.submit(images[i : i + 1], deployment="dep0")
+            plane.pump(flush=True)  # one flight per worker, then the marker
+            assert plane.scale_to(1) == 1
+            release.set()
+            while plane.in_flight:
+                with pytest.raises(ServingFaultError):
+                    plane.drain()
+            assert plane.alive_workers == 0
+            crashing[0] = False
+            assert plane.heal() == 1
+            handle = plane.submit(images[:1], deployment="dep0")
+            assert plane.drain() == [handle]
 
     def test_serving_continues_after_recovery(self, bundle, collections):
         """Post-crash, the shrunken pool keeps serving new traffic."""
@@ -921,19 +992,108 @@ class TestElasticLifecycle:
         ) as plane:
             assert plane.scale_to(3) == 3
             assert plane.alive_workers == 3
-            assert plane.scale_to(1) == 1  # all parked: shrink is immediate
+            assert plane.scale_to(1) == 1
             assert plane.alive_workers == 1
             with pytest.raises(ConfigurationError, match="pool size"):
                 plane.scale_to(0)
             with pytest.raises(ConfigurationError, match="pool size"):
                 plane.scale_to(5)
-            # An explicit heal target overrides the shrink target — the
-            # deferred-shrink pass must not undo it on the next pump.
+            # An explicit heal target overrides the shrink target, and
+            # the next pump keeps it.
             assert plane.heal(to=3) == 2
             plane.pump()
             assert plane.alive_workers == 3
             assert plane.pool_metrics.pool_size_samples
             assert max(plane.pool_metrics.pool_size_samples) >= 3
+
+    def test_shrink_serves_queued_flights_then_retires_threads(
+        self, bundle, collections
+    ):
+        """``scale_to`` queues its stop markers behind the micro-batches
+        already dispatched: every request is served once, bit-identical,
+        and the surplus workers' threads exit."""
+        images = bundle.test_set.images
+        plan = [("dep0", images[i : i + 1], None, None) for i in range(6)]
+        expected = _sequential_reference(bundle, collections, plan, 1)
+        with _make_plane(
+            bundle, collections, n_deployments=1, workers=1, window=1,
+            max_workers=3,
+        ) as plane:
+            plane.scale_to(3)
+            threads = list(plane._threads)
+            handles = [
+                plane.submit(image, deployment=deployment)
+                for deployment, image, _, _ in plan
+            ]
+            plane.pump(flush=True)  # six flights queued ahead of the markers
+            assert plane.scale_to(1) == 1
+            delivered = plane.pump() + plane.drain()
+            assert sorted(delivered) == sorted(handles)
+            assert plane.alive_workers == 1
+            deadline = time.monotonic() + 10.0
+            while (
+                sum(thread.is_alive() for thread in threads) > 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert sum(thread.is_alive() for thread in threads) == 1
+            actual = [plane.result(handle) for handle in handles]
+        for a, b in zip(expected, actual):
+            np.testing.assert_array_equal(a, b)
+
+    def test_resizing_under_traffic_is_exactly_once(self, bundle, collections):
+        """Stress: up to six worker threads on a short switch interval
+        while the pool shrinks and grows between micro-batches — every
+        request delivers once, in session order, bit-identically, and the
+        pool settles at one live thread per live worker."""
+        images = bundle.test_set.images
+        plan = [
+            ("dep0", images[i % 16 : i % 16 + 1], None, f"user-{i % 3}")
+            for i in range(48)
+        ]
+        expected = _sequential_reference(bundle, collections, plan, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _make_plane(
+                bundle, collections, n_deployments=1, workers=6, window=2,
+                max_workers=6,
+            ) as plane:
+                handles, delivered = [], []
+                for step, (deployment, image, _, session) in enumerate(plan):
+                    handles.append(
+                        plane.submit(image, deployment=deployment,
+                                     session_id=session)
+                    )
+                    delivered += plane.pump(flush=True)
+                    if step % 8 == 7:
+                        plane.scale_to(6 if plane.alive_workers < 6 else 1 + step % 3)
+                delivered += plane.drain()
+                assert sorted(delivered) == sorted(handles)
+                for session in ("user-0", "user-1", "user-2"):
+                    order = [
+                        delivered.index(handle)
+                        for handle, (_, _, _, owner) in zip(handles, plan)
+                        if owner == session
+                    ]
+                    assert order == sorted(order)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and (
+                    plane._retiring
+                    or sum(t.is_alive() for t in plane._threads)
+                    != plane.alive_workers
+                ):
+                    plane.pump()
+                    time.sleep(0.01)
+                assert not plane._retiring
+                assert sum(t.is_alive() for t in plane._threads) == len(
+                    plane._workers
+                )
+                actual = [plane.result(handle) for handle in handles]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(expected, actual):
+            np.testing.assert_array_equal(a, b)
 
     def test_autoscaler_grows_under_backlog_and_decays_when_idle(
         self, bundle, collections
@@ -980,24 +1140,23 @@ class TestElasticLifecycle:
     def test_close_releases_every_context_even_after_crashes(
         self, bundle, collections
     ):
-        """Regression for the PR-5 leak: ``close()`` must drain the
-        context pool and strip executors/channels from *every* context
-        ever spawned — including ones killed by a crash."""
+        """Regression for the PR-5 leak: ``close()`` must leave no
+        executor or channel in *any* worker ever spawned — including one
+        killed by a crash."""
         injector = _one_shot_fault("dep0", 0)
         plane = _make_plane(
             bundle, collections, n_deployments=1, workers=2,
             fault_injector=injector,
         )
+        workers = list(plane._workers.values())  # the crashed one too
         plane.submit(bundle.test_set.images[:1], deployment="dep0")
         plane.drain()
         assert len(injector.crashed) == 1
         plane.close()
-        assert plane._contexts.empty()
-        assert plane._all_contexts  # the killed context is still tracked
-        for context in plane._all_contexts:
-            assert not context.alive
-            assert context.servers == {}
-            assert context.channels == {}
+        assert len(workers) == 2
+        for worker in workers:
+            assert worker.servers == {}
+            assert worker.channels == {}
         assert plane.alive_workers == 0
 
     def test_pool_threads_stop_on_close_and_on_collection(

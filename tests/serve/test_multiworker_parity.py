@@ -161,10 +161,10 @@ class _StallRequestZero(ControlPlane):
 
     STALL_SECONDS = 0.05
 
-    def _execute(self, task):
+    def _execute(self, worker, task):
         if 0 in decode_activation_batch(task.uplink).request_ids:
             time.sleep(self.STALL_SECONDS)
-        return super()._execute(task)
+        return super()._execute(worker, task)
 
 
 def _poll(engine, *, until, timeout=5.0):
@@ -271,11 +271,11 @@ class TestEngineMechanics:
         class FailOnce(ControlPlane):
             failures = 0
 
-            def _execute(self, task):
+            def _execute(self, worker, task):
                 if type(self).failures == 0:
                     type(self).failures += 1
                     raise RuntimeError("worker down")
-                return super()._execute(task)
+                return super()._execute(worker, task)
 
         FailOnce.failures = 0
         images = bundle.test_set.images

@@ -171,6 +171,22 @@ class TestRouting:
         assert route_session("user-0", 4) == zlib.crc32(b"user-0") % 4
 
 
+def _shuffled_spec(bundle, collection):
+    return ShardSpec.capture(
+        bundle.model,
+        bundle.model.last_conv_cut(),
+        mean=np.zeros(1, np.float32),
+        std=np.ones(1, np.float32),
+        noise=collection,
+        base_seed=7,
+        batch_window=4,
+        batch_timeout=0.0,
+        kernel_backend="numpy",
+        shuffle=True,
+        shuffle_seed=9,
+    )
+
+
 class TestShuffledShardSpec:
     def test_spec_carries_shuffle_and_engine_stays_bit_identical(
         self, bundle, collection
@@ -180,20 +196,7 @@ class TestShuffledShardSpec:
         reference (the shuffling contract, across the spec boundary)."""
         from dataclasses import replace
 
-        base = ShardSpec.capture(
-            bundle.model,
-            bundle.model.last_conv_cut(),
-            mean=np.zeros(1, np.float32),
-            std=np.ones(1, np.float32),
-            noise=collection,
-            base_seed=7,
-            batch_window=4,
-            batch_timeout=0.0,
-            kernel_backend="numpy",
-            shuffle=True,
-            shuffle_seed=9,
-        )
-        spec = replace(base)  # still plain data; dataclass ops work
+        spec = replace(_shuffled_spec(bundle, collection))  # dataclass ops work
         assert spec.deployment.shuffle and spec.deployment.shuffle_seed == 9
         stream, _, sessions = _random_stream(
             bundle, np.random.default_rng(13), 8
@@ -212,6 +215,37 @@ class TestShuffledShardSpec:
             engine.close()
         for a, b in zip(expected, actual):
             np.testing.assert_array_equal(a, b)
+
+    def test_each_shard_shuffles_with_its_own_seed(self, bundle, collection):
+        """Shard i's shuffler is seeded ``shard_seed(shuffle_seed, i)``,
+        the derivation the shuffling contract and ``tap_wire_batches``
+        use, and each shard stays bit-identical to its own reference."""
+        spec = _shuffled_spec(bundle, collection)
+        stream, _, sessions = _random_stream(
+            bundle, np.random.default_rng(13), 8
+        )
+        expected = _reference_outputs(spec, 2, stream, sessions)
+        for shard, seed in enumerate([3225285948, 3933992529]):
+            assert seed == shard_seed(9, shard)
+            routed = [
+                i for i, session in enumerate(sessions)
+                if route_session(session, 2) == shard
+            ]
+            assert routed
+            engine = spec.build_engine(shard)
+            try:
+                assert engine.deployment().shuffler.seed == seed
+                handles = [
+                    engine.submit(stream[i], session_id=sessions[i])
+                    for i in routed
+                ]
+                engine.drain()
+                for i, handle in zip(routed, handles):
+                    np.testing.assert_array_equal(
+                        engine.result(handle), expected[i]
+                    )
+            finally:
+                engine.close()
 
 
 class TestSpawnSafety:
