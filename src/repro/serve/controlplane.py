@@ -593,6 +593,7 @@ class ControlPlane:
         # — a mid-warm failure (e.g. kernel_backend="native" without a
         # compiler) must not leave a routable deployment that would
         # KeyError inside the workers.
+        self._quiesce()
         self._equip_all(deployment)
         self.registry.add(deployment)
         return deployment
@@ -623,28 +624,19 @@ class ControlPlane:
 
     def _equip_all(self, deployment: Deployment) -> None:
         """Equip every worker for ``deployment``; on failure each worker
-        gets its previous executor and link back.
-
-        Callers hold no micro-batch in flight, so no worker thread is
-        using its executors.
-        """
-        name = deployment.name
+        gets its previous executors and links back.  Callers have
+        quiesced the plane (:meth:`_quiesce`), so no worker is using its
+        executors or about to leave."""
         saved = [
-            (worker, worker.servers.get(name), worker.channels.get(name))
+            (worker, dict(worker.servers), dict(worker.channels))
             for worker in self._workers.values()
         ]
         try:
             for worker in self._workers.values():
                 self._equip(worker, deployment)
         except BaseException:
-            for worker, server, channel in saved:
-                for slot, previous in (
-                    (worker.servers, server), (worker.channels, channel)
-                ):
-                    if previous is None:
-                        slot.pop(name, None)
-                    else:
-                        slot[name] = previous
+            for worker, servers, channels in saved:
+                worker.servers, worker.channels = servers, channels
             raise
 
     def _equip(self, worker: _Worker, deployment: Deployment) -> None:
@@ -919,11 +911,10 @@ class ControlPlane:
         if to is not None:
             # An explicit restore target becomes the new healing target.
             self.target_workers = max(1, target)
-        spawned = 0
-        while self.alive_workers < target:
+        spawned = max(0, target - self.alive_workers)
+        for _ in range(spawned):
             self._spawn()
-            spawned += 1
-            self.pool_metrics.respawned_workers += 1
+        self.pool_metrics.respawned_workers += spawned
         if spawned:
             self.pool_metrics.pool_size_samples.append(self.alive_workers)
         return spawned
@@ -931,10 +922,10 @@ class ControlPlane:
     def scale_to(self, n: int) -> int:
         """Grow or shrink the pool to ``n`` live workers.
 
-        Growth spawns pre-warmed workers immediately.  A shrink queues one
-        stop marker per surplus worker: each marker waits behind the
-        micro-batches already queued, so the pool never abandons admitted
-        work, and the worker that takes it leaves.
+        Growth takes back stop markers still queued, then spawns
+        pre-warmed workers.  A shrink queues one stop marker per surplus
+        worker; it waits behind the micro-batches already queued, so no
+        admitted work is abandoned, and the worker that takes it leaves.
 
         Returns:
             The live worker count after this call, ``n``.
@@ -946,6 +937,7 @@ class ControlPlane:
                 f"pool size must be in [1, {self.max_workers}], got {n}"
             )
         self.target_workers = n
+        self._withdraw_markers(n - self.alive_workers)
         while self.alive_workers < n:
             self._spawn()
         while self.alive_workers > n:
@@ -1016,12 +1008,12 @@ class ControlPlane:
         return delivered
 
     def _quiesce(self, *, timeout: float = 30.0) -> list[RequestHandle]:
-        """Collect every in-flight micro-batch (no new dispatches) so no
-        worker is using its executors — the precondition for
-        re-equipping."""
+        """Collect every in-flight micro-batch (no new dispatches) and every
+        retiring worker's goodbye, so no worker is using its executors or
+        about to leave — the precondition for re-equipping."""
         deadline = time.monotonic() + timeout
         delivered: list[RequestHandle] = []
-        while self._flights:
+        while self._flights or self._retiring:
             if time.monotonic() > deadline:  # pragma: no cover - wedge guard
                 raise DeploymentDrainError(
                     f"{len(self._flights)} micro-batches still in flight "
@@ -1266,12 +1258,11 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def _collect(self, *, block: bool) -> list[RequestHandle]:
         """Absorb finished micro-batches in completion order, and retired
-        workers' goodbyes; ``block`` waits until no micro-batch is left in
-        flight."""
+        workers' goodbyes; ``block`` waits until neither is pending."""
         delivered: list[RequestHandle] = []
         while self._flights or self._retiring:
             try:
-                flight, outcome = self._done.get(block=block and bool(self._flights))
+                flight, outcome = self._done.get(block=block)
             except Empty:
                 break
             if flight is None:  # a retired worker's goodbye
@@ -1281,6 +1272,7 @@ class ControlPlane:
             self._flights.discard(flight)
             if isinstance(outcome, WorkerCrashError):
                 del self._workers[outcome.worker_id]
+                self._withdraw_markers(1)  # it counts as a shrink's retirement
                 self._recover(flight)
             elif isinstance(outcome, BaseException):
                 self._discard_flight(flight)
@@ -1302,7 +1294,6 @@ class ControlPlane:
         ``auto_heal`` is on, in which case the pool is restored to
         ``target_workers`` first (so even total worker loss recovers).
         """
-        self._flights.discard(flight)
         if self.auto_heal and self.alive_workers < self.target_workers:
             self.heal()
         if self.alive_workers <= 0:
@@ -1314,14 +1305,11 @@ class ControlPlane:
     def _fail_stranded(self, lost: list[_Flight]) -> None:
         """With no worker left, discard ``lost`` and every queued flight and
         raise one :class:`~repro.errors.ServingFaultError` naming them."""
-        queued = self._take_queued()
-        lost += [task for task in queued if task is not None]
-        # Retiring threads still take their stop markers; the marker of a
-        # retiring worker that crashed instead has no taker.
-        orphans = max(0, self._retiring - len(self._workers))
-        self._retiring -= orphans
-        for _ in range(queued.count(None) - orphans):
-            self._tasks.put(None)
+        for task in self._take_queued():
+            if task is None:  # a retiring worker's stop marker stays
+                self._tasks.put(task)
+            else:
+                lost.append(task)
         for flight in lost:
             self._discard_flight(flight)
         if lost:
@@ -1440,6 +1428,18 @@ class ControlPlane:
         finally:
             self._workers.clear()
             self._retiring = 0
+
+    def _withdraw_markers(self, wanted: int) -> None:
+        """Take up to ``wanted`` queued stop markers back (their workers
+        stay); every other task keeps its place in the queue."""
+        if wanted <= 0 or not self._retiring:
+            return
+        for task in self._take_queued():
+            if task is None and wanted > 0:
+                wanted -= 1
+                self._retiring -= 1
+            else:
+                self._tasks.put(task)
 
     def _take_queued(self) -> list[_Flight | None]:
         """Empty the task queue, returning what it held in queue order."""
@@ -1576,8 +1576,7 @@ class Autoscaler:
         elapsed = None if self._last_step is None else now - self._last_step
         self._last_step = now
         plane = self._plane
-        if plane.alive_workers < plane.target_workers:
-            plane.heal()
+        plane.heal()
         alive = plane.alive_workers
         arrivals = 0
         demand = 0.0
