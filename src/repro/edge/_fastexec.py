@@ -15,24 +15,28 @@ the IR, which the numpy interpreter executes identically.
 
 Kernels (float32 out; input may be f32 or quantised u8/u16 codes):
 
-* ``conv2d`` — one flat-plane kernel for every float conv (f32 or int8
-  weights, on f32 input or widened u8/u16 codes).  Per sample it copies
+* ``conv2d`` — one flat-plane frame for every conv with more than one
+  output position, and every fully integer conv.  Per sample it copies
   the padded input into ``sh·sw`` phase (polyphase) planes — one padded
   plane at stride 1 — and takes its vector lanes from consecutive
   positions ``p = oy·wq + ox`` of the flattened plane, so every tap
   ``(c, ki, kj)`` is one contiguous load from phase plane
   ``(ki mod sh, kj mod sw)`` at offset ``(ki/sh, kj/sw)`` whatever the
   plane width; the ``wq − ow`` wrap-around lanes of each row are computed
-  and dropped.  Tiles of 4 output channels x up to 64 lanes land in a
-  staging area of the scratch panel, where the op epilogue runs: affine
-  scale (folded dequantisation), bias, the optional folded eval-mode
-  BatchNorm ``(y − mean) / sd · gamma + beta``, optional ReLU, an
-  optional fused eval-mode 2x2/2 max pool over row pairs, and the
-  optional per-row extra add.  One shared helper
-  (``epi_apply``) applies the epilogue in every conv and linear kernel
-  variant.  im2col remains in two places only: single-position convs
-  (``OH*OW == 1``) feed one im2col column to the dot kernel, and the fully
-  integer path runs im2col + an integer GEMM (below).
+  and dropped.  Tiles of 4 output channels x up to 64 lanes land as
+  floats in a staging area of the scratch panel, where the op epilogue
+  runs: affine scale (folded dequantisation), bias, the optional folded
+  eval-mode BatchNorm ``(y − mean) / sd · gamma + beta``, optional ReLU,
+  an optional fused eval-mode 2x2/2 max pool over row pairs, and the
+  optional per-row extra add.  Two accumulations share the frame: the
+  float one (f32 or int8 weights, on f32 input or on u8/u16 codes widened
+  in the planes), and the fully integer one, whose plane element is a
+  4-byte word of one channel quad's raw u8 codes and whose every tap of a
+  quad is one widening u8 x i8 → i32 multiply-add (``vpdpbusd`` where the
+  build has AVX-512 VNNI, a GCC vector-extension step elsewhere).  One
+  shared helper (``epi_apply``) applies the epilogue in every conv and
+  linear kernel variant.  im2col remains for single-position float convs
+  (``OH*OW == 1``), which feed one im2col column to the dot kernel.
 * ``linear`` — row-blocked dot products (4 output features x 16 fixed
   lanes per row) with the same fused epilogue.
 * ``maxpool2d`` / ``relu`` — standalone passes for ops the rewrite
@@ -54,23 +58,19 @@ No f32 dequantised copy of the activation ever exists.
 
 Quantised weights (the opt-in ``int8_weights`` rewrite): a record whose
 op carries int8 weight codes sets its weight-mode field and the conv/dot
-kernels read the code plane directly — ``flat_conv_w8``/``linear_*_w8``
-widen int8 codes to float in-register against the float (or
-float-widened code) operand (the linear variants convert each 256-term
-weight chunk once per 16-sample block, bit-identical to the per-sample
-form), while the fully integer variants (taken when composed with
-quantised ingest and the reduction depth keeps an i32 accumulator exact
-— see
+kernels read the codes directly — ``flat_conv_w8``/``linear_*_w8`` widen
+int8 codes to float in-register against the float (or float-widened
+code) operand (the linear variants convert each 256-term weight chunk
+once per 16-sample block, bit-identical to the per-sample form), while
+the fully integer variants (taken when composed with quantised ingest
+and the reduction depth keeps an i32 accumulator exact — see
 :func:`repro.edge.ir.integer_matmul_eligible`) multiply raw u8
 activation codes against i8 weight codes with exact int32 accumulation:
-``gemm_u8w8``/``linear_u8_i8`` on the im2col/dot path, and — where the
-build host has AVX-512 VNNI — ``conv_vnni_u8i8``, a packed integer
-direct conv that shuffles each padded u8 plane row into sliding 4-byte
-windows (``vpermb``) and accumulates them against broadcast 4-tap weight
-groups (``vpdpbusd``), with an optional record-level re-merge of the
-trailing eval-mode 2x2/2 max pool into its epilogue.  Exact integer
-accumulation makes every such schedule bit-identical, so the kernel
-choice is free.  Either way the per-output-channel dequantisation scale
+``flat_conv_u8i8`` on the flat plane, whose weights :class:`CompiledProgram`
+repacks once per record into quad-interleaved codes, and ``linear_u8_i8``
+on the dot path.  Exact integer accumulation makes every schedule — VNNI
+or generic step, any tile — give the same integers, converted with
+``(float)acc``.  Either way the per-output-channel dequantisation scale
 (and, composed, the combined activation·weight scale plus zero-point
 row-sum correction) rides the same epilogue as a per-channel scale
 vector.  No f32 dequantised copy of any weight ever exists in this
@@ -136,32 +136,29 @@ _SOURCE = r"""
 
 /* ------------------------------------------------------------------ */
 /* im2col: one sample (c_in, h, w) -> (c_in*kh*kw, oh*ow), for the    */
-/* dot kernel's single-position convs and the fully integer GEMM.      */
-/* Generated per (input dtype, panel dtype); integer codes widen to    */
-/* float on the float panels, stay raw codes on the u8 panel (the      */
-/* fully integer path), and the padding value is the quantiser zero    */
-/* point (0.0f for f32 inputs).                                        */
+/* dot kernel's single-position float convs.  Generated per input     */
+/* dtype; integer codes widen to float, and the padding value is the   */
+/* quantiser zero point (0.0f for f32 inputs).                         */
 /* ------------------------------------------------------------------ */
-#define DEF_IM2COL(NAME, TYPE, OTYPE)                                      \
+#define DEF_IM2COL(NAME, TYPE)                                             \
 static void NAME(const TYPE *restrict x,                                   \
                  int64_t c_in, int64_t h, int64_t w,                       \
                  int64_t kh, int64_t kw, int64_t sh, int64_t sw,           \
                  int64_t ph, int64_t pw, int64_t oh, int64_t ow,           \
-                 float padv, OTYPE *restrict cols) {                       \
+                 float padv, float *restrict cols) {                       \
     /* Rows are short (tens of floats); inline copy loops beat the call   \
        overhead of memcpy/memset at this size. */                          \
     int64_t m = oh * ow;                                                   \
-    OTYPE pv = (OTYPE)padv;                                                \
     for (int64_t c = 0; c < c_in; c++) {                                   \
         const TYPE *plane = x + c * h * w;                                 \
         for (int64_t ki = 0; ki < kh; ki++)                                \
             for (int64_t kj = 0; kj < kw; kj++) {                          \
-                OTYPE *row = cols + ((c * kh + ki) * kw + kj) * m;         \
+                float *row = cols + ((c * kh + ki) * kw + kj) * m;         \
                 for (int64_t oy = 0; oy < oh; oy++) {                      \
                     int64_t iy = oy * sh - ph + ki;                        \
-                    OTYPE *restrict dst = row + oy * ow;                   \
+                    float *restrict dst = row + oy * ow;                   \
                     if (iy < 0 || iy >= h) {                               \
-                        for (int64_t j = 0; j < ow; j++) dst[j] = pv;      \
+                        for (int64_t j = 0; j < ow; j++) dst[j] = padv;    \
                         continue;                                          \
                     }                                                      \
                     const TYPE *src = plane + iy * w;                      \
@@ -171,15 +168,15 @@ static void NAME(const TYPE *restrict x,                                   \
                         int64_t ox1 = w + pw - kj;                         \
                         if (ox1 > ow) ox1 = ow;                            \
                         const TYPE *restrict s = src - pw + kj;            \
-                        for (int64_t j = 0; j < ox0; j++) dst[j] = pv;     \
+                        for (int64_t j = 0; j < ox0; j++) dst[j] = padv;   \
                         for (int64_t j = ox0; j < ox1; j++)                \
-                            dst[j] = (OTYPE)s[j];                          \
-                        for (int64_t j = ox1; j < ow; j++) dst[j] = pv;    \
+                            dst[j] = (float)s[j];                          \
+                        for (int64_t j = ox1; j < ow; j++) dst[j] = padv;  \
                     } else {                                               \
                         for (int64_t ox = 0; ox < ow; ox++) {              \
                             int64_t ix = ox * sw - pw + kj;                \
                             dst[ox] = (ix >= 0 && ix < w)                  \
-                                          ? (OTYPE)src[ix] : pv;           \
+                                          ? (float)src[ix] : padv;         \
                         }                                                  \
                     }                                                      \
                 }                                                          \
@@ -187,31 +184,52 @@ static void NAME(const TYPE *restrict x,                                   \
     }                                                                      \
 }
 
-DEF_IM2COL(im2col_f32, float, float)
-DEF_IM2COL(im2col_u8, uint8_t, float)
-DEF_IM2COL(im2col_u16, uint16_t, float)
-DEF_IM2COL(im2col_u8c, uint8_t, uint8_t)
+DEF_IM2COL(im2col_f32, float)
+DEF_IM2COL(im2col_u8, uint8_t)
+DEF_IM2COL(im2col_u16, uint16_t)
 
-/* Phase planes feeding the flat-plane conv: the padded input of one    */
+/* Phase planes feeding the flat-plane convs: the padded input of one  */
 /* sample split by stride into sh*sw polyphase planes of hq x wq, laid  */
-/* out [c][fy][fx][hq][wq], so padded pixel (y, x) of channel c sits at */
-/* row y/sh, column x/sw of phase plane (y mod sh, x mod sw).  Stride 1 */
-/* is the single padded plane.  The planes are first filled with the   */
-/* padding value (the zero point for codes, 0.0f for f32), so every    */
-/* entry outside the input, the padded border and the phases' ragged   */
-/* ends alike, holds it; then the input's rows are copied in.          */
-/* Generated per input dtype; integer codes widen to float here.       */
-#define DEF_PHASE_PLANES(NAME, TYPE)                                       \
+/* out [g][fy][fx][hq][wq] for plane element group g, so padded pixel  */
+/* (y, x) sits at row y/sh, column x/sw of phase plane (y mod sh,      */
+/* x mod sw).  Stride 1 is the single padded plane.  The planes are    */
+/* first filled with the padding value (the zero point for codes, 0.0f */
+/* for f32), so every entry outside the input, the padded border and   */
+/* the phases' ragged ends alike, holds it; then the input's rows are  */
+/* copied in.  Generated per input dtype and plane element (ELEM packs */
+/* the element at offset I of the group's first channel S, its other   */
+/* channels d[t] further on): one float per channel (integer codes     */
+/* widen here), or one 4-byte word per channel quad of raw u8 codes,   */
+/* byte t from channel 4g + t, for the fully integer conv.  A last     */
+/* partial quad repeats its last channel in the missing bytes, whose   */
+/* weight codes are zero.                                              */
+#define PLANE_F32(S, d, I) ((float)(S)[I])
+#define PLANE_QUAD(S, d, I)                                                \
+    ((uint32_t)(S)[I] | (uint32_t)(S)[d[1] + (I)] << 8 |                   \
+     (uint32_t)(S)[d[2] + (I)] << 16 | (uint32_t)(S)[d[3] + (I)] << 24)
+#define DEF_PHASE_PLANES(NAME, TYPE, OTYPE, CPL, ELEM)                     \
 static void NAME(const TYPE *restrict x, int64_t c_in, int64_t h,          \
                  int64_t w, int64_t sh, int64_t sw, int64_t ph,            \
-                 int64_t pw, int64_t hq, int64_t wq, float padv,           \
-                 float *restrict xq) {                                     \
-    for (int64_t j = 0; j < c_in * sh * sw * hq * wq; j++) xq[j] = padv;   \
-    for (int64_t c = 0; c < c_in; c++)                                     \
+                 int64_t pw, int64_t hq, int64_t wq, OTYPE padv,           \
+                 OTYPE *restrict xq) {                                     \
+    int64_t groups = (c_in + CPL - 1) / CPL;                               \
+    for (int64_t j = 0; j < groups * sh * sw * hq * wq; j++) xq[j] = padv; \
+    for (int64_t g = 0; g < groups; g++) {                                 \
+        int64_t d[CPL];                                                    \
+        for (int64_t t = 0; t < CPL; t++)                                  \
+            d[t] = (g * CPL + t < c_in ? t : c_in - 1 - g * CPL) * h * w;  \
+        (void)d; /* the float element reads its own channel only */        \
+        const TYPE *xg = x + g * CPL * h * w;                              \
+        if (sh == 1 && sw == 1 && pw == 0) {                               \
+            /* The input's rows, end to end, below ph padded rows. */      \
+            OTYPE *restrict dst = xq + (g * hq + ph) * wq;                 \
+            for (int64_t j = 0; j < h * w; j++) dst[j] = ELEM(xg, d, j);   \
+            continue;                                                      \
+        }                                                                  \
         for (int64_t fy = 0; fy < sh; fy++)                                \
             for (int64_t fx = 0; fx < sw; fx++) {                          \
-                float *restrict plane =                                    \
-                    xq + ((c * sh + fy) * sw + fx) * hq * wq;              \
+                OTYPE *restrict plane =                                    \
+                    xq + ((g * sh + fy) * sw + fx) * hq * wq;              \
                 /* Phase columns q with input column q*sw + fx - pw in    \
                    [0, w) are [q0, q1). */                                 \
                 int64_t lo = pw - fx, hi = w + pw - fx;                    \
@@ -221,41 +239,23 @@ static void NAME(const TYPE *restrict x, int64_t c_in, int64_t h,          \
                 for (int64_t qy = 0; qy < hq; qy++) {                      \
                     int64_t y = qy * sh + fy - ph;                         \
                     if (y < 0 || y >= h) continue;                         \
-                    float *restrict dst = plane + qy * wq;                 \
-                    const TYPE *restrict src = x + (c * h + y) * w;        \
+                    OTYPE *restrict dst = plane + qy * wq;                 \
+                    const TYPE *restrict src = xg + y * w;                 \
                     if (sw == 1)                                           \
                         for (int64_t j = q0; j < q1; j++)                  \
-                            dst[j] = (float)src[j - lo];                   \
+                            dst[j] = ELEM(src, d, j - lo);                 \
                     else                                                   \
                         for (int64_t j = q0; j < q1; j++)                  \
-                            dst[j] = (float)src[j * sw - lo];              \
+                            dst[j] = ELEM(src, d, j * sw - lo);            \
                 }                                                          \
             }                                                              \
+    }                                                                      \
 }
 
-DEF_PHASE_PLANES(phase_planes_f32, float)
-DEF_PHASE_PLANES(phase_planes_u8, uint8_t)
-DEF_PHASE_PLANES(phase_planes_u16, uint16_t)
-
-/* Raw u8 plane copy (no widening) feeding the packed integer direct
-   kernel; the padding byte is the quantiser zero point (which the
-   folded row-sum correction dequantises to exactly 0).  Always copies
-   — even unpadded — so the kernel's 64-byte vector over-reads land in
-   scratch slack, never past the caller's input array. */
-static void pad_plane_u8_raw(const uint8_t *restrict x, int64_t c_in,
-                             int64_t h, int64_t w, int64_t ph, int64_t pw,
-                             uint8_t padv, uint8_t *restrict xp) {
-    int64_t hp = h + 2 * ph, wp = w + 2 * pw;
-    if (ph == 0 && pw == 0) {
-        memcpy(xp, x, (size_t)(c_in * h * w));
-        return;
-    }
-    memset(xp, padv, (size_t)(c_in * hp * wp));
-    for (int64_t c = 0; c < c_in; c++)
-        for (int64_t y = 0; y < h; y++)
-            memcpy(xp + (c * hp + y + ph) * wp + pw, x + (c * h + y) * w,
-                   (size_t)w);
-}
+DEF_PHASE_PLANES(phase_planes_f32, float, float, 1, PLANE_F32)
+DEF_PHASE_PLANES(phase_planes_u8, uint8_t, float, 1, PLANE_F32)
+DEF_PHASE_PLANES(phase_planes_u16, uint16_t, float, 1, PLANE_F32)
+DEF_PHASE_PLANES(phase_quads_u8, uint8_t, uint32_t, 4, PLANE_QUAD)
 
 /* ------------------------------------------------------------------ */
 /* The epilogue every conv/linear kernel variant shares, per output    */
@@ -313,79 +313,6 @@ static inline float max4(float v00, float v01, float v10, float v11) {
         if ((E).affine) { enum { AFF = 1 }; __VA_ARGS__ }                   \
         else { enum { AFF = 0 }; __VA_ARGS__ }                              \
     } while (0)
-
-/* ------------------------------------------------------------------ */
-/* Fully integer GEMM out(c_out, m) = wmat(c_out, K) @ cols(K, m): raw */
-/* u8 code panel x i8 weight codes with exact i32 accumulation (adds   */
-/* are associative, so batch invariance holds by arithmetic alone),    */
-/* the shared epilogue (epi_apply) and the extra add fused.  4x32      */
-/* register tiles.                                                     */
-/* ------------------------------------------------------------------ */
-static void gemm_u8w8_tile(const int8_t *restrict wmat,
-                           const uint8_t *restrict cols,
-                           const float *restrict bias,
-                           const float *restrict cscale,
-                           const float *restrict aff, int64_t K, int64_t m,
-                           int64_t oc, int64_t nr, int64_t jb, int64_t mb,
-                           int relu, float scale,
-                           const float *restrict extra,
-                           float *restrict out) {
-    int32_t acc[4][32] __attribute__((aligned(64)));
-    for (int64_t r = 0; r < 4; r++)
-        memset(acc[r], 0, mb * sizeof(int32_t));
-    const int8_t *w0 = wmat + oc * K;
-    const int8_t *w1 = wmat + (oc + (nr > 1)) * K;
-    const int8_t *w2 = wmat + (oc + 2 * (nr > 2)) * K;
-    const int8_t *w3 = wmat + (oc + 3 * (nr > 3)) * K;
-#define GEMM_U8W8_STEP(MB)                                                  \
-    for (int64_t k = 0; k < K; k++) {                                       \
-        const uint8_t *restrict b = cols + k * m + jb;                      \
-        int32_t a0 = w0[k], a1 = w1[k], a2 = w2[k], a3 = w3[k];             \
-        for (int64_t j = 0; j < (MB); j++) {                                \
-            int32_t v = b[j];                                               \
-            acc[0][j] += a0 * v;                                            \
-            acc[1][j] += a1 * v;                                            \
-            acc[2][j] += a2 * v;                                            \
-            acc[3][j] += a3 * v;                                            \
-        }                                                                   \
-    }
-    if (mb == 32) {
-        GEMM_U8W8_STEP(32)
-    } else {
-        GEMM_U8W8_STEP(mb)
-    }
-#undef GEMM_U8W8_STEP
-    for (int64_t r = 0; r < nr; r++) {
-        epi_t e = epi_channel(scale, cscale, bias, aff, oc + r, relu);
-        float *restrict dst = out + (oc + r) * m + jb;
-        const float *restrict ex = extra ? extra + (oc + r) * m + jb : 0;
-        const int32_t *restrict a = acc[r];
-        EPI_SPLIT(e, for (int64_t j = 0; j < mb; j++) {
-            float v = epi_apply(e, (float)a[j], AFF);
-            if (ex) v += ex[j];
-            dst[j] = v;
-        });
-    }
-}
-
-static void gemm_u8w8(const int8_t *restrict wmat,
-                      const uint8_t *restrict cols,
-                      const float *restrict bias,
-                      const float *restrict cscale,
-                      const float *restrict aff, int64_t c_out, int64_t K,
-                      int64_t m, int relu, float scale,
-                      const float *restrict extra, float *restrict out) {
-    for (int64_t jb = 0; jb < m; jb += 32) {
-        int64_t mb = m - jb;
-        if (mb > 32) mb = 32;
-        for (int64_t oc = 0; oc < c_out; oc += 4) {
-            int64_t nr = c_out - oc;
-            if (nr > 4) nr = 4;
-            gemm_u8w8_tile(wmat, cols, bias, cscale, aff, K, m, oc, nr, jb,
-                           mb, relu, scale, extra, out);
-        }
-    }
-}
 
 /* ------------------------------------------------------------------ */
 /* Row dot products: out(n, out_f) = x(n, in_f) @ wmat(out_f, in_f)^T */
@@ -584,31 +511,39 @@ static void linear_u8_i8(const uint8_t *restrict x,
 }
 
 /* ------------------------------------------------------------------ */
-/* Flat-plane conv: every float conv with more than one output        */
-/* position (f32 or int8 weights, on f32 input or on u8/u16 codes      */
-/* widened in the phase planes).  The vector lanes are consecutive     */
+/* Flat-plane conv: every conv with more than one output position, and */
+/* every fully integer conv.  The vector lanes are consecutive         */
 /* positions p = oy*wq + ox of the flattened phase plane, so each tap  */
 /* (c, ki, kj) is one contiguous load at offset (ki/sh)*wq + kj/sw of  */
 /* phase plane (ki mod sh, kj mod sw), whatever the plane width or     */
 /* stride.  The wq - ow wrap-around lanes of each row and the lanes    */
 /* past the last output are computed (from real pixels or the zeroed   */
 /* slack after the planes) and never stored; lanes are independent    */
-/* accumulators, so they cannot disturb the valid ones.  Each output   */
-/* accumulates from 0.0f with one multiply-add per tap in ascending    */
-/* (c, ki, kj) order.  Tiles are 4 output channels x FLAT_TMAX vectors */
-/* of lanes (64 lanes under AVX-512; a plane's last tile narrows when  */
-/* fewer vectors cover what is left) and land in a staging area of 4   */
-/* channel planes in scratch.  The shared epilogue then runs along     */
-/* each output row; ahead of a fused eval-mode 2x2/2 max pool it runs  */
-/* over each tile as it lands, and the pool takes max4 over row pairs  */
-/* of epilogue values in the standalone pool's compare order.  The     */
-/* extra add comes last.  Generated per weight dtype: int8 codes widen */
-/* once per broadcast, with the per-channel dequant scales in the      */
-/* epilogue (cscale non-NULL on that path).                            */
+/* accumulators, so they cannot disturb the valid ones.  Tiles are 4   */
+/* output channels x FLAT_TMAX vectors of lanes (64 lanes under        */
+/* AVX-512; a plane's last tile narrows when fewer vectors cover what  */
+/* is left) and land, as floats, in a staging area of 4 channel planes */
+/* in scratch.  The shared epilogue then runs along each output row;   */
+/* ahead of a fused eval-mode 2x2/2 max pool it runs over each tile as */
+/* it lands, and the pool takes max4 over row pairs of epilogue values */
+/* in the standalone pool's compare order.  The extra add comes last.  */
+/* Two accumulations share this frame:                                 */
+/*   float: a plane element is one channel (f32, or u8/u16 codes       */
+/*     widened in the phase planes); each output accumulates from      */
+/*     0.0f with one multiply-add per tap in ascending (c, ki, kj)     */
+/*     order; weights are f32, or int8 codes widened once per          */
+/*     broadcast with the per-channel dequant scales in the epilogue.  */
+/*   integer: a plane element is one 4-byte word holding a channel     */
+/*     quad's raw u8 codes, and a weight word the quad's 4 int8 codes  */
+/*     at one tap (zero codes for the missing channels of a last       */
+/*     partial quad); each tap of a quad is one widening u8 x i8 ->    */
+/*     i32 multiply-add of 4 byte pairs (vpdpbusd where AVX-512 VNNI   */
+/*     compiled).  i32 accumulation is exact, so every schedule gives  */
+/*     the same integers, and each converts with (float)acc.           */
 /* ------------------------------------------------------------------ */
-/* One vector register of floats: FLAT_VW lanes.  A tile holds up to
-   FLAT_TMAX vectors per channel, 4 * FLAT_TMAX accumulators in all: 16 of
-   the 32 AVX-512 registers, 8 of the 16 AVX/SSE ones. */
+/* One vector register: FLAT_VW lanes of floats or i32.  A tile holds up
+   to FLAT_TMAX vectors per channel, 4 * FLAT_TMAX accumulators in all: 16
+   of the 32 AVX-512 registers, 8 of the 16 AVX/SSE ones. */
 #if defined(__AVX512F__)
 #define FLAT_VW 16
 #define FLAT_TMAX 4
@@ -622,8 +557,12 @@ static void linear_u8_i8(const uint8_t *restrict x,
 typedef float vfl __attribute__((vector_size(4 * FLAT_VW)));
 typedef float vflu __attribute__((vector_size(4 * FLAT_VW), aligned(4),
                                   may_alias));
+typedef int32_t vi32 __attribute__((vector_size(4 * FLAT_VW)));
+typedef int32_t vi32u __attribute__((vector_size(4 * FLAT_VW), aligned(4),
+                                     may_alias));
+typedef int16_t vi16 __attribute__((vector_size(4 * FLAT_VW)));
 
-/* Zeroed floats after the phase planes: a tile (at most 64 lanes) loads
+/* Zeroed words after the phase planes: a tile (at most 64 lanes) loads
    at most 63 lanes past the last plane.  repro.edge.ir.plan_buffers
    reserves them and the staging area (its _conv_scratch mirrors this
    layout). */
@@ -631,8 +570,8 @@ typedef float vflu __attribute__((vector_size(4 * FLAT_VW), aligned(4),
 /* Lanes per channel of the staging area, a whole number of tiles. */
 #define FLAT_SPAN(L) (((L) + 63) & ~(int64_t)63)
 
-/* One tap of a tile: T vectors of lanes from XS times the 4 channels'
-   weights at k, multiply-added into their accumulators. */
+/* One tap of a float tile: T vectors of lanes from XS times the 4
+   channels' weights at k, multiply-added into their accumulators. */
 #define FLAT_TAP(XS, T)                                                     \
     do {                                                                    \
         float a0 = (float)w0[k], a1 = (float)w1[k];                         \
@@ -646,36 +585,89 @@ typedef float vflu __attribute__((vector_size(4 * FLAT_VW), aligned(4),
         }                                                                   \
     } while (0)
 
+/* One tap of a quad of an integer tile: per lane, the 4 u8 codes of x
+   times the 4 int8 codes of weight word w, summed into acc exactly.
+   QUAD_START is the accumulators' start, exact in i32, for a channel's
+   K weight words. */
+#if defined(__AVX512VNNI__)
+#include <immintrin.h>
+#define HAVE_VNNI 1
+static inline vi32 quad_dot(vi32 acc, vi32 x, int32_t w) {
+    return (vi32)_mm512_dpbusd_epi32((__m512i)acc, (__m512i)x,
+                                     _mm512_set1_epi32(w));
+}
+static inline int32_t quad_start(const int32_t *w, int64_t K) {
+    (void)w, (void)K;
+    return 0;
+}
+#else
+#define HAVE_VNNI 0
+/* x ^ 0x80808080 turns each code c into the i8 value c - 128.  Bytes 0
+   and 2, then bytes 1 and 3, sign-extend into i16 lanes, and since
+   weight codes stay within ±127 each product stays within ±16256: a
+   pair of them sums in i16 exactly, and each word's two pair sums sign-
+   extend into its i32 lane.  The accumulators start at 128 * the sum of
+   the channel's codes, which restores sum(c * w). */
+static inline vi32 quad_dot(vi32 acc, vi32 x, int32_t w) {
+    vi16 wv = (vi16)((vi32){0} + w);
+    vi16 xv = (vi16)(x ^ (int32_t)0x80808080);
+    vi16 q = ((xv << 8) >> 8) * ((wv << 8) >> 8) + (xv >> 8) * (wv >> 8);
+    vi32 qw = (vi32)q;
+    return acc + (qw >> 16) + ((qw << 16) >> 16);
+}
+static inline int32_t quad_start(const int32_t *w, int64_t K) {
+    const int8_t *codes = (const int8_t *)w;
+    int32_t sum = 0;
+    for (int64_t j = 0; j < 4 * K; j++) sum += codes[j];
+    return 128 * sum;
+}
+#endif
+#define FLAT_START(W, K) ((vfl){0})
+#define QUAD_START(W, K) ((vi32){0} + quad_start(W, K))
+
+#define QUAD_TAP(XS, T)                                                     \
+    do {                                                                    \
+        int32_t a0 = w0[k], a1 = w1[k], a2 = w2[k], a3 = w3[k];             \
+        for (int t = 0; t < (T); t++) {                                     \
+            vi32 v = *(const vi32u *)((XS) + FLAT_VW * t);                  \
+            acc[0][t] = quad_dot(acc[0][t], v, a0);                         \
+            acc[1][t] = quad_dot(acc[1][t], v, a1);                         \
+            acc[2][t] = quad_dot(acc[2][t], v, a2);                         \
+            acc[3][t] = quad_dot(acc[3][t], v, a3);                         \
+        }                                                                   \
+    } while (0)
+
 /* A tile: 4 channels x T vectors of lanes from xq (its first lane), over
-   the taps in ascending (c, ki, kj) order; raw accumulators go to dst,
-   one row of pitch floats per channel.  Stride 1 walks the padded plane
-   directly; other strides step through the phases with counters (on
-   stride-1 convs of 32-wide planes the counters measured up to 16%
-   slower). */
-#define DEF_FLAT_TILE(NAME, WTYPE, T)                                       \
-static inline void NAME(const float *restrict xq, const WTYPE *w0,          \
+   the taps in ascending (c, ki, kj) order (c counting plane elements:
+   channels, or quads); the accumulators go to dst as floats, one row of
+   pitch floats per channel.  Stride 1 walks the padded plane directly;
+   other strides step through the phases with counters (on stride-1
+   convs of 32-wide planes the counters measured up to 16% slower). */
+#define DEF_FLAT_TILE(NAME, XTYPE, WTYPE, ACC, TAP, T)                      \
+static inline void NAME(const XTYPE *restrict xq, const WTYPE *w0,          \
                         const WTYPE *w1, const WTYPE *w2, const WTYPE *w3,  \
                         int64_t c_in, int64_t kh, int64_t kw, int64_t sh,   \
                         int64_t sw, int64_t plane, int64_t wq,              \
-                        float *restrict dst, int64_t pitch) {               \
-    vfl acc[4][T];                                                          \
+                        const ACC *start, float *restrict dst,              \
+                        int64_t pitch) {                                    \
+    ACC acc[4][T];                                                          \
     for (int r = 0; r < 4; r++)                                             \
-        for (int t = 0; t < T; t++) acc[r][t] = (vfl){0};                   \
+        for (int t = 0; t < T; t++) acc[r][t] = start[r];                   \
     int64_t k = 0;                                                          \
     if (sh == 1 && sw == 1) {                                               \
         for (int64_t c = 0; c < c_in; c++)                                  \
             for (int64_t ki = 0; ki < kh; ki++) {                           \
-                const float *xr = xq + c * plane + ki * wq;                 \
+                const XTYPE *xr = xq + c * plane + ki * wq;                 \
                 for (int64_t kj = 0; kj < kw; kj++, k++)                    \
-                    FLAT_TAP(xr + kj, T);                                   \
+                    TAP(xr + kj, T);                                        \
             }                                                               \
     } else {                                                                \
         for (int64_t c = 0; c < c_in; c++) {                                \
-            const float *xc = xq + c * sh * sw * plane;                     \
+            const XTYPE *xc = xq + c * sh * sw * plane;                     \
             for (int64_t ki = 0, qi = 0, fi = 0; ki < kh; ki++) {           \
-                const float *xr = xc + fi * sw * plane + qi * wq;           \
+                const XTYPE *xr = xc + fi * sw * plane + qi * wq;           \
                 for (int64_t kj = 0, qj = 0, fj = 0; kj < kw; kj++, k++) {  \
-                    FLAT_TAP(xr + fj * plane + qj, T);                      \
+                    TAP(xr + fj * plane + qj, T);                           \
                     if (++fj == sw) { fj = 0; qj++; }                       \
                 }                                                           \
                 if (++fi == sh) { fi = 0; qi++; }                           \
@@ -684,14 +676,17 @@ static inline void NAME(const float *restrict xq, const WTYPE *w0,          \
     }                                                                       \
     for (int r = 0; r < 4; r++)                                             \
         for (int t = 0; t < T; t++)                                         \
-            *(vflu *)(dst + r * pitch + FLAT_VW * t) = acc[r][t];           \
+            *(vflu *)(dst + r * pitch + FLAT_VW * t) =                      \
+                __builtin_convertvector(acc[r][t], vfl);                    \
 }
 
-#define DEF_FLAT_CONV(NAME, WTYPE)                                          \
-DEF_FLAT_TILE(NAME##_t4, WTYPE, 4)                                          \
-DEF_FLAT_TILE(NAME##_t2, WTYPE, 2)                                          \
-DEF_FLAT_TILE(NAME##_t1, WTYPE, 1)                                          \
-static void NAME(const float *restrict xq, const WTYPE *restrict wmat,      \
+/* c_in counts plane elements per position group: channels for the
+   float kernels, quads for the integer one. */
+#define DEF_FLAT_CONV(NAME, XTYPE, WTYPE, ACC, TAP, START)                  \
+DEF_FLAT_TILE(NAME##_t4, XTYPE, WTYPE, ACC, TAP, 4)                         \
+DEF_FLAT_TILE(NAME##_t2, XTYPE, WTYPE, ACC, TAP, 2)                         \
+DEF_FLAT_TILE(NAME##_t1, XTYPE, WTYPE, ACC, TAP, 1)                         \
+static void NAME(const XTYPE *restrict xq, const WTYPE *restrict wmat,      \
                  const float *restrict bias, const float *restrict cscale,  \
                  const float *restrict aff, int64_t c_in, int64_t kh,       \
                  int64_t kw, int64_t sh, int64_t sw, int64_t hq,            \
@@ -709,6 +704,8 @@ static void NAME(const float *restrict xq, const WTYPE *restrict wmat,      \
         const WTYPE *w1 = wmat + (oc + (nr > 1)) * K;                       \
         const WTYPE *w2 = wmat + (oc + 2 * (nr > 2)) * K;                   \
         const WTYPE *w3 = wmat + (oc + 3 * (nr > 3)) * K;                   \
+        ACC start[4] = {START(w0, K), START(w1, K), START(w2, K),           \
+                        START(w3, K)};                                      \
         epi_t e[4];                                                         \
         for (int64_t r = 0; r < nr; r++)                                    \
             e[r] = epi_channel(scale, cscale, bias, aff, oc + r, relu);     \
@@ -716,15 +713,15 @@ static void NAME(const float *restrict xq, const WTYPE *restrict wmat,      \
             int64_t nl;                                                     \
             if (FLAT_TMAX == 4 && lanes - p0 > 2 * FLAT_VW) {               \
                 NAME##_t4(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
-                          plane, wq, stage + p0, span);                     \
+                          plane, wq, start, stage + p0, span);              \
                 nl = 4 * FLAT_VW;                                           \
             } else if (lanes - p0 > FLAT_VW) {                              \
                 NAME##_t2(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
-                          plane, wq, stage + p0, span);                     \
+                          plane, wq, start, stage + p0, span);              \
                 nl = 2 * FLAT_VW;                                           \
             } else {                                                        \
                 NAME##_t1(xq + p0, w0, w1, w2, w3, c_in, kh, kw, sh, sw,    \
-                          plane, wq, stage + p0, span);                     \
+                          plane, wq, start, stage + p0, span);              \
                 nl = FLAT_VW;                                               \
             }                                                               \
             /* Ahead of a pool, the epilogue runs over the tile's whole    \
@@ -773,159 +770,13 @@ static void NAME(const float *restrict xq, const WTYPE *restrict wmat,      \
     }                                                                       \
 }
 
-DEF_FLAT_CONV(flat_conv_f32, float)
-DEF_FLAT_CONV(flat_conv_w8, int8_t)
+DEF_FLAT_CONV(flat_conv_f32, float, float, vfl, FLAT_TAP, FLAT_START)
+DEF_FLAT_CONV(flat_conv_w8, float, int8_t, vfl, FLAT_TAP, FLAT_START)
+DEF_FLAT_CONV(flat_conv_u8i8, uint32_t, int32_t, vi32, QUAD_TAP, QUAD_START)
 
-/* ------------------------------------------------------------------ */
-/* Packed integer direct conv, compiled only where AVX-512 VNNI/VBMI   */
-/* are available (has_vnni() reports it, so the record builder can     */
-/* choose).  Sixteen output columns live across the i32 lanes of one   */
-/* accumulator: per (channel, kernel-row) step, one unaligned 64-byte  */
-/* load of the padded u8 plane row is shuffled (vpermb) into sliding   */
-/* 4-byte windows, and vpdpbusd multiplies those against broadcast     */
-/* 4-tap weight groups — the weights having been packed on the Python  */
-/* side as (c_out, c_in*kh, G, 4) i8 with kw zero-padded to 4G taps    */
-/* (zero taps add exactly 0 to the integer accumulator).  i32          */
-/* accumulation is exact, hence associative, so this schedule is bit-  */
-/* identical to the integer GEMM it replaces and batch-invariant by    */
-/* arithmetic alone.  Tiles are 4 output channels x 2 rows x 16 cols   */
-/* with the same (scale, bias, ReLU, 2x2 pool max, extra) epilogue     */
-/* order as the flat-plane conv.                                       */
-/* ------------------------------------------------------------------ */
-#if defined(__AVX512VNNI__) && defined(__AVX512VBMI__) && \
-    defined(__AVX512VL__) && defined(__AVX512BW__)
-#include <immintrin.h>
-#define HAVE_VNNI 1
-
-/* Byte 4j+t of window O selects source byte j+O+t: i32 lane j holds
-   the 4 consecutive plane bytes starting at column j+O. */
-#define WIN4(J, O) (uint8_t)((J) + (O)), (uint8_t)((J) + (O) + 1), \
-                   (uint8_t)((J) + (O) + 2), (uint8_t)((J) + (O) + 3)
-#define WIN64(O)                                                            \
-    WIN4(0, O), WIN4(1, O), WIN4(2, O), WIN4(3, O), WIN4(4, O),             \
-    WIN4(5, O), WIN4(6, O), WIN4(7, O), WIN4(8, O), WIN4(9, O),             \
-    WIN4(10, O), WIN4(11, O), WIN4(12, O), WIN4(13, O), WIN4(14, O),        \
-    WIN4(15, O)
-static const uint8_t VNNI_IDX0[64] __attribute__((aligned(64))) = {WIN64(0)};
-static const uint8_t VNNI_IDX1[64] __attribute__((aligned(64))) = {WIN64(4)};
-
-static void conv_vnni_u8i8(const uint8_t *restrict xp,
-                           const int8_t *restrict w4,
-                           const float *restrict bias,
-                           const float *restrict cscale,
-                           const float *restrict aff,
-                           int64_t c_in, int64_t hp, int64_t wp,
-                           int64_t kh, int64_t G,
-                           int64_t oh, int64_t ow, int64_t c_out,
-                           int relu, float scale, int pool,
-                           int64_t poh, int64_t pow_,
-                           const float *restrict extra,
-                           float *restrict out) {
-    const __m512i idx0 = _mm512_load_si512(VNNI_IDX0);
-    const __m512i idx1 = _mm512_load_si512(VNNI_IDX1);
-    const int32_t *restrict wg = (const int32_t *)w4; /* (c_out, rows, G) */
-    int64_t rows = c_in * kh;
-    for (int64_t oc = 0; oc < c_out; oc += 4) {
-        int64_t nr = c_out - oc;
-        if (nr > 4) nr = 4;
-        const int32_t *grows[4];
-        grows[0] = wg + oc * rows * G;
-        grows[1] = wg + (oc + (nr > 1)) * rows * G;
-        grows[2] = wg + (oc + 2 * (nr > 2)) * rows * G;
-        grows[3] = wg + (oc + 3 * (nr > 3)) * rows * G;
-        for (int64_t oy = 0; oy < oh; oy += 2) {
-            int64_t tr = oh - oy < 2 ? oh - oy : 2;
-            if (pool && (tr < 2 || oy / 2 >= poh)) continue; /* odd tail */
-            for (int64_t jb = 0; jb < ow; jb += 16) {
-                int64_t nc = ow - jb < 16 ? ow - jb : 16;
-                __m512i a[4][2];
-                for (int64_t r = 0; r < 4; r++)
-                    a[r][0] = a[r][1] = _mm512_setzero_si512();
-                for (int64_t c = 0; c < c_in; c++)
-                    for (int64_t ki = 0; ki < kh; ki++) {
-                        const uint8_t *row0 =
-                            xp + (c * hp + oy + ki) * wp + jb;
-                        __m512i win0[2], win1[2];
-                        __m512i v0 = _mm512_loadu_si512(row0);
-                        win0[0] = _mm512_permutexvar_epi8(idx0, v0);
-                        win0[1] = _mm512_permutexvar_epi8(idx1, v0);
-                        if (tr == 2) {
-                            __m512i v1 = _mm512_loadu_si512(row0 + wp);
-                            win1[0] = _mm512_permutexvar_epi8(idx0, v1);
-                            win1[1] = _mm512_permutexvar_epi8(idx1, v1);
-                        }
-                        int64_t kb = (c * kh + ki) * G;
-                        for (int64_t g = 0; g < G; g++)
-                            for (int64_t r = 0; r < 4; r++) {
-                                __m512i wv =
-                                    _mm512_set1_epi32(grows[r][kb + g]);
-                                a[r][0] = _mm512_dpbusd_epi32(
-                                    a[r][0], win0[g], wv);
-                                if (tr == 2)
-                                    a[r][1] = _mm512_dpbusd_epi32(
-                                        a[r][1], win1[g], wv);
-                            }
-                    }
-                int32_t acc[4][2][16] __attribute__((aligned(64)));
-                for (int64_t r = 0; r < nr; r++) {
-                    _mm512_store_si512(acc[r][0], a[r][0]);
-                    _mm512_store_si512(acc[r][1], a[r][1]);
-                }
-                for (int64_t r = 0; r < nr; r++) {
-                    epi_t e = epi_channel(scale, cscale, bias, aff, oc + r,
-                                          relu);
-                    if (pool) {
-                        /* jb is even (16-col tiles), so 2x2 pool pairs
-                           never straddle a tile. */
-                        int64_t py = oy / 2;
-                        float *restrict dst =
-                            out + ((oc + r) * poh + py) * pow_;
-                        const float *restrict ex =
-                            extra ? extra + ((oc + r) * poh + py) * pow_
-                                  : 0;
-                        int64_t jend = (jb + nc) / 2;
-                        if (jend > pow_) jend = pow_;
-                        float f0[16], f1[16];
-                        EPI_SPLIT(e, for (int64_t j = 0; j < nc; j++) {
-                            f0[j] = epi_apply(e, (float)acc[r][0][j], AFF);
-                            f1[j] = epi_apply(e, (float)acc[r][1][j], AFF);
-                        });
-                        for (int64_t j = jb / 2; j < jend; j++) {
-                            int64_t x0 = 2 * j - jb;
-                            float v = max4(f0[x0], f0[x0 + 1], f1[x0],
-                                           f1[x0 + 1]);
-                            if (ex) v += ex[j];
-                            dst[j] = v;
-                        }
-                    } else {
-                        for (int64_t t = 0; t < tr; t++) {
-                            float *restrict dst =
-                                out + ((oc + r) * oh + oy + t) * ow + jb;
-                            const float *restrict ex =
-                                extra ? extra +
-                                            ((oc + r) * oh + oy + t) * ow +
-                                            jb
-                                      : 0;
-                            const int32_t *restrict av = acc[r][t];
-                            EPI_SPLIT(e, for (int64_t j = 0; j < nc; j++) {
-                                float v = epi_apply(e, (float)av[j], AFF);
-                                if (ex) v += ex[j];
-                                dst[j] = v;
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-#else
-#define HAVE_VNNI 0
-#endif
-
-/* Whether records may use wmode 3 (the packed VNNI integer direct
-   conv).  A build-time property of this library artifact, so record
-   streams are stable for the life of the process. */
+/* Which integer step compiled: 1 for vpdpbusd (AVX-512 VNNI), 0 for the
+   generic vector-extension step.  A build-time property of this library
+   artifact. */
 int64_t has_vnni(void) { return HAVE_VNNI; }
 
 /* ------------------------------------------------------------------ */
@@ -1090,9 +941,9 @@ static void lrn_sample(const float *restrict x, int64_t c, int64_t plane,
 /* (quantised-code ingest); extra is the full-batch per-row tensor an */
 /* add_extra op folds into its output write (the noise add).  wmode   */
 /* (0=f32 weights, 1=i8 weight codes widened to float in-register,    */
-/* 2=i8 weight codes on the fully integer u8-act path, 3=the packed   */
-/* VNNI integer direct conv — only emitted when has_vnni()) selects   */
-/* the kernel variant; cscale_index points into the weight table at   */
+/* 2=i8 weight codes on the fully integer u8-act path, quad-          */
+/* interleaved on a conv record) selects the kernel variant;          */
+/* cscale_index points into the weight table at                       */
 /* the per-output-channel f32 scale vector (-1: scalar fscale), and   */
 /* affine_index at the (c_out, 4) {mean, sd, gamma, beta} table of a  */
 /* folded BatchNorm (-1: none).  The standalone affine record (op 4)  */
@@ -1133,41 +984,7 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
         if (kind == 0) { /* conv2d */
             int64_t m = oh * ow, K = c_in * kh * kw, in_es = c_in * h * w;
             int64_t out_es = pool ? c_out * poh * pow_ : c_out * m;
-            if (wmode == 2) {
-                /* Fully integer: raw u8 codes panel (zero-point padding),
-                   i8 weights, exact i32 accumulation. */
-                uint8_t *ucols = (uint8_t *)cols;
-                for (int64_t s = 0; s < n; s++) {
-                    const float *exs = ex ? ex + s * out_es : 0;
-                    im2col_u8c((const uint8_t *)src + s * in_es, c_in, h, w,
-                               kh, kw, sh, sw, ph, pw, oh, ow, padv, ucols);
-                    if (m == 1)
-                        linear_u8_i8(ucols, (const int8_t *)wmat, bias,
-                                     cscale, aff, 1, K, c_out, relu, scale,
-                                     exs, dst + s * out_es);
-                    else
-                        gemm_u8w8((const int8_t *)wmat, ucols, bias, cscale,
-                                  aff, c_out, K, m, relu, scale, exs,
-                                  dst + s * out_es);
-                }
-            }
-#if HAVE_VNNI
-            else if (wmode == 3) { /* packed integer direct (VNNI) */
-                int64_t hp = h + 2 * ph, wp = w + 2 * pw;
-                for (int64_t s = 0; s < n; s++) {
-                    pad_plane_u8_raw((const uint8_t *)src + s * in_es, c_in,
-                                     h, w, ph, pw, (uint8_t)r[21],
-                                     (uint8_t *)cols);
-                    conv_vnni_u8i8((const uint8_t *)cols,
-                                   (const int8_t *)wmat, bias, cscale, aff,
-                                   c_in, hp, wp, kh, (kw + 3) / 4, oh, ow,
-                                   c_out, relu, scale, pool, poh, pow_,
-                                   ex ? ex + s * out_es : 0,
-                                   dst + s * out_es);
-                }
-            }
-#endif
-            else if (m == 1) {
+            if (m == 1 && wmode != 2) {
                 /* One output position: an im2col column into the dot
                    kernel (its k mod 16 lanes, not the flat conv's
                    ascending taps). */
@@ -1196,10 +1013,26 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
             } else { /* flat-plane conv over the phase planes */
                 int64_t hq = (h + 2 * ph + sh - 1) / sh;
                 int64_t wq = (w + 2 * pw + sw - 1) / sw;
-                int64_t planes = c_in * sh * sw * hq * wq;
+                /* Fully integer (wmode 2): one u8 word per channel quad,
+                   with quad-interleaved int8 weight codes. */
+                int64_t groups = wmode == 2 ? (c_in + 3) / 4 : c_in;
+                int64_t planes = groups * sh * sw * hq * wq;
                 float *stage = cols + planes + FLAT_SLACK;
                 memset(cols + planes, 0, FLAT_SLACK * sizeof(float));
                 for (int64_t s = 0; s < n; s++) {
+                    const float *exs = ex ? ex + s * out_es : 0;
+                    if (wmode == 2) {
+                        phase_quads_u8((const uint8_t *)src + s * in_es,
+                                       c_in, h, w, sh, sw, ph, pw, hq, wq,
+                                       0x01010101u * (uint32_t)r[21],
+                                       (uint32_t *)cols);
+                        flat_conv_u8i8((const uint32_t *)cols,
+                                       (const int32_t *)wmat, bias, cscale,
+                                       aff, groups, kh, kw, sh, sw, hq, wq,
+                                       oh, ow, c_out, relu, scale, pool, poh,
+                                       pow_, exs, stage, dst + s * out_es);
+                        continue;
+                    }
                     if (dtype == 1)
                         phase_planes_u8((const uint8_t *)src + s * in_es,
                                         c_in, h, w, sh, sw, ph, pw, hq, wq,
@@ -1216,13 +1049,11 @@ void run_program(const int64_t *restrict prog, const float *restrict fscale,
                         flat_conv_w8(cols, (const int8_t *)wmat, bias, cscale,
                                      aff, c_in, kh, kw, sh, sw, hq, wq, oh,
                                      ow, c_out, relu, scale, pool, poh, pow_,
-                                     ex ? ex + s * out_es : 0, stage,
-                                     dst + s * out_es);
+                                     exs, stage, dst + s * out_es);
                     else
                         flat_conv_f32(cols, wmat, bias, cscale, aff, c_in, kh,
                                       kw, sh, sw, hq, wq, oh, ow, c_out, relu,
-                                      scale, pool, poh, pow_,
-                                      ex ? ex + s * out_es : 0, stage,
+                                      scale, pool, poh, pow_, exs, stage,
                                       dst + s * out_es);
                 }
             }
@@ -1331,9 +1162,10 @@ def load() -> ctypes.CDLL | None:
 
 
 def variant() -> str | None:
-    """The conv kernel set the loaded library compiled: ``"vnni"`` (the
-    packed AVX-512 VNNI integer conv is in) or ``"generic"``; ``None``
-    when the library is unavailable."""
+    """The integer conv step the loaded library compiled: ``"vnni"``
+    (``vpdpbusd``, where the build has AVX-512 VNNI) or ``"generic"`` (the
+    GCC vector-extension step); ``None`` when the library is
+    unavailable."""
     lib = load()
     if lib is None:
         return None
@@ -1347,6 +1179,21 @@ def _record(**fields: int) -> tuple[int, ...]:
     if len(values) != RECORD_FIELDS:  # pragma: no cover - a misspelt field
         raise ValueError(f"unknown record fields: {set(values) - set(RECORD_LAYOUT)}")
     return tuple(values[name] for name in RECORD_LAYOUT)
+
+
+def _quad_codes(op: ir.IROp) -> np.ndarray:
+    """A fully integer conv's int8 weight codes, quad-interleaved: per
+    output channel, one 4-byte word per (channel quad, ki, kj) in the
+    kernel's tap order, holding the quad's 4 codes at that tap (zero codes
+    for the missing channels of a last partial quad)."""
+    c_out = op.out_spec.shape[0]
+    c_in = op.in_spec.shape[0]
+    taps = op.kernel[0] * op.kernel[1]
+    quads = -(-c_in // 4)
+    packed = np.zeros((c_out, 4 * quads, taps), dtype=np.int8)
+    packed[:, :c_in] = op.wq.codes.reshape(c_out, c_in, taps)
+    packed = packed.reshape(c_out, quads, 4, taps).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(packed).reshape(c_out, -1)
 
 
 def _window(op: ir.IROp) -> dict[str, int]:
@@ -1405,14 +1252,9 @@ class CompiledProgram:
             self._weight_arrays.append(array)
             return len(self._weight_arrays) - 1
 
-        lib_vnni = bool(lib.has_vnni())
-        compute = [op for op in program.ops if op.kind != "flatten"]
-        skip_next = False
-        for pos, op in enumerate(compute):
-            if skip_next:  # merged into the previous record
-                skip_next = False
+        for op in program.ops:
+            if op.kind == "flatten":
                 continue
-            add = int(op.add_rows)
             scale, cscale, bias = ir.epilogue_constants(op)
             if op.wq is not None:
                 weight = op.wq.codes
@@ -1436,50 +1278,8 @@ class CompiledProgram:
                     )
                     if op.pool:
                         fields["pool_oh"], fields["pool_ow"] = op.out_spec.shape[1:]
-                    if (
-                        wmode == 2
-                        and lib_vnni
-                        and op.stride == (1, 1)
-                        and op.kernel[1] <= 8
-                        and op.oh * op.ow > 1
-                    ):
-                        # Upgrade the integer GEMM to the packed VNNI direct
-                        # kernel: exact i32 accumulation makes the two
-                        # schedules bit-identical, so this is purely a
-                        # record-level choice.  The weight operand becomes a
-                        # frozen (c_out, c_in*kh, G, 4) packing of the code
-                        # plane with kw zero-padded to 4G taps — still int8
-                        # codes, never a dequantised copy.
-                        wmode = 3
-                        kh, kw = op.kernel
-                        group_count = -(-kw // 4)
-                        codes3 = weight.reshape(-1, c_in * kh, kw)
-                        packed = np.zeros(
-                            (codes3.shape[0], c_in * kh, 4 * group_count),
-                            dtype=np.int8,
-                        )
-                        packed[:, :, :kw] = codes3
-                        weight = np.ascontiguousarray(
-                            packed.reshape(codes3.shape[0], -1)
-                        )
-                        nxt = compute[pos + 1] if pos + 1 < len(compute) else None
-                        if (
-                            nxt is not None
-                            and nxt.kind == "maxpool2d"
-                            and nxt.kernel == (2, 2)
-                            and nxt.stride == (2, 2)
-                            and nxt.padding == (0, 0)
-                            and op.oh >= 2
-                            and op.ow >= 2
-                        ):
-                            # The rewrite pipeline keeps integer convs
-                            # unfused (the GEMM cannot pool); this kernel
-                            # pools like the flat-plane conv, so merge the
-                            # eval-mode 2x2/2 pool back at record level.
-                            fields["pool"] = 1
-                            fields["pool_oh"], fields["pool_ow"] = nxt.out_spec.shape[1:]
-                            add = int(nxt.add_rows)
-                            skip_next = True
+                    if wmode == 2:
+                        weight = _quad_codes(op)
             elif op.kind == "linear":
                 fields = dict(op=OP_LINEAR, c_in=op.in_spec.elements,
                               c_out=op.out_spec.elements)
@@ -1514,7 +1314,7 @@ class CompiledProgram:
                 weight=_index(weight),
                 bias=_index(bias),
                 in_dtype=_DTYPE_CODES[op.in_spec.dtype],
-                add_extra=add,
+                add_extra=int(op.add_rows),
                 pad_value=0 if op.dequant is None else int(op.dequant.zero_point),
                 wmode=wmode,
                 cscale=_index(cscale),

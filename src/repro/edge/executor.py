@@ -95,14 +95,16 @@ kills the pipeline): conv/linear ops carry per-output-channel int8 weight
 codes (:class:`repro.edge.quantization.WeightQuantization`) and apply the
 scales in their epilogue.  The native backend widens the codes in-register
 (f32 path) or accumulates u8-act × i8-weight in exact int32 (composed with
-``int8_ingest``) — it never materialises an f32 copy of a quantised
-weight.  The numpy interpreter mirrors the integer path with an int32
-``np.matmul`` on the codes; on its float path it caches one f32-widened
-copy of each code plane, counted in
-:attr:`BatchInvariantExecutor.weight_dequants` (which the serving bench
-asserts stays 0 on the native backend).  Both backends remain bitwise
-batch-invariant and run-to-run deterministic with the rewrite on; the
-on↔off comparison is label-agreement-gated (see :mod:`repro.edge.ir`).
+``int8_ingest``; convs run its flat-plane integer kernel, fused pool or
+not) — it never materialises an f32 copy of a quantised weight.  The
+numpy interpreter runs one conv and one linear routine for every weight
+form: f32 weights, a cached f32-widened copy of each code plane (counted
+in :attr:`BatchInvariantExecutor.weight_dequants`, which the serving bench
+asserts stays 0 on the native backend), or, on the integer path, cached
+i32 codes in an exact int32 ``np.matmul`` against the raw codes.  Both
+backends remain bitwise batch-invariant and run-to-run deterministic with
+the rewrite on; the on↔off comparison is label-agreement-gated (see
+:mod:`repro.edge.ir`).
 
 Python-fallback segments (training-mode or unrecognised modules) run each
 module's own forward under ``no_grad``.  So do non-float32 float inputs
@@ -224,37 +226,9 @@ class _NumpyProgram:
                 x = np.ascontiguousarray(x).reshape(n, -1)
                 continue
             if op.kind == "conv2d":
-                if op.wq is not None:
-                    x = self._conv_wq(position, op, x, integer_op)
-                else:
-                    c_out = op.out_spec.shape[0]
-                    windows = extract_windows(x, op.kernel, op.stride, op.padding)
-                    cols = self._buffer(position, "cols", windows.shape, np.float32)
-                    np.copyto(cols, windows)
-                    cols3 = cols.reshape(n, -1, op.oh * op.ow)
-                    out3 = self._buffer(
-                        position, "out", (n, c_out, op.oh * op.ow), np.float32
-                    )
-                    # Stacked per-sample GEMM: identical geometry for every
-                    # sample, so the result is independent of n.
-                    np.matmul(op.weight, cols3, out=out3)
-                    out = out3.reshape(n, c_out, op.oh, op.ow)
-                    if op.bias is not None:
-                        out += op.bias.reshape(1, c_out, 1, 1)
-                    x = self._conv_tail(position, op, out)
+                x = self._conv(position, op, x, *self._operands(op, integer_op))
             elif op.kind == "linear":
-                if op.wq is not None:
-                    x = self._linear_wq(position, op, x, integer_op)
-                else:
-                    out_f = op.out_spec.elements
-                    out3 = self._buffer(position, "out", (n, 1, out_f), np.float32)
-                    np.matmul(x[:, None, :], op.weight.T, out=out3)
-                    out = out3.reshape(n, out_f)
-                    if op.bias is not None:
-                        out += op.bias
-                    if op.relu:
-                        np.maximum(out, 0.0, out=out)
-                    x = out
+                x = self._linear(position, op, x, *self._operands(op, integer_op))
             elif op.kind == "relu":
                 out = self._buffer(position, "out", x.shape, np.float32)
                 x = np.maximum(x, 0.0, out=out)
@@ -282,70 +256,57 @@ class _NumpyProgram:
             out = self._pool(position, out, (2, 2), (2, 2), (0, 0))
         return out
 
-    def _conv_wq(self, position, op, x, integer_op) -> np.ndarray:
-        """Conv with int8 weights: exact integer matmul on the composed
-        (u8-act) path, f32-widened code matmul otherwise; per-channel
-        scales and the (f64-folded) corrected bias applied in the epilogue.
-        Widened-path convs may carry a fused pool (they keep direct-kernel
-        eligibility); fully integer convs never do."""
+    def _operands(self, op, integer_op) -> tuple:
+        """A conv/linear op's weight matrix, panel dtype, pad value,
+        channel scales and bias: f32 weights; f32-widened int8 codes; or,
+        on the fully integer path, i32 codes against the raw activation
+        codes (padded with the zero point, which dequantises to exactly
+        0.0), with the (f64-folded) combined scales and corrected bias."""
+        if op.wq is None:
+            return op.weight, np.float32, 0, None, op.bias
         executor = self._executor
-        n = self.n
-        c_out = op.out_spec.shape[0]
-        m = op.oh * op.ow
         _scale, cscale, bias = executor._epilogue(op, integer_op)
         if integer_op:
-            ph, pw = op.padding
-            if ph or pw:
-                # Integer path: pad with the zero-point *code*, which
-                # dequantises to exactly 0.0 — same as the native kernels.
-                x = np.pad(
-                    x,
-                    ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    mode="constant",
-                    constant_values=op.dequant.zero_point,
-                )
-            windows = extract_windows(x, op.kernel, op.stride, (0, 0))
-            cols = self._buffer(position, "icols", windows.shape, np.int32)
-            np.copyto(cols, windows)
-            cols3 = cols.reshape(n, -1, m)
-            acc3 = self._buffer(position, "iacc", (n, c_out, m), np.int32)
-            # Exact int32 accumulation: associative, hence batch-invariant
-            # by arithmetic alone.
-            np.matmul(executor._wq_i32(op), cols3, out=acc3)
-            src3 = acc3
-        else:
-            windows = extract_windows(x, op.kernel, op.stride, op.padding)
-            cols = self._buffer(position, "cols", windows.shape, np.float32)
-            np.copyto(cols, windows)
-            cols3 = cols.reshape(n, -1, m)
-            acc3 = self._buffer(position, "out", (n, c_out, m), np.float32)
-            np.matmul(executor._wq_f32(op), cols3, out=acc3)
-            src3 = acc3
-        out3 = self._buffer(position, "wout", (n, c_out, m), np.float32)
-        np.copyto(out3, src3)  # i32 → f32 cast on the integer path
-        out3 *= cscale.reshape(1, c_out, 1)
-        if bias is not None:
-            out3 += bias.reshape(1, c_out, 1)
-        return self._conv_tail(position, op, out3.reshape(n, c_out, op.oh, op.ow))
+            return (executor._wq_i32(op), np.int32, op.dequant.zero_point,
+                    cscale, bias)
+        return executor._wq_f32(op), np.float32, 0, cscale, bias
 
-    def _linear_wq(self, position, op, x, integer_op) -> np.ndarray:
-        """Linear with int8 weights (see :meth:`_conv_wq`)."""
-        executor = self._executor
-        n = self.n
-        out_f = op.out_spec.elements
-        _scale, cscale, bias = executor._epilogue(op, integer_op)
-        if integer_op:
-            xi = self._buffer(position, "ix", x.shape, np.int32)
+    def _conv(self, position, op, x, weight, dtype, pad, cscale, bias) -> np.ndarray:
+        """Stacked per-sample GEMM over the im2col panel (identical
+        geometry for every sample, so the result is independent of n),
+        exact on the i32 panel, then channel scales, bias and the tail."""
+        n, c_out, m = self.n, op.out_spec.shape[0], op.oh * op.ow
+        ph, pw = op.padding
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                       constant_values=pad)
+        windows = extract_windows(x, op.kernel, op.stride, (0, 0))
+        cols = self._buffer(position, "cols", windows.shape, dtype)
+        np.copyto(cols, windows)
+        out = self._buffer(position, "acc", (n, c_out, m), dtype)
+        np.matmul(weight, cols.reshape(n, -1, m), out=out)
+        if cscale is not None:
+            acc, out = out, self._buffer(position, "out", (n, c_out, m), np.float32)
+            np.copyto(out, acc)  # i32 → f32 on the integer path
+            out *= cscale.reshape(1, c_out, 1)
+        if bias is not None:
+            out += bias.reshape(1, c_out, 1)
+        return self._conv_tail(position, op, out.reshape(n, c_out, op.oh, op.ow))
+
+    def _linear(self, position, op, x, weight, dtype, _pad, cscale, bias) -> np.ndarray:
+        """Row GEMM (see :meth:`_conv`); the i32 path widens the codes."""
+        n, out_f = self.n, op.out_spec.elements
+        if dtype is np.int32:
+            xi = self._buffer(position, "x", x.shape, dtype)
             np.copyto(xi, x)
-            acc3 = self._buffer(position, "iacc", (n, 1, out_f), np.int32)
-            np.matmul(xi[:, None, :], executor._wq_i32(op).T, out=acc3)
-        else:
-            acc3 = self._buffer(position, "acc", (n, 1, out_f), np.float32)
-            np.matmul(x[:, None, :], executor._wq_f32(op).T, out=acc3)
-        out3 = self._buffer(position, "wout", (n, 1, out_f), np.float32)
-        np.copyto(out3, acc3)
-        out = out3.reshape(n, out_f)
-        out *= cscale
+            x = xi
+        out = self._buffer(position, "acc", (n, 1, out_f), dtype)
+        np.matmul(x[:, None, :], weight.T, out=out)
+        out = out.reshape(n, out_f)
+        if cscale is not None:
+            acc, out = out, self._buffer(position, "out", (n, out_f), np.float32)
+            np.copyto(out, acc)
+            out *= cscale
         if bias is not None:
             out += bias
         if op.relu:

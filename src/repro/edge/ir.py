@@ -61,7 +61,8 @@ round-off.  The pipeline (fixed order, each individually toggleable):
     epilogue (bitwise-neutral: the same f32 max runs at the output write).
 ``fuse_conv_pool``
     Collapses ``conv → [relu] → maxpool(2x2/2)`` into one fused op when
-    the conv passes :func:`direct_conv_eligible`, so the native backend
+    the conv (float or fully integer) passes :func:`direct_conv_eligible`,
+    so the native backend
     pools the conv plane from its kernel's scratch instead of writing it
     out and re-reading it (bitwise-neutral per backend: conv elements keep
     their exact accumulation schedule, pooling is a max of identical
@@ -168,13 +169,9 @@ INT8_WEIGHTS = "int8_weights"
 ALL_REWRITES = (FUSE_RELU, INT8_INGEST, FUSE_CONV_POOL, FOLD_EPILOGUE_ADD)
 #: Accuracy-affecting rewrites a caller must explicitly request.
 OPT_IN_REWRITES = (INT8_WEIGHTS,)
-#: Every rewrite the pipeline can run, in application order.  Both
-#: int8_weights and int8_ingest run before fuse_conv_pool: pool-fusion
-#: eligibility (:func:`direct_conv_eligible`) depends on the final weight
-#: AND input regime — a fully integer conv (quantised weights composed
-#: with quantised ingest) runs on the integer matmul path, so the pool
-#: must not have fused into it (native backends may still merge the pool
-#: at record level, where the integer kernel can express it).
+#: Every rewrite the pipeline can run, in application order.  Pool fusion
+#: (:func:`direct_conv_eligible`) does not depend on the weight or input
+#: regime, so where int8_weights and int8_ingest run changes no decision.
 PIPELINE_ORDER = (FUSE_RELU, INT8_WEIGHTS, INT8_INGEST, FUSE_CONV_POOL, FOLD_EPILOGUE_ADD)
 KNOWN_REWRITES = PIPELINE_ORDER
 
@@ -419,21 +416,16 @@ def direct_conv_eligible(op: IROp) -> bool:
     """Whether ``fuse_conv_pool`` may fuse a trailing pool into this conv.
 
     A stride-1 conv whose output width lies in
-    ``[DIRECT_CONV_MIN_OW, DIRECT_CONV_MAX_OW]``.  The window gates pool
-    fusion only; it picks no kernel or tile (the native backend runs every
-    float conv on its flat-plane kernel).  Quantised-weight convs qualify
-    too.  The one exclusion is the fully integer path: it runs the
-    integer matmul, whose standalone pool the native backend may merge
-    back at record level where its packed integer kernel takes the conv.
-    ``int8_weights`` and ``int8_ingest`` must still be applied *before*
-    ``fuse_conv_pool`` asks this question, so fusion sees the final weight
-    and input regime.
+    ``[DIRECT_CONV_MIN_OW, DIRECT_CONV_MAX_OW]``, whatever its weight and
+    input regime.  The window gates pool fusion only; it picks no kernel
+    or tile (the native backend runs every conv with more than one output
+    position, float or fully integer, on its flat-plane kernels, fused
+    pool or not, at any width).
     """
     return (
         op.kind == "conv2d"
         and op.stride == (1, 1)
         and DIRECT_CONV_MIN_OW <= op.ow <= DIRECT_CONV_MAX_OW
-        and not integer_matmul_eligible(op)
     )
 
 
@@ -450,21 +442,17 @@ def integer_matmul_eligible(op: IROp) -> bool:
     """Whether the op runs the fully integer u8-act × i8-weight path.
 
     Requires quantised weights, a ≤8-bit code input (u8), and a reduction
-    shallow enough that the i32 accumulator cannot overflow.  Convs that
-    fused their trailing pool are excluded (a defensive guard — the
-    pipeline orders ``int8_ingest`` before ``fuse_conv_pool`` exactly so
-    integer convs keep a standalone pool op, which the native backend is
-    free to merge back at record level where its integer kernel *can*
-    express the pool epilogue).  Depends only on per-sample geometry and
-    dtypes, so both backends — and the sequential reference — take the
-    same path for the same op.
+    shallow enough that the i32 accumulator cannot overflow.  A fused pool
+    does not matter: the integer conv pools in the same epilogue as the
+    float one.  Depends only on per-sample geometry and dtypes, so both
+    backends — and the sequential reference — take the same path for the
+    same op.
     """
     return (
         op.wq is not None
         and op.dequant is not None
         and op.dequant.bits <= 8
         and 0 < reduction_depth(op) < INT8_ACC_MAX_K
-        and not op.pool
     )
 
 
@@ -540,23 +528,23 @@ def _conv_scratch(op: IROp) -> int:
     kh, kw = op.kernel
     sh, sw = op.stride
     ph, pw = op.padding
+    groups = c_in
     if integer_matmul_eligible(op):
-        # The integer GEMM's im2col panel of raw u8 codes, or — where the
-        # native backend routes the conv to its packed VNNI kernel — a
-        # raw u8 padded plane plus vector over-read slack.
-        panel = c_in * kh * kw * op.oh * op.ow
-        return max(panel, c_in * (h + 2 * ph) * (w + 2 * pw) + 64)
-    if op.oh * op.ow == 1:
+        # The fully integer conv's plane element is one 4-byte word per
+        # channel quad, the size of a float.
+        groups = -(-c_in // 4)
+    elif op.oh * op.ow == 1:
         # One output position: the dot kernel's im2col column.
         return c_in * kh * kw
     # The flat-plane conv: the sh·sw phase planes of the padded input
-    # (hq x wq each, per channel); 64 zeroed floats of slack, as its widest
-    # tile (64 lanes) loads at most 63 lanes past the last plane; and a
-    # staging area of 4 output channels x the flattened output plane's
-    # lanes, (oh - 1)·wq + ow, rounded up to whole 64-lane tiles.
+    # (hq x wq each, per channel or quad); 64 zeroed words of slack, as
+    # its widest tile (64 lanes) loads at most 63 lanes past the last
+    # plane; and a staging area of 4 output channels x the flattened
+    # output plane's lanes, (oh - 1)·wq + ow, rounded up to whole 64-lane
+    # tiles.
     hq, wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
     stage = 4 * -(-((op.oh - 1) * wq + op.ow) // 64) * 64
-    return c_in * sh * sw * hq * wq + 64 + stage
+    return groups * sh * sw * hq * wq + 64 + stage
 
 
 def _plan_buffers_uncached(program: Program) -> BufferPlan:
@@ -788,12 +776,9 @@ def _rewrite_fuse_relu(ops: list[IROp]) -> tuple[list[IROp], bool]:
 def _rewrite_int8_weights(ops: list[IROp]) -> tuple[list[IROp], bool]:
     """Quantise every conv/linear weight to per-channel int8 codes.
 
-    Runs before ``fuse_conv_pool`` (as does ``int8_ingest``) so the
-    pool-fusion pass judges eligibility against the final weight and
-    input regime (fully integer convs keep a standalone pool; widened
-    int8-weight convs may fuse one).  ``op.weight`` is kept as the
-    live f32 reference (cost pricing); the arithmetic weight becomes
-    ``op.wq.codes``.
+    ``op.weight`` is kept as the live f32 reference (cost pricing); the
+    arithmetic weight becomes ``op.wq.codes``.  Pool fusion treats the
+    quantised conv like the float one, fully integer or not.
     """
     out: list[IROp] = []
     changed = False

@@ -990,36 +990,42 @@ class ControlPlane:
             DeploymentDrainError: The barrier was not reached within
                 ``timeout`` wall seconds.
         """
+        return self._drain_deployment(name, time.monotonic() + timeout)
+
+    def _drain_deployment(self, name: str, deadline: float) -> list[RequestHandle]:
         deployment = self.registry.get(name)
-        deadline = time.monotonic() + timeout
         delivered: list[RequestHandle] = []
         while len(deployment.queue) or any(
             flight.deployment == name for flight in self._flights
         ):
             if time.monotonic() > deadline:
                 raise DeploymentDrainError(
-                    f"deployment {name!r} did not drain within {timeout:.1f}s "
+                    f"deployment {name!r} did not drain in time "
                     f"({len(deployment.queue)} queued, "
                     f"{sum(f.deployment == name for f in self._flights)} "
                     "micro-batches in flight)"
                 )
             self._dispatch_ready(flush=True, deployments=(deployment,))
-            delivered.extend(self._collect(block=bool(self._flights)))
+            delivered.extend(
+                self._collect(block=bool(self._flights), deadline=deadline)
+            )
         return delivered
 
-    def _quiesce(self, *, timeout: float = 30.0) -> list[RequestHandle]:
+    def _quiesce(self, deadline: float | None = None) -> list[RequestHandle]:
         """Collect every in-flight micro-batch (no new dispatches) and every
         retiring worker's goodbye, so no worker is using its executors or
-        about to leave — the precondition for re-equipping."""
-        deadline = time.monotonic() + timeout
+        about to leave — the precondition for re-equipping.  Past
+        ``deadline`` (``time.monotonic()``; ``None``: none) it raises
+        :class:`~repro.errors.DeploymentDrainError`, leaving what is still
+        in flight there."""
         delivered: list[RequestHandle] = []
         while self._flights or self._retiring:
-            if time.monotonic() > deadline:  # pragma: no cover - wedge guard
+            if deadline is not None and time.monotonic() > deadline:
                 raise DeploymentDrainError(
                     f"{len(self._flights)} micro-batches still in flight "
-                    f"after {timeout:.1f}s quiesce"
+                    "at the quiesce deadline"
                 )
-            delivered.extend(self._collect(block=True))
+            delivered.extend(self._collect(block=True, deadline=deadline))
         return delivered
 
     def swap(
@@ -1062,8 +1068,9 @@ class ControlPlane:
                 deployment is left un-swapped).
         """
         deployment = self.registry.get(name)
-        delivered = self.drain_deployment(name, timeout=timeout)
-        delivered.extend(self._quiesce(timeout=timeout))
+        deadline = time.monotonic() + timeout
+        delivered = self._drain_deployment(name, deadline)
+        delivered.extend(self._quiesce(deadline))
         old = deployment.spec
         # The weight regime survives the swap: a new model's weights are
         # re-quantised from scratch by the fresh executors (the int8 code
@@ -1115,8 +1122,9 @@ class ControlPlane:
                 deployment stays registered).
         """
         deployment = self.registry.get(name)
-        self.drain_deployment(name, timeout=timeout)
-        self._quiesce(timeout=timeout)
+        deadline = time.monotonic() + timeout
+        self._drain_deployment(name, deadline)
+        self._quiesce(deadline)
         for worker in self._workers.values():
             worker.servers.pop(name, None)
             worker.channels.pop(name, None)
@@ -1141,9 +1149,7 @@ class ControlPlane:
             requests=target.metrics.requests,
             uplink_bytes=target.metrics.uplink_bytes,
             downlink_bytes=target.metrics.downlink_bytes,
-            simulated_seconds=sum(
-                channel.stats.simulated_seconds for channel in target.channels
-            ),
+            simulated_seconds=target.metrics.simulated_wire_seconds,
             edge_kilomacs_per_sample=target.edge_kilomacs,
         )
 
@@ -1256,22 +1262,28 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Collection + crash recovery (dispatcher thread only)
     # ------------------------------------------------------------------
-    def _collect(self, *, block: bool) -> list[RequestHandle]:
+    def _collect(
+        self, *, block: bool, deadline: float | None = None
+    ) -> list[RequestHandle]:
         """Absorb finished micro-batches in completion order, and retired
-        workers' goodbyes; ``block`` waits until neither is pending."""
+        workers' goodbyes; ``block`` waits until neither is pending, or
+        until ``deadline`` (``time.monotonic()``) passes."""
         delivered: list[RequestHandle] = []
         while self._flights or self._retiring:
+            wait = None
+            if deadline is not None:
+                wait = max(0.0, deadline - time.monotonic())
             try:
-                flight, outcome = self._done.get(block=block)
+                flight, outcome = self._done.get(block=block, timeout=wait)
             except Empty:
                 break
             if flight is None:  # a retired worker's goodbye
-                del self._workers[outcome]
+                self._forget(outcome)
                 self._retiring -= 1
                 continue
             self._flights.discard(flight)
             if isinstance(outcome, WorkerCrashError):
-                del self._workers[outcome.worker_id]
+                self._forget(outcome.worker_id)
                 self._withdraw_markers(1)  # it counts as a shrink's retirement
                 self._recover(flight)
             elif isinstance(outcome, BaseException):
@@ -1280,6 +1292,15 @@ class ControlPlane:
             else:
                 self._absorb(flight, outcome, delivered)
         return delivered
+
+    def _forget(self, worker_id: int) -> None:
+        """Drop a departed worker, and its channel clones from their
+        deployments (its thread has emptied its executors)."""
+        worker = self._workers.pop(worker_id)
+        for name, clone in worker.channels.items():
+            channels = self.registry.get(name).channels
+            channels[:] = [channel for channel in channels if channel is not clone]
+        worker.channels.clear()
 
     def _recover(self, flight: _Flight) -> None:
         """Requeue a crash-interrupted micro-batch exactly once.
@@ -1413,9 +1434,9 @@ class ControlPlane:
         Queued micro-batches no worker has started are dropped; each pool
         thread finishes the one it is executing, then exits.  Every worker
         thread, alive, crashed or retired, empties its worker's executors
-        and channel clones as it leaves, so shutdown leaks no thread and
-        keeps no executor cache reachable; the plane forgets its workers
-        even if the join is interrupted.
+        as it leaves, so shutdown leaks no thread and keeps no executor
+        cache reachable; the plane forgets its workers and their channel
+        clones even if the join is interrupted.
         """
         if self._closed:
             return
@@ -1426,8 +1447,12 @@ class ControlPlane:
             for thread in self._threads:
                 thread.join()
         finally:
+            for worker in self._workers.values():
+                worker.channels.clear()
             self._workers.clear()
             self._retiring = 0
+            for deployment in self.registry:
+                deployment.channels.clear()
 
     def _withdraw_markers(self, wanted: int) -> None:
         """Take up to ``wanted`` queued stop markers back (their workers
@@ -1462,7 +1487,8 @@ def _work(
 ) -> None:
     """``worker``'s thread: run queued flights' cloud halves until it takes
     a stop marker (``None``), crashes, or the plane is gone.  It empties
-    the worker before its last message, a goodbye or the crash."""
+    the worker's executors before its last message, a goodbye or the
+    crash; the dispatcher drops its channel clones on receipt."""
     farewell: tuple[_Flight | None, object] = (None, worker.worker_id)
     try:
         while (flight := tasks.get()) is not None:
@@ -1480,7 +1506,6 @@ def _work(
             done.put((flight, outcome))
     finally:
         worker.servers.clear()
-        worker.channels.clear()
         done.put(farewell)
 
 

@@ -369,20 +369,21 @@ class TestBufferPlan:
         if size == 64:
             assert plan.scratch_elements < c_in * kh * kw * op.oh * op.ow / 7
 
-    def test_integer_conv_scratch_keeps_its_im2col_panel(self):
+    def test_integer_conv_scratch_is_quad_planes_slack_and_stage(self):
         net = Sequential(
-            Conv2d(2, 4, 3, stride=2, rng=np.random.default_rng(0))
+            Conv2d(5, 4, 3, stride=2, rng=np.random.default_rng(0))
         ).eval()
         program = ir.lower(
-            _rows(net), (2, 16, 16), quantization=PARAMS8,
+            _rows(net), (5, 16, 16), quantization=PARAMS8,
             rewrites=(ir.INT8_WEIGHTS, ir.INT8_INGEST),
         )
         op = program.ops[0]
         assert ir.integer_matmul_eligible(op)
         plan = ir.plan_buffers(program)
-        # The u8 code panel of the integer GEMM (larger here than the
-        # VNNI kernel's raw padded plane, 2*16*16 + 64).
-        assert plan.scratch_elements == 2 * 3 * 3 * op.oh * op.ow
+        # The integer flat conv's footprint: 2 channel quads (one partial)
+        # x 4 phase planes of 8x8 4-byte words, each the size of a float;
+        # the 64-word slack; 4 channel rows of staging for 6*8 + 7 lanes.
+        assert plan.scratch_elements == 2 * 4 * 8 * 8 + 64 + 4 * 64
 
     def test_single_position_conv_scratch_is_one_column(self):
         net = Sequential(

@@ -179,9 +179,16 @@ EXACT_CASES = [
     (2, 8, (3, 3), 1, 1, 4, 140, 3, True, True, False, True, None, "f32"),
     # One output position: the dot kernel.
     (3, 4, (3, 3), 1, 0, 3, 3, 2, True, False, False, False, 8, "f32"),
-    # Fully integer: int8 weights on 8-bit codes, the pool re-merged
-    # where the packed VNNI kernel takes the conv.
+    # Fully integer (int8 weights on 8-bit codes): a partial channel quad
+    # with padding and a fused pool after BatchNorm, with the noise add.
     (3, 5, (3, 3), 1, 1, 10, 10, 4, True, True, True, True, 8, "u8"),
+    # One full quad at stride 2; a partial quad, padded, at stride 3; two
+    # quads plus a partial one; past 128 wide, where the pool stays
+    # standalone.
+    (4, 6, (3, 3), 2, 0, 11, 13, 3, True, False, False, False, 8, "u8"),
+    (5, 3, (4, 4), 3, 1, 13, 17, 2, False, False, True, True, 8, "u8"),
+    (9, 5, (3, 3), 1, 2, 7, 9, 3, True, False, False, True, 8, "u8"),
+    (2, 4, (3, 3), 1, 1, 3, 150, 2, True, True, False, False, 8, "u8"),
 ]
 
 
@@ -279,7 +286,7 @@ class TestExactConvArithmetic:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_case(self, data):
-        c_in, c_out = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+        c_in, c_out = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
         kh, kw = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
         stride, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
         h = data.draw(st.integers(max(1, kh - 2 * padding), 12))
@@ -302,7 +309,8 @@ class TestExactConvArithmetic:
         """Guards the property against vacuity: under the default rewrites
         the fixed cases fuse a pool, take strides 2 and 3 with odd taps,
         exceed 128 lanes of width, run single-position and fully integer
-        convs, and ingest both code widths."""
+        convs (with a fused pool, at stride > 1, over several channel
+        quads), and ingest both code widths."""
         monkeypatch.delenv(ir.DISABLE_REWRITES_ENV_VAR, raising=False)
         monkeypatch.delenv(ir.SELECT_REWRITES_ENV_VAR, raising=False)
         seen = set()
@@ -319,11 +327,20 @@ class TestExactConvArithmetic:
             seen.add(("pool", conv.pool))
             seen.add(("wide", conv.ow > 128))
             seen.add(("single", conv.oh * conv.ow == 1))
-            seen.add(("integer", ir.integer_matmul_eligible(conv)))
+            integer = ir.integer_matmul_eligible(conv)
+            seen.add(("integer", integer))
+            seen.add(("integer pool", integer and conv.pool))
+            seen.add(("integer stride", integer and conv.stride[0] > 1))
+            seen.add(("integer quads", integer and conv.in_spec.shape[0] > 4))
             seen.add(("ingest", case[-1]))
         assert {("stride", 2), ("stride", 3), ("pool", True), ("wide", True),
-                ("single", True), ("integer", True), ("ingest", "u8"),
-                ("ingest", "u16")} <= seen
+                ("single", True), ("integer", True), ("integer pool", True),
+                ("integer stride", True), ("integer quads", True),
+                ("ingest", "u8"), ("ingest", "u16")} <= seen
+
+
+def _host_has(*flags):
+    return set(flags) <= set(native.host_isa_flags().split())
 
 
 @pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler")
@@ -331,16 +348,24 @@ class TestPortableBuild:
     """The kernel source must build without ``-march=native`` — the retry
     ``native.build_library`` falls back to — and run correctly there:
     otherwise every host without AVX-512 would silently drop to the numpy
-    backend.  The portable library replaces the process's for the test."""
+    backend.  It also builds for AVX2, where the integer conv runs its
+    generic step at 8 lanes (4 in the baseline build).  Each library
+    replaces the process's for the test."""
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param((), id="baseline"),
+        pytest.param(("-mavx2", "-mfma"), id="avx2", marks=pytest.mark.skipif(
+            not _host_has("avx2", "fma"), reason="host lacks AVX2/FMA")),
+    ])
     def test_generic_build_runs_the_exact_cases_and_a_backbone(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, flags
     ):
         monkeypatch.delenv(native.DISABLE_ENV_VAR, raising=False)
         monkeypatch.setenv(native.DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setattr(
             native, "COMPILE_FLAGS",
-            tuple(f for f in native.COMPILE_FLAGS if f != "-march=native"),
+            tuple(f for f in native.COMPILE_FLAGS if f != "-march=native")
+            + flags,
         )
         module = native.KernelModule(
             "fastexec", _fastexec._SOURCE, _fastexec._configure

@@ -45,6 +45,7 @@ from repro.core import NoiseCollection, ShredderPipeline, SplitInferenceModel
 from repro.edge import Channel, InferenceSession, plan_batch_window
 from repro.errors import (
     ConfigurationError,
+    DeploymentDrainError,
     ServingFaultError,
 )
 from repro.serve import ControlPlane, DeploymentSpec, RequestHandle
@@ -1018,6 +1019,23 @@ class TestElasticLifecycle:
             # so only the one that stays is equipped.
             plane.register("late", bundle.model, bundle.model.last_conv_cut())
             assert len(plane.deployment("late").channels) == 1
+            # Grow/shrink cycles, each serving one request through drain()
+            # so the retirements complete, leave one channel clone for the
+            # one live worker; the report still counts the link time of
+            # the workers that left.
+            images = bundle.test_set.images
+            for cycle in range(50):
+                plane.scale_to(3)
+                plane.scale_to(1)
+                plane.submit(images[cycle : cycle + 1], deployment="dep0")
+                plane.drain()
+            assert plane.alive_workers == 1
+            assert len(plane.deployment("dep0").channels) == 1
+            simulated = plane.report_for("dep0").simulated_seconds
+            assert simulated > 0
+            assert simulated == pytest.approx(
+                plane.deployment("dep0").metrics.simulated_wire_seconds
+            )
             with pytest.raises(ConfigurationError, match="pool size"):
                 plane.scale_to(0)
             with pytest.raises(ConfigurationError, match="pool size"):
@@ -1067,6 +1085,42 @@ class TestElasticLifecycle:
             actual = [plane.result(handle) for handle in handles]
         for a, b in zip(expected, actual, strict=True):
             np.testing.assert_array_equal(a, b)
+
+    def test_drain_barriers_honour_their_timeout(self, bundle, collections):
+        """A flight held by the fault hook bounds ``drain_deployment``,
+        ``swap`` and ``unregister`` by their timeout: each raises within
+        about it, the deployment stays registered and un-swapped, and a
+        later ``drain()`` delivers the held flight once, bit-identically."""
+        release = threading.Event()
+
+        def injector(worker_id, task):
+            release.wait(timeout=10.0)  # hold the worker on its flight
+            return False
+
+        images = bundle.test_set.images
+        plan = [("dep0", images[0:1], None, None)]
+        expected = _sequential_reference(bundle, collections, plan, 1)
+        with _make_plane(
+            bundle, collections, n_deployments=1, workers=1, window=1,
+            fault_injector=injector,
+        ) as plane:
+            handle = plane.submit(images[0:1], deployment="dep0")
+            plane.pump(flush=True)
+            spec = plane.deployment("dep0").spec
+            for operation in (
+                lambda: plane.drain_deployment("dep0", timeout=0.2),
+                lambda: plane.swap("dep0", noise=None, timeout=0.2),
+                lambda: plane.unregister("dep0", timeout=0.2),
+            ):
+                started = time.monotonic()
+                with pytest.raises(DeploymentDrainError):
+                    operation()
+                assert time.monotonic() - started < 2.0
+            assert plane.deployment("dep0").spec is spec
+            assert len(plane._flights) == 1
+            release.set()
+            assert plane.drain() == [handle]
+            np.testing.assert_array_equal(plane.result(handle), expected[0])
 
     def test_growth_takes_back_queued_stop_markers(self, bundle, collections):
         """Growing while a shrink's stop markers still wait behind queued

@@ -57,14 +57,14 @@ def lenet_module_bundle():
 
 def _batched(
     planes, bundle, collection=None, seed=11, window=4, channel=None,
-    **register,
+    cut=None, **register,
 ):
     """A one-deployment plane serving greedy FIFO windows (fixed window,
     no batching wait)."""
     plane = ControlPlane(channel=channel)
     planes.append(plane)
     plane.register(
-        "lenet", bundle.model, bundle.model.last_conv_cut(),
+        "lenet", bundle.model, cut or bundle.model.last_conv_cut(),
         noise=collection, rng=np.random.default_rng(seed),
         batch_window=window, batch_timeout=0.0, deadline_aware=False,
         **register,
@@ -74,18 +74,19 @@ def _batched(
 
 def _sessions(
     planes, bundle, collection, seed=11, window=4, quantization=None,
-    shuffle=False, shuffle_seed=None,
+    shuffle=False, shuffle_seed=None, cut=None, weight_bits=None,
 ):
-    cut = bundle.model.last_conv_cut()
+    cut = cut or bundle.model.last_conv_cut()
     mean = np.zeros(1, dtype=np.float32)
     std = np.ones(1, dtype=np.float32)
     sequential = InferenceSession(
         bundle.model, cut, mean, std, noise=collection,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed), weight_bits=weight_bits,
     )
     batched = _batched(
-        planes, bundle, collection, seed=seed, window=window,
+        planes, bundle, collection, seed=seed, window=window, cut=cut,
         quantization=quantization, shuffle=shuffle, shuffle_seed=shuffle_seed,
+        weight_bits=weight_bits,
     )
     return sequential, batched
 
@@ -258,8 +259,9 @@ class TestShuffledParity:
 
 
 class TestQuantizedServing:
+    @pytest.mark.parametrize("cut, weight_bits", [(None, None), ("conv0", 8)])
     def test_quantized_matches_per_request_quantization(
-        self, lenet_module_bundle, collection, planes
+        self, lenet_module_bundle, collection, planes, cut, weight_bits
     ):
         """Stacked-once quantisation == per-request quantisation (it is an
         elementwise map, and the server's quantised-ingest path is batch
@@ -267,18 +269,34 @@ class TestQuantizedServing:
         per-request quantise/ingest reference **bitwise** — and stay
         f32-close to a dequantise-then-run reference (the int8-ingest IR
         rewrite folds the affine map into the first GEMM's epilogue, which
-        reassociates the float math)."""
+        reassociates the float math).  At cut ``conv0`` with int8 weights
+        the cloud half starts with a conv, so the plane runs the fully
+        integer conv on the 8-bit uplink."""
         from repro.edge.protocol import BatchActivationMessage
 
-        split = SplitInferenceModel(lenet_module_bundle.model)
+        split = SplitInferenceModel(lenet_module_bundle.model, cut)
+        if cut is not None:
+            rng = np.random.default_rng(6)
+            collection = NoiseCollection(split.activation_shape)
+            for _ in range(4):
+                collection.add(
+                    rng.laplace(0, 0.05, size=split.activation_shape).astype(
+                        np.float32
+                    ),
+                    accuracy=0.8,
+                    in_vivo_privacy=0.1,
+                )
         activations = split.activations(lenet_module_bundle.test_set.images[:32])
         params = calibrate(activations, bits=8)
         sequential, batched = _sessions(
-            planes, lenet_module_bundle, collection, quantization=params
+            planes, lenet_module_bundle, collection, quantization=params,
+            cut=cut, weight_bits=weight_bits,
         )
         stream = _single_image_stream(lenet_module_bundle, 7)
         deployment = batched.deployment()
-        server = CloudServer(deployment.remote, batched.kernel_backend)
+        server = CloudServer(
+            deployment.remote, batched.kernel_backend, weight_bits=weight_bits
+        )
         # Reference: run the sequential device, quantise each request's
         # activation as its own single-request frame, and push the codes
         # through the quantised server path one request at a time.
