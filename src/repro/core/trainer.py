@@ -28,18 +28,20 @@ step.  Where the remote half starts with ``Flatten`` (and ``Dropout``,
 the identity in eval mode) and then a ``Linear`` — the paper's default
 cut of every backbone — each call computes ``pre = W a + b`` once for
 all training rows, and a step runs the rest of the remote half on
-``pre[rows] + W n``: the noise projection is one ``(M × in)·(in × out)``
-product instead of pushing every row through ``W``.  ``pre`` is computed
-per call, so an in-place weight update between calls reaches the next
-one.  Where the remote half starts with any other module (a ``Conv2d``),
-nothing is hoisted: ``pre`` is the activations, the projection is the
-identity and the step is the plain ``R(a + n)``, bit for bit.  At
-``Linear``-head cuts the two forms round differently and agree to
-float32 precision, not bitwise.  Accuracy probes stay on the plain
-remote forward (``SplitInferenceModel.accuracy_from_activations`` and
-its ``_multi`` form), so ``final_accuracy`` does not depend on the
-hoist: an untrained backbone's near-tied logits could flip an argmax
-under merely float32-close logits.
+``pre[rows] + W n``: the noise projection is one ``(1 × in)·(in × out)``
+product per member (so a member's projection does not depend on how
+many members train beside it) instead of pushing every row through
+``W``.  ``pre`` is computed per call, so an in-place weight update
+between calls reaches the next one.  Where the remote half starts with
+any other module (a ``Conv2d``), nothing is hoisted: ``pre`` is the
+activations, the projection is the identity and the step is the plain
+``R(a + n)``, bit for bit.  At ``Linear``-head cuts the two forms round
+differently and agree to float32 precision, not bitwise.  Accuracy
+probes stay on the plain remote forward
+(``SplitInferenceModel.accuracy_from_activations`` and its ``_multi``
+form), so ``final_accuracy`` does not depend on the hoist: an untrained
+backbone's near-tied logits could flip an argmax under merely
+float32-close logits.
 
 Two training entry points share that machinery:
 
@@ -82,7 +84,6 @@ from repro.core.snr import (
 from repro.core.split import SplitInferenceModel
 from repro.errors import TrainingError
 from repro.nn import Adam, Dataset, Dropout, Flatten, Linear, Module, Sequential, Tensor
-from repro.nn import functional as F
 
 
 @dataclass
@@ -139,6 +140,24 @@ def _member_noisy_batch(gathered: np.ndarray, projected: Tensor) -> Tensor:
     return Tensor._make(out, (projected,), backward)
 
 
+def _member_projection(noise: Tensor, weight: np.ndarray) -> Tensor:
+    """Each member's flattened noise times ``weightᵀ``, as one tape node.
+
+    Forward ``(x[:, None, :] @ Wᵀ)[:, 0]`` and adjoint
+    ``(g[:, None, :] @ W)[:, 0]`` run one ``(1, in)`` product per member,
+    so member ``m``'s row is the same call whatever the bank size; one
+    ``(M, in)`` product would round by ``M`` (BLAS picks its kernel by
+    the row count), and ``train_many`` would drift from ``train``.
+    """
+    m = noise.shape[0]
+    out = (noise.data.reshape(m, 1, -1) @ weight.T)[:, 0]
+
+    def backward(grad: np.ndarray) -> None:
+        noise.accumulate_grad((grad[:, None, :] @ weight)[:, 0].reshape(noise.shape))
+
+    return Tensor._make(out, (noise,), backward)
+
+
 class _HoistedRemote:
     """The remote half as one call's training steps run it.
 
@@ -168,7 +187,7 @@ class _HoistedRemote:
         ``m``'s rows under the noise ``noise[m]``."""
         projected = noise
         if self.linear is not None:
-            projected = F.linear(noise.flatten_batch(), self.linear.weight)
+            projected = _member_projection(noise, self.linear.weight.data)
         return self.rest(_member_noisy_batch(self.pre[indices], projected))
 
 

@@ -8,7 +8,6 @@ channel layout is CHW to match the network input convention.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import DatasetError
 
@@ -45,6 +44,8 @@ def paste_glyph(
     Returns:
         A new canvas with the glyph rendered (max-composited).
     """
+    from scipy import ndimage
+
     size = canvas.shape[0]
     enlarged = ndimage.zoom(glyph, zoom=scale, order=1, prefilter=False)
     if angle_deg:
@@ -164,6 +165,8 @@ def add_sensor_noise(
 
 def blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur over the spatial dims of a CHW or HW image."""
+    from scipy import ndimage
+
     if image.ndim == 2:
         return ndimage.gaussian_filter(image, sigma=sigma).astype(np.float32)
     return np.stack(

@@ -8,8 +8,8 @@ compiles (at first use, through :mod:`repro.native`) a small C library
 that executes a **lowered op program** (:class:`repro.edge.ir.Program`)
 in one call: the shared lowering pass in :mod:`repro.edge.ir` produces
 the typed schedule, :class:`CompiledProgram` translates it into a flat
-int64 record array for a fixed ``(batch, input_shape)``, and the C
-interpreter runs it over ping-pong scratch arenas.  This backend owns no
+int64 record array for one ``input_shape`` and any batch up to its
+capacity, and the C interpreter runs it over ping-pong scratch arenas.  This backend owns no
 lowering or fusion logic of its own — every rewrite decision is made on
 the IR, which the numpy interpreter executes identically.
 
@@ -1204,15 +1204,18 @@ def _window(op: ir.IROp) -> dict[str, int]:
 
 class CompiledProgram:
     """One lowered :class:`~repro.edge.ir.Program` bound to the native
-    interpreter for a fixed ``(batch, input geometry)``.
+    interpreter for one input geometry and any batch of up to
+    ``capacity`` rows.
 
     Translates the IR ops into the flat int64 record array the C side
     executes, resolves the buffer plan (:func:`repro.edge.ir.plan_buffers`)
-    into ping-pong arenas and the per-sample scratch panel, builds the
-    weight pointer table, and caches the argument list so a call is one
-    dict hit plus one ctypes call.  ``flatten`` ops vanish here — the
-    record stream is compute-only and the output buffer is allocated at
-    the program's (possibly flattened) output spec.
+    into ping-pong arenas of ``capacity`` rows and the per-sample scratch
+    panel, builds the weight pointer table, and caches the argument list
+    so a call is one dict hit plus one ctypes call.  ``run_program``
+    addresses every row by its per-sample offset, so a smaller batch runs
+    on the arenas' leading rows with the same bits.  ``flatten`` ops
+    vanish here — the record stream is compute-only and the output buffer
+    is allocated at the program's (possibly flattened) output spec.
 
     Weight/bias pointers reference the IR's live float32 arrays (views of
     the module parameters), so in-place weight updates stay visible;
@@ -1224,12 +1227,12 @@ class CompiledProgram:
     here — the code plane is the only weight operand the kernels read.
     """
 
-    def __init__(self, program: ir.Program, n: int) -> None:
+    def __init__(self, program: ir.Program, capacity: int) -> None:
         lib = load()
         if lib is None:  # pragma: no cover - callers check available()
             raise RuntimeError("fastexec kernel unavailable")
         self._run = lib.run_program
-        self.n = n
+        self.capacity = capacity
         self.program = program
         self.out_shape = program.out_spec.shape
         self.in_dtype = program.in_spec.numpy_dtype
@@ -1331,8 +1334,8 @@ class CompiledProgram:
         for index, array in enumerate(self._weight_arrays):
             table[index] = array.ctypes.data
         self._weight_table = table
-        self._arena_a = np.empty(n * plan.arena_elements, dtype=np.float32)
-        self._arena_b = np.empty(n * plan.arena_elements, dtype=np.float32)
+        self._arena_a = np.empty(capacity * plan.arena_elements, dtype=np.float32)
+        self._arena_b = np.empty(capacity * plan.arena_elements, dtype=np.float32)
         # Zero-filled so vector over-reads into the scratch slack never
         # see uninitialised (potentially denormal) memory.
         self._cols = np.zeros(plan.scratch_elements, dtype=np.float32)
@@ -1340,7 +1343,7 @@ class CompiledProgram:
             self._records.ctypes.data,
             self._scales.ctypes.data,
             len(self._records),
-            n,
+            0,  # batch rows, set per call
             0,  # input pointer, set per call
             0,  # output pointer, set per call
             self._arena_a.ctypes.data,
@@ -1351,15 +1354,20 @@ class CompiledProgram:
         ]
 
     def __call__(self, x: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-        """Run the program on ``x``; returns a fresh float32 output array.
+        """Run the program on ``x`` (at most ``capacity`` rows); returns a
+        fresh ``(len(x), ...)`` float32 output array.
 
         ``extra`` is the full-batch per-row tensor a folded epilogue add
         consumes (required iff the program was lowered with one).
         """
         if self.needs_extra and extra is None:
             raise ValueError("program folds an epilogue add; extra is required")
-        out = np.empty((self.n, *self.out_shape), dtype=np.float32)
+        n = len(x)
+        if n > self.capacity:
+            raise ValueError(f"{n} rows exceed the binding's {self.capacity}")
+        out = np.empty((n, *self.out_shape), dtype=np.float32)
         args = self._args
+        args[3] = n
         args[4] = x.ctypes.data
         args[5] = out.ctypes.data
         args[10] = 0 if extra is None else extra.ctypes.data

@@ -54,14 +54,22 @@ class LayerCost:
     Attributes:
         name: Layer name inside the model's Sequential.
         macs: Per-sample multiply-accumulates of this layer.
-        output_elements: Per-sample elements of the layer output.
-        output_bytes: Per-sample bytes if this output were communicated.
+        output_shape: Per-sample shape of the layer output.
     """
 
     name: str
     macs: int
-    output_elements: int
-    output_bytes: int
+    output_shape: tuple[int, ...]
+
+    @property
+    def output_elements(self) -> int:
+        """Per-sample elements of the layer output."""
+        return int(np.prod(self.output_shape))
+
+    @property
+    def output_bytes(self) -> int:
+        """Per-sample bytes if this output were communicated."""
+        return self.output_elements * BYTES_PER_ELEMENT
 
 
 def profile_network(model: SplittableModel) -> list[LayerCost]:
@@ -76,13 +84,11 @@ def profile_network(model: SplittableModel) -> list[LayerCost]:
                 module = model.net[name]
                 input_shape = x.shape
                 x = module(x)
-                elements = int(np.prod(x.shape[1:]))
                 costs.append(
                     LayerCost(
                         name=name,
                         macs=layer_macs(module, input_shape, x.shape),
-                        output_elements=elements,
-                        output_bytes=elements * BYTES_PER_ELEMENT,
+                        output_shape=x.shape[1:],
                     )
                 )
     finally:
@@ -111,25 +117,30 @@ class CutCost:
 
 def cut_costs(model: SplittableModel) -> list[CutCost]:
     """The Figure 6 cost model: one entry per candidate cutting point."""
-    profile = {cost.name: cost for cost in profile_network(model)}
-    order = model.net.layer_names()
-    results: list[CutCost] = []
+    return [cost for cost, _boundary in _priced_cuts(model)]
+
+
+def _priced_cuts(model: SplittableModel) -> list[tuple[CutCost, LayerCost]]:
+    """Each cutting point's cost with its boundary layer's profile, all
+    from one dry run."""
+    profile = profile_network(model)
+    results: list[tuple[CutCost, LayerCost]] = []
     for cut in model.cut_names():
         point = model.cut_point(cut)
-        local_layers = order[: point.end_index + 1]
-        total_macs = sum(profile[name].macs for name in local_layers)
-        boundary = profile[order[point.end_index]]
+        total_macs = sum(cost.macs for cost in profile[: point.end_index + 1])
+        boundary = profile[point.end_index]
         kilomacs = total_macs / 1e3
         megabytes = boundary.output_bytes / 1e6
-        results.append(
+        results.append((
             CutCost(
                 cut=cut,
                 conv_index=point.conv_index,
                 kilomacs=kilomacs,
                 megabytes=megabytes,
                 product=kilomacs * megabytes,
-            )
-        )
+            ),
+            boundary,
+        ))
     return results
 
 
@@ -187,19 +198,15 @@ def batched_cut_costs(
         raise ModelError(f"batch size must be >= 1, got {batch_size}")
     if bytes_per_element <= 0:
         raise ModelError(f"bytes per element must be positive, got {bytes_per_element}")
-    # Stacked activation frames are (rows, C, H, W) or (rows, F): the
-    # header rank is the boundary activation's rank with the batch
-    # dimension included, exactly what the wire frame declares.
-    profile = {cost.name: cost for cost in profile_network(model)}
-    order = model.net.layer_names()
     results: list[BatchedCutCost] = []
-    for base in cut_costs(model):
-        point = model.cut_point(base.cut)
-        boundary = profile[order[point.end_index]]
+    for base, boundary in _priced_cuts(model):
         payload = boundary.output_elements * bytes_per_element
+        # Stacked activation frames are (rows, C, H, W) or (rows, F): the
+        # header rank is the boundary activation's rank with the batch
+        # dimension included, exactly what the wire frame declares.
         overhead = batch_frame_overhead(
             batch_size,
-            ndim=len(model.activation_shape(base.cut)),
+            ndim=1 + len(boundary.output_shape),
             quantized=bytes_per_element < BYTES_PER_ELEMENT,
         )
         wire_bytes = payload + overhead / batch_size

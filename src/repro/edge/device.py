@@ -107,10 +107,12 @@ class EdgeDevice:
         """Pre-size executor scratch (and compile native programs) for one
         input batch geometry; returns the activation shape it produces.
 
-        Serving runtimes call this at deployment time for every batch size
-        their window can form, so the first request pays no allocation or
-        kernel-lowering jitter.  When the device injects noise, the warmed
-        programs include the noise-add epilogue the real path uses.
+        One warm at the largest batch covers every smaller batch of the
+        same image geometry, so serving runtimes call this once at
+        deployment time, at their window, and the first request pays no
+        allocation or kernel-lowering jitter.  When the device injects
+        noise, the warmed programs include the noise-add epilogue the
+        real path uses.
         """
         return self._executor.warm(
             batch_shape, epilogue_add=self.noise is not None
@@ -240,8 +242,10 @@ class CloudServer:
     ) -> tuple[int, ...]:
         """Pre-size executor scratch for one stacked activation geometry.
 
-        Pass the deployment's ``quantization`` so the warmed programs
-        cover the quantised-ingest path the real uplinks take.
+        One warm at the largest batch covers every smaller batch of the
+        same activation geometry.  Pass the deployment's ``quantization``
+        so the warmed programs cover the quantised-ingest path the real
+        uplinks take.
         """
         return self._executor.warm(activation_shape, quantization=quantization)
 

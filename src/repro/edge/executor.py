@@ -17,11 +17,11 @@ segments (Conv2d, Linear, ReLU, MaxPool2d, Flatten, LocalResponseNorm,
 eval-mode BatchNorm2d and Dropout) and python-fallback runs (anything in
 training mode or unrecognised), so every eval-mode half of the four
 backbones is a single IR segment.  Each IR segment is lowered **once per
-input geometry** by :func:`repro.edge.ir.lower` — the single lowering +
-rewrite pipeline shared by every backend — and the resulting
-:class:`~repro.edge.ir.Program` is interpreted by whichever backend the
-executor was constructed with.  Neither backend owns lowering or fusion
-logic of its own.
+per-sample input geometry** by :func:`repro.edge.ir.lower` — the single
+lowering + rewrite pipeline shared by every backend — and the resulting
+:class:`~repro.edge.ir.Program` gets one binding to whichever backend the
+executor was constructed with, which runs every batch size.  Neither
+backend owns lowering or fusion logic of its own.
 
 Native backend (``kernel_backend="native"`` / the ``"auto"`` default)
 =====================================================================
@@ -110,15 +110,15 @@ Python-fallback segments (training-mode or unrecognised modules) run each
 module's own forward under ``no_grad``.  So do non-float32 float inputs
 (e.g. float64 probes), which bypass the IR entirely and keep their dtype.
 
-Both backends reuse scratch across calls: a serving session runs the same
-geometry every micro-batch, and repeated malloc/mmap churn dominated the
-step overhead before buffers were cached by input shape.  Irregular (tail)
-micro-batches still work — they simply key new scratch.  Call
-:meth:`BatchInvariantExecutor.warm` with the planned batch shape at deploy
-time to pre-size everything off the latency path (the
-:class:`~repro.serve.ControlPlane` does this with the planner's chosen
-window).  The final output is always
-freshly owned, safe to hold across calls.
+Both backends reuse scratch across calls: repeated malloc/mmap churn
+dominated the step overhead before buffers were cached.  Each lowered
+program has one binding, whose buffers hold the largest batch it has
+been sized for; every kernel indexes rows by per-sample sizes, so a
+smaller batch runs on their leading rows, and a larger one resizes them.
+Call :meth:`BatchInvariantExecutor.warm` once with the largest planned
+batch at deploy time to pre-size everything off the latency path (the
+:class:`~repro.serve.ControlPlane` does this with its window).  The
+final output is always freshly owned, safe to hold across calls.
 
 Invariance across the four backbones and both backends is enforced by
 ``tests/edge/test_executor.py`` and the kernel-vs-numpy differential fuzz
@@ -180,12 +180,12 @@ def _local_response_norm(x: np.ndarray, params: ir.LRNParams) -> np.ndarray:
 class _NumpyProgram:
     """Numpy interpreter for one lowered :class:`~repro.edge.ir.Program`.
 
-    Walks ``Program.ops`` with batch-invariant numpy kernels, reusing the
-    executor's shape-keyed scratch buffers.  Fused epilogue steps run the
-    *same* numpy ops the standalone lowering would (the in-place BatchNorm
-    affine, an in-place ``np.maximum`` for ReLU, the identical window-max
-    for a fused pool, the identical ``+=`` for a folded add), so toggling
-    rewrites never changes this backend's bits.  A ``dequant`` op
+    Walks ``Program.ops`` with batch-invariant numpy kernels on a batch
+    of any size, reusing the executor's scratch slots.  Fused epilogue
+    steps run the *same* numpy ops the standalone lowering would (the
+    in-place BatchNorm affine, an in-place ``np.maximum`` for ReLU, the
+    identical window-max for a fused pool, the identical ``+=`` for a
+    folded add), so toggling rewrites never changes this backend's bits.  A ``dequant`` op
     dequantises its input here — numpy cannot fold the affine map into a
     GEMM profitably — which keeps this backend bitwise identical to the
     historical dequantise-then-run path.
@@ -196,13 +196,10 @@ class _NumpyProgram:
         executor: "BatchInvariantExecutor",
         segment_index: int,
         program: ir.Program,
-        n: int,
     ) -> None:
         self._executor = executor
         self._segment = segment_index
         self.program = program
-        self.n = n
-        self.out_shape = program.out_spec.shape
         self.needs_extra = any(op.add_rows for op in program.ops)
 
     def _buffer(self, position: int, role: str, shape, dtype) -> np.ndarray:
@@ -213,7 +210,7 @@ class _NumpyProgram:
     def __call__(self, x: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
         if self.needs_extra and extra is None:
             raise ValueError("program folds an epilogue add; extra is required")
-        n = self.n
+        n = len(x)
         for position, op in enumerate(self.program.ops):
             integer_op = op.wq is not None and ir.integer_matmul_eligible(op)
             if op.dequant is not None and not integer_op:
@@ -275,7 +272,7 @@ class _NumpyProgram:
         """Stacked per-sample GEMM over the im2col panel (identical
         geometry for every sample, so the result is independent of n),
         exact on the i32 panel, then channel scales, bias and the tail."""
-        n, c_out, m = self.n, op.out_spec.shape[0], op.oh * op.ow
+        n, c_out, m = len(x), op.out_spec.shape[0], op.oh * op.ow
         ph, pw = op.padding
         if ph or pw:
             x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
@@ -295,7 +292,7 @@ class _NumpyProgram:
 
     def _linear(self, position, op, x, weight, dtype, _pad, cscale, bias) -> np.ndarray:
         """Row GEMM (see :meth:`_conv`); the i32 path widens the codes."""
-        n, out_f = self.n, op.out_spec.elements
+        n, out_f = len(x), op.out_spec.elements
         if dtype is np.int32:
             xi = self._buffer(position, "x", x.shape, dtype)
             np.copyto(xi, x)
@@ -414,9 +411,9 @@ class BatchInvariantExecutor:
             if self._segments and self._segments[-1][0] == "ir"
             else None
         )
-        # (segment, in_shape, quantization, epilogue_add) -> ir.Program
+        # (segment, in_shape, quantization, epilogue_add) -> ir.Program,
+        # and -> its one interpreter binding (any batch size)
         self._lowered: dict[tuple, ir.Program] = {}
-        # (segment, n, in_shape, quantization, epilogue_add) -> interpreter
         self._programs: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
@@ -433,13 +430,14 @@ class BatchInvariantExecutor:
     ):
         """The (lowered, interpreted) program for one segment geometry.
 
-        Lowering is cached per-sample-geometry; the interpreter binding is
-        additionally cached per batch size.  Both caches key on the
-        quantisation params and the epilogue-add request because the
-        rewrite pipeline's output depends on them.
+        Lowering and the interpreter binding are cached per sample
+        geometry, keyed also on the quantisation params and the
+        epilogue-add request because the rewrite pipeline's output
+        depends on them.  A native binding runs any batch of up to the
+        ``n`` it was built for; a larger batch replaces it.
         """
-        lowered_key = (segment_index, shape, quantization, epilogue_add)
-        program = self._lowered.get(lowered_key)
+        key = (segment_index, shape, quantization, epilogue_add)
+        program = self._lowered.get(key)
         if program is None:
             program = ir.lower(
                 rows,
@@ -448,16 +446,19 @@ class BatchInvariantExecutor:
                 epilogue_add=epilogue_add,
                 rewrites=self.rewrites,
             )
-            self._lowered[lowered_key] = program
-        key = (segment_index, n, shape, quantization, epilogue_add)
+            self._lowered[key] = program
         interpreter = self._programs.get(key)
+        if self.backend == "native" and interpreter is not None and (
+            interpreter.capacity < n
+        ):
+            interpreter = None  # rebound at the larger batch below
         if interpreter is None and any(
             op.kind != "flatten" for op in program.ops
         ):
             if self.backend == "native":
                 interpreter = _fastexec.CompiledProgram(program, n)
             else:
-                interpreter = _NumpyProgram(self, segment_index, program, n)
+                interpreter = _NumpyProgram(self, segment_index, program)
             self._programs[key] = interpreter
         return program, interpreter
 
@@ -469,13 +470,14 @@ class BatchInvariantExecutor:
         return x
 
     def _buffer(self, key: tuple, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable scratch array for one (layer, role, shape) slot."""
-        slot = (*key, shape, np.dtype(dtype))
+        """A reusable scratch array for one (layer, role, sample shape)
+        slot: the leading rows of the largest batch's buffer."""
+        slot = (*key, shape[1:], np.dtype(dtype))
         buffer = self._scratch.get(slot)
-        if buffer is None:
+        if buffer is None or len(buffer) < shape[0]:
             buffer = np.empty(shape, dtype=dtype)
             self._scratch[slot] = buffer
-        return buffer
+        return buffer[: shape[0]]
 
     def _owns(self, array: np.ndarray) -> bool:
         base = array.base if array.base is not None else array
@@ -558,11 +560,12 @@ class BatchInvariantExecutor:
         Throwaway forwards allocate the lowered programs (and the native
         library, or numpy scratch) for ``batch_shape`` off the latency
         path, so the first real micro-batch pays no compilation or
-        allocation jitter.  ``quantization`` warms the quantised-ingest
-        geometry (the input is synthesised at the code dtype);
-        ``epilogue_add`` additionally warms the noise-add epilogue.  The
-        :class:`~repro.serve.ControlPlane` calls this at deploy time with
-        the planner's chosen window.
+        allocation jitter.  One warm at the largest batch covers every
+        smaller batch of the same sample geometry.  ``quantization``
+        warms the quantised-ingest geometry (the input is synthesised at
+        the code dtype); ``epilogue_add`` additionally warms the
+        noise-add epilogue.  The :class:`~repro.serve.ControlPlane` calls
+        this once at deploy time with the deployment's window.
         """
         if quantization is not None:
             dtype = np.uint8 if quantization.bits <= 8 else np.uint16

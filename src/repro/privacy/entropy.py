@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from repro.errors import EstimatorError
 from repro.privacy import _fastknn
@@ -77,6 +75,8 @@ def _validate_samples(samples: np.ndarray, minimum: int = 8) -> np.ndarray:
 
 def unit_ball_log_volume(dim: int) -> float:
     """Natural log of the volume of the d-dimensional unit L2 ball."""
+    from scipy.special import gammaln
+
     return (dim / 2.0) * math.log(math.pi) - gammaln(dim / 2.0 + 1.0)
 
 
@@ -103,6 +103,8 @@ def kth_neighbor_distances(
         raise EstimatorError(f"chunk_size must be >= 1, got {chunk_size}")
     if _resolve_backend(backend, n, k) == "c":
         return _fastknn.euclidean_kth_distance(samples, k)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(samples)
     distances = np.empty(n, dtype=np.float64)
     for start in range(0, n, chunk_size):
@@ -145,6 +147,8 @@ def kl_entropy(
         kth_neighbor_distances(samples, k, backend=backend, chunk_size=chunk_size),
         1e-300,
     )
+    from scipy.special import digamma
+
     nats = (
         digamma(n)
         - digamma(k)

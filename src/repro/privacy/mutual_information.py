@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from repro.errors import EstimatorError
 from repro.privacy import _fastknn
@@ -103,6 +101,8 @@ def _ksg_counts_scipy(
     x: np.ndarray, y: np.ndarray, k: int, chunk_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal neighbour counts via vectorised, chunked scipy queries."""
+    from scipy.spatial import cKDTree
+
     n = len(x)
     if chunk_size < 1:
         raise EstimatorError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -171,6 +171,8 @@ def ksg_mutual_information(
         _, nx, ny = _fastknn.ksg_counts(x, y, k, tol=_RADIUS_TOL)
     else:
         nx, ny = _ksg_counts_scipy(x, y, k, chunk_size)
+    from scipy.special import digamma
+
     nats = (
         digamma(k)
         + digamma(n)

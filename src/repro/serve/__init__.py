@@ -57,7 +57,6 @@ from repro.errors import (
     ShardCrashError,
 )
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.aio import AsyncServingClient
 from repro.serve.loadgen import (
     TRACE_SHAPES,
     TraceEvent,
@@ -91,6 +90,15 @@ from repro.serve.shard import (
     shard_seed,
 )
 from repro.serve.transport import FrameDecoder, SocketTransport, transport_pair
+
+
+def __getattr__(name: str):
+    if name == "AsyncServingClient":  # loads asyncio on first use only
+        from repro.serve.aio import AsyncServingClient
+
+        return AsyncServingClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdaptiveBatcher",

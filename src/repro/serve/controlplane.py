@@ -279,7 +279,7 @@ class Deployment:
     metrics: ServingMetrics
     batch_window: int  # the spec's, or the planner's choice
     edge_kilomacs: float
-    activation_shapes: list[tuple[int, ...]]
+    activation_shape: tuple[int, ...]  # one full window's, as warmed
     admission: AdmissionController | None = None
     shuffler: Shuffler | None = None
     window_wire_seconds: float = 0.0
@@ -531,7 +531,7 @@ class ControlPlane:
             ).window
         mean, std = spec.normalisation(model.input_shape[0])
         spec = replace(spec, mean=mean, std=std, channel=channel)
-        device, remote, activation_shapes = self._split(
+        device, remote, activation_shape = self._split(
             model, cut, spec, batch_window
         )
         queue = RequestQueue(clock=self._clock, image_shape=model.input_shape)
@@ -580,7 +580,7 @@ class ControlPlane:
             metrics=ServingMetrics(),
             batch_window=batch_window,
             edge_kilomacs=cut_cost(model, cut).kilomacs,
-            activation_shapes=activation_shapes,
+            activation_shape=activation_shape,
             admission=admission,
             shuffler=(
                 Shuffler(seed=0 if spec.shuffle_seed is None else spec.shuffle_seed)
@@ -604,8 +604,8 @@ class ControlPlane:
         cut: str,
         spec: DeploymentSpec,
         batch_window: int,
-    ) -> tuple[EdgeDevice, object, list[tuple[int, ...]]]:
-        """The edge device, remote half and warm activation shapes of a
+    ) -> tuple[EdgeDevice, object, tuple[int, ...]]:
+        """The edge device, remote half and warm activation shape of a
         resolved spec (registration and :meth:`swap` both build here)."""
         local, remote = model.split(cut)
         device = EdgeDevice(
@@ -613,14 +613,11 @@ class ControlPlane:
             kernel_backend=self.kernel_backend,
             weight_bits=spec.weight_bits,
         )
-        # Pre-size the edge executor for every batch geometry the window
-        # can produce (partial windows ship under deadline-aware closing,
-        # so sizes 1..batch_window all occur).
-        activation_shapes = [
-            device.warm((rows, *model.input_shape))
-            for rows in range(1, batch_window + 1)
-        ]
-        return device, remote, activation_shapes
+        # One warm at the full window covers the partial windows that
+        # deadline-aware closing ships: a lowered program's one binding
+        # runs every batch up to the size it was built for.
+        activation_shape = device.warm((batch_window, *model.input_shape))
+        return device, remote, activation_shape
 
     def _equip_all(self, deployment: Deployment) -> None:
         """Equip every worker for ``deployment``; on failure each worker
@@ -650,8 +647,9 @@ class ControlPlane:
             self.kernel_backend,
             weight_bits=deployment.spec.weight_bits,
         )
-        for shape in deployment.activation_shapes:
-            server.warm(shape, quantization=deployment.spec.quantization)
+        server.warm(
+            deployment.activation_shape, quantization=deployment.spec.quantization
+        )
         worker.servers[deployment.name] = server
         if deployment.name not in worker.channels:
             worker_channel = deployment.spec.channel.clone()
@@ -1085,7 +1083,7 @@ class ControlPlane:
         )
         model = model if model is not None else deployment.model
         cut = cut if cut is not None else deployment.cut
-        swapped = ("model", "cut", "spec", "device", "remote", "activation_shapes")
+        swapped = ("model", "cut", "spec", "device", "remote", "activation_shape")
         parts = (model, cut, spec) + self._split(
             model, cut, spec, deployment.batch_window
         )

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.trainer import _HoistedRemote
 from repro.models import build_model
-from repro.nn import TensorDataset
+from repro.nn import Linear, TensorDataset
 from tests.helpers import randomise_batch_norms
 from tests.oracles import plain_step_reference
 
@@ -110,3 +110,31 @@ def test_in_place_head_update_reaches_next_call():
     learn(fresh)
     for ours, theirs in zip(learned, learn(fresh)):
         np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("name, cut", sorted(LINEAR_HEAD_CUTS))
+def test_member_projection_does_not_depend_on_bank_size(backbones, name, cut):
+    """A member's projected rows (and its gradient) from a 16-member bank
+    equal its rows computed alone, bit for bit, as ``train_many`` must
+    match ``train``."""
+    split = SplitInferenceModel(backbones[name], cut)
+    remote = split.remote
+    head_end = 1 + next(
+        index for index, module in enumerate(remote) if isinstance(module, Linear)
+    )
+    rng = np.random.default_rng(5)
+    activations = rng.standard_normal((20, *split.activation_shape)).astype(np.float32)
+    indices = rng.integers(0, 20, size=(16, 6))
+    bank = rng.laplace(size=(16, *split.activation_shape)).astype(np.float32)
+    hoisted = _HoistedRemote(remote.slice(0, head_end), activations)
+    noise = MultiNoiseTensor(bank.copy())
+    rows = hoisted(indices, noise)
+    seed_grad = rng.standard_normal(rows.shape).astype(np.float32)
+    rows.backward(seed_grad)
+    rows = rows.data.reshape(16, 6, -1)
+    for member in range(16):
+        alone = NoiseTensor(bank[member : member + 1].copy())
+        ours = hoisted(indices[member : member + 1], alone)
+        ours.backward(seed_grad.reshape(16, 6, -1)[member])
+        np.testing.assert_array_equal(ours.data, rows[member])
+        np.testing.assert_array_equal(alone.grad, noise.grad[member : member + 1])

@@ -475,15 +475,6 @@ class TestDeterminism:
         executor(b)
         np.testing.assert_array_equal(first, snapshot)
 
-    def test_warm_precompiles_programs(self):
-        rng = np.random.default_rng(9)
-        net = Sequential(("conv", Conv2d(1, 3, 3, 1, 1, rng=rng))).eval()
-        executor = BatchInvariantExecutor(net, kernel_backend="native")
-        assert not executor._programs
-        out_shape = executor.warm((8, 1, 10, 10))
-        assert out_shape == (8, 3, 10, 10)
-        assert executor._programs  # program exists before the first batch
-
     def test_float64_input_runs_module_forward(self):
         """Non-f32 float probes skip the IR and keep their dtype."""
         rng = np.random.default_rng(10)
@@ -530,6 +521,40 @@ def _rewrite_backends():
     if _fastexec.available():
         backends.append("native")
     return backends
+
+
+@pytest.mark.parametrize("backend", _rewrite_backends())
+def test_warm_precompiles_programs(backend):
+    """One warm at 8 rows binds each lowered program once: calls at 1 to 8
+    rows add no binding (nor numpy scratch) and equal a fresh executor's
+    output bitwise; a 16-row call still leaves one entry per key."""
+    rng = np.random.default_rng(9)
+    net = Sequential(
+        ("conv", Conv2d(1, 3, 3, 1, 1, rng=rng)),
+        ("relu", ReLU()),
+        ("pool", MaxPool2d(2)),
+        ("flatten", Flatten()),
+        ("fc", Linear(75, 4, rng=rng)),
+    ).eval()
+    executor = BatchInvariantExecutor(net, kernel_backend=backend)
+    assert not executor._programs
+    out_shape = executor.warm((8, 1, 10, 10), epilogue_add=True)
+    assert out_shape == (8, 4)
+    bindings = dict(executor._programs)  # bound before the first batch
+    assert bindings.keys() == executor._lowered.keys() and len(bindings) == 2
+    scratch = len(executor._scratch)
+    for rows in range(1, 9):
+        x = rng.normal(size=(rows, 1, 10, 10)).astype(np.float32)
+        noise = rng.normal(size=(rows, 4)).astype(np.float32)
+        for extra in (None, noise):
+            fresh = BatchInvariantExecutor(net, kernel_backend=backend)
+            np.testing.assert_array_equal(
+                executor(x, epilogue_add=extra), fresh(x, epilogue_add=extra)
+            )
+    assert executor._programs == bindings
+    assert len(executor._scratch) == scratch
+    executor(rng.normal(size=(16, 1, 10, 10)).astype(np.float32))
+    assert executor._programs.keys() == bindings.keys()
 
 
 class TestRewriteDifferential:

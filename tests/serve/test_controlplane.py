@@ -288,6 +288,40 @@ class TestRoutingAndRegistry:
             plane.drain()
 
 
+class TestWarmBindings:
+    def test_registration_binds_each_lowered_program_once(
+        self, bundle, collections
+    ):
+        """Registration warms every executor once, at its window: each
+        lowered program holds one binding sized for the window (a noisy
+        edge half has two programs, with and without the noise add), and
+        serving partial windows adds none."""
+        window = 4
+        images = bundle.test_set.images
+        with _make_plane(
+            bundle, collections, n_deployments=3, workers=2, window=window
+        ) as plane:
+            executors = [deployment.device._executor for deployment in plane.registry]
+            executors += [
+                server._executor
+                for worker in plane._workers.values()
+                for server in worker.servers.values()
+            ]
+            bindings = [dict(executor._programs) for executor in executors]
+            for executor, programs in zip(executors, bindings):
+                assert programs.keys() == executor._lowered.keys()
+                for binding in programs.values():
+                    assert getattr(binding, "capacity", window) == window
+            # Edge halves dep0 and dep1 carry noise, dep2 none; six clouds.
+            assert [len(programs) for programs in bindings] == [2, 2] + [1] * 7
+            for rows in (1, 3, 2):
+                for deployment in ("dep0", "dep2"):
+                    for index in range(rows):
+                        plane.submit(images[index : index + 1], deployment=deployment)
+                plane.drain()
+            assert [dict(executor._programs) for executor in executors] == bindings
+
+
 class TestMultiDeploymentParity:
     @pytest.mark.parametrize("stream_seed", STREAM_SEEDS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
