@@ -3,10 +3,10 @@
 
 Times the two paths this repo's experiments live in — kNN mutual-information
 estimation and §2.5 noise-collection training — each as "before" (the
-reference implementations in ``tests/oracles.py`` / the sequential member
-loop) vs "after" (vectorised estimator backends / one batched multi-member
-loop), plus the conv weight gradient and the shared activation cache, all
-in process CPU with :func:`harness.measure`.  :data:`GATES` declares the
+reference implementations in ``tests/oracles.py``, the member-at-a-time
+collection included) vs "after" (vectorised estimator backends / one
+batched multi-member loop), plus the conv weight gradient and the shared
+activation cache, all in process CPU with :func:`harness.measure`.  :data:`GATES` declares the
 gates; the results merge into ``BENCH_hotpaths.json``.
 
 Run:
@@ -47,6 +47,7 @@ from repro.core import (  # noqa: E402
 )
 from repro.privacy import _fastknn, kl_entropy, ksg_mutual_information  # noqa: E402
 from tests.oracles import (  # noqa: E402
+    collect_reference,
     kl_entropy_reference,
     ksg_mutual_information_reference,
 )
@@ -83,20 +84,21 @@ def estimators(n: int, d: int, k: int, smoke: bool) -> dict:
 
 
 def collect(config: Config, members: int, iterations: int, smoke: bool) -> dict:
-    """Sequential member-at-a-time collect vs the batched training loop."""
+    """Member-at-a-time collect (the one-tensor loop oracle) vs the batched
+    training loop."""
     from repro.models import get_pretrained
 
     bundle = get_pretrained("lenet", config)
 
-    def leg(batched: bool):
+    def leg(run):
         def build(stack):
             pipeline = ShredderPipeline(bundle, lambda_coeff=1e-3, init_scale=1.0,
                                         config=config)
-            return partial(pipeline.collect, members, iterations, batched=batched)
+            return partial(run, pipeline, members, iterations)
         return build
 
-    t = measure({"sequential": leg(False), "batched": leg(True)}, clock=CPU,
-                smoke=smoke)
+    t = measure({"sequential": leg(collect_reference),
+                 "batched": leg(ShredderPipeline.collect)}, clock=CPU, smoke=smoke)
     return {
         "model": "lenet", "scale": config.scale.name, "n_members": members,
         "iterations": iterations, "sequential": t["sequential"].summary(),

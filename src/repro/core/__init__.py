@@ -40,7 +40,6 @@ from repro.core.sampler import (
 from repro.core.schedules import ConstantLambda, DecayOnTarget, LambdaSchedule
 from repro.core.snr import (
     in_vivo_privacy,
-    in_vivo_privacy_from_power,
     in_vivo_privacy_members,
     noise_variance,
     noise_variance_members,
@@ -82,7 +81,6 @@ __all__ = [
     "collect_noise_distribution",
     "get_activation_cache",
     "in_vivo_privacy",
-    "in_vivo_privacy_from_power",
     "in_vivo_privacy_members",
     "materialize_activations_cached",
     "noise_variance",

@@ -53,8 +53,8 @@ class ShredderLoss:
             )
         self.lambda_coeff = float(lambda_coeff)
         self.variant = variant
-        # Per-step constants of :meth:`many`, memoised on the λ vector
-        # (λ only changes when a schedule decays).
+        # Per-step constants of :meth:`many_arrays`, memoised on the λ
+        # vector (λ only changes when a schedule decays).
         self._many_lambdas: tuple[float, ...] | None = None
         self._many_vec: np.ndarray | None = None
         self._many_coeff: np.ndarray | None = None
@@ -85,46 +85,6 @@ class ShredderLoss:
         )
         return total, parts
 
-    def many(
-        self,
-        logits: Tensor,
-        targets: np.ndarray,
-        noise: MultiNoiseTensor,
-        lambdas: Sequence[float],
-    ) -> tuple[Tensor, list[LossParts]]:
-        """Per-member loss over a member-stacked batch (batched training).
-
-        ``logits`` holds the M members' mini-batches stacked contiguously
-        along the batch axis (member ``m`` owns rows ``m*B .. (m+1)*B``).
-        The total is ``Σ_m CE_m − λ_m Σ|n_m|`` (or the Eq. 2 analogue), so
-        differentiating it gives each member's noise slice exactly the
-        gradient of its own independent loss.
-
-        Args:
-            logits: ``(M*B, classes)`` member-stacked scores.
-            targets: ``(M*B,)`` labels, stacked the same way.
-            noise: The ``(M, *activation_shape)`` noise bank.
-            lambdas: One λ per member (per-member schedules may diverge).
-
-        Returns:
-            The differentiable total plus one :class:`LossParts` per member.
-        """
-        total, cross_entropies, privacy, sign = self.many_arrays(
-            logits, targets, noise, lambdas
-        )
-        ce_values = cross_entropies.tolist()
-        privacy_values = privacy.tolist()
-        parts = [
-            LossParts(
-                total=ce_values[i] + sign * float(lambdas[i]) * privacy_values[i],
-                cross_entropy=ce_values[i],
-                privacy_term=privacy_values[i],
-                lambda_coeff=float(lambdas[i]),
-            )
-            for i in range(noise.n_members)
-        ]
-        return total, parts
-
     def many_arrays(
         self,
         logits: Tensor,
@@ -132,12 +92,26 @@ class ShredderLoss:
         noise: MultiNoiseTensor,
         lambdas: Sequence[float],
     ) -> tuple[Tensor, np.ndarray, np.ndarray, float]:
-        """Hot-loop core of :meth:`many`.
+        """Per-member loss of one batched training step.
 
-        Returns the differentiable total plus the raw per-member
-        cross-entropy and privacy-term arrays (and the privacy sign), so
-        the batched trainer can record history columns without building M
-        :class:`LossParts` objects per step.
+        ``logits[m]`` holds member ``m``'s mini-batch scores and
+        ``targets[m]`` its labels.  The total is ``Σ_m CE_m − λ_m Σ|n_m|``
+        (or the Eq. 2 analogue), so differentiating it gives each member's
+        noise slice exactly the gradient of its own independent loss.
+        Each member's rows are reduced on their own, so a member's values
+        do not depend on how many members the bank holds.
+
+        Args:
+            logits: ``(M, B, classes)`` member-stacked scores.
+            targets: ``(M, B)`` labels.
+            noise: The ``(M, *activation_shape)`` noise bank.
+            lambdas: One λ per member (per-member schedules may diverge).
+
+        Returns:
+            The differentiable total, the raw per-member cross-entropy and
+            privacy-term arrays, and the privacy term's sign in the total,
+            so the trainer records history columns without per-member
+            objects.
         """
         m = noise.n_members
         if len(lambdas) != m:
@@ -164,23 +138,24 @@ class ShredderLoss:
         lambda_vec = self._many_vec
         coeff = self._many_coeff
 
-        n, classes = logits.shape
-        if m < 1 or n % m != 0:
+        if logits.ndim != 3 or logits.shape[0] != m:
             raise ConfigurationError(
-                f"batch of {n} does not split into {m} equal member groups"
+                f"expected ({m}, rows, classes) logits, got shape {logits.shape}"
             )
-        per_member = n // m
+        per_member, classes = logits.shape[1:]
+        n = m * per_member
         # Group-mean cross entropy (same arithmetic as F.cross_entropy,
         # fused here to share intermediates; the buffers backward needs
         # stay freshly allocated, z is recycled).
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        z = logits.data - logits.data.max(axis=2, keepdims=True)
         exp_z = np.exp(z)
-        denom = exp_z.sum(axis=1, keepdims=True)
+        denom = exp_z.sum(axis=2, keepdims=True)
         log_probs = np.subtract(z, np.log(denom), out=z)
         if self._many_rows is None or len(self._many_rows) != n:
             self._many_rows = np.arange(n)
         rows = self._many_rows
-        losses = log_probs[rows, targets]
+        targets = np.asarray(targets).reshape(n)
+        losses = log_probs.reshape(n, classes)[rows, targets]
         cross_entropies = -losses.reshape(m, per_member).mean(axis=1)
 
         flat = noise.data.reshape(m, -1)
@@ -207,14 +182,10 @@ class ShredderLoss:
 
         def backward(grad: np.ndarray) -> None:
             probs = np.divide(exp_z, denom, out=exp_z)
-            probs[rows, targets] -= 1.0
+            probs.reshape(n, classes)[rows, targets] -= 1.0
             probs *= grad / per_member
             logits.accumulate_grad(probs)
             noise.accumulate_grad(grad * grad_noise)
 
         total = Tensor._make(np.asarray(total_value), (logits, noise), backward)
         return total, cross_entropies, privacy, sign
-
-    def with_lambda(self, lambda_coeff: float) -> "ShredderLoss":
-        """A copy with a different ``λ`` (used by the decay schedule)."""
-        return ShredderLoss(lambda_coeff, self.variant)

@@ -5,10 +5,9 @@
 1. split the frozen pre-trained network at the cut point,
 2. initialise a noise tensor from ``Laplace(mu, b)``,
 3. train it with the Eq. 3 loss (λ knob, optional decay-on-target),
-4. optionally build a noise collection (§2.5) — by default all members
-   train simultaneously in one batched loop (``NoiseTrainer.train_many``),
-   which matches member-at-a-time training numerically at a fraction of
-   the wall clock,
+4. optionally build a noise collection (§2.5) — all members train at
+   once in one loop (``NoiseTrainer.train_many``), each bit for bit as it
+   would train alone, at a fraction of the wall clock,
 5. measure clean/noisy accuracy and the input↔activation mutual
    information with and without noise (the Table 1 quantities),
 6. ``deploy()`` the trained collection on a one-deployment serving
@@ -157,50 +156,31 @@ class ShredderPipeline:
         return self.trainer.train(self.new_noise(seed_tag), iterations)
 
     def collect(
-        self,
-        n_members: int,
-        iterations: int | None = None,
-        batched: bool = True,
+        self, n_members: int, iterations: int | None = None
     ) -> NoiseCollection:
         """Build a §2.5 noise collection.
 
-        By default all members train simultaneously in one batched loop
-        (:meth:`NoiseTrainer.train_many`): member ``i`` starts from the
-        same ``seed_tag=i`` initialisation and consumes the same batch
-        stream as the sequential loop would, so the resulting collection
-        matches repeated :meth:`train_noise` calls within floating-point
-        tolerance — at a fraction of the wall clock.
-
-        Every member trains under its own clone of the λ schedule in both
-        modes (one member hitting its decay target must not decay λ for
-        the others), which keeps the two paths numerically equivalent for
-        stateful schedules as well.
+        All members train at once in one loop
+        (:meth:`NoiseTrainer.train_many`), member ``i`` from the
+        ``seed_tag=i`` initialisation and under its own clone of the λ
+        schedule (one member hitting its decay target must not decay λ
+        for the others).  Member ``i`` draws the batch stream the ``i``-th
+        of repeated :meth:`train_noise` calls would, and a member trains
+        the same whatever the bank size, so member ``i`` equals
+        ``train_noise(seed_tag=i)`` on a pipeline with the same RNG state,
+        bit for bit, at a fraction of the wall clock.
 
         Args:
             n_members: Collection size.
             iterations: Training steps per member (scale default).
-            batched: ``False`` forces the original member-at-a-time loop
-                (kept for parity testing and benchmarking).
         """
         iterations = iterations or self.config.scale.noise_iterations
         collection = NoiseCollection(self.split.activation_shape)
-        if batched and n_members > 1:
-            noises = [self.new_noise(seed_tag=index) for index in range(n_members)]
-            for result in self.trainer.train_many(noises, iterations):
-                collection.add(
-                    result.noise, result.final_accuracy, result.final_in_vivo_privacy
-                )
-            return collection
-        shared_schedule = self.trainer.schedule
-        try:
-            for index in range(n_members):
-                self.trainer.schedule = shared_schedule.clone()
-                result = self.train_noise(iterations, seed_tag=index)
-                collection.add(
-                    result.noise, result.final_accuracy, result.final_in_vivo_privacy
-                )
-        finally:
-            self.trainer.schedule = shared_schedule
+        noises = [self.new_noise(seed_tag=index) for index in range(n_members)]
+        for result in self.trainer.train_many(noises, iterations):
+            collection.add(
+                result.noise, result.final_accuracy, result.final_in_vivo_privacy
+            )
         return collection
 
     # ------------------------------------------------------------------

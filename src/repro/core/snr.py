@@ -43,23 +43,12 @@ def in_vivo_privacy(activations: np.ndarray, noise: np.ndarray) -> float:
     return 1.0 / snr(activations, noise)
 
 
-def in_vivo_privacy_from_power(power: float, noise: np.ndarray) -> float:
-    """``σ²(n) / E[a²]`` with a pre-computed signal power.
-
-    Used inside the training loop, where ``E[a²]`` is constant (the local
-    network is frozen) and only the noise variance changes.
-    """
-    if power <= 0:
-        raise EstimatorError(f"signal power must be positive, got {power}")
-    return noise_variance(noise) / power
-
-
 def noise_variance_members(noise: np.ndarray) -> np.ndarray:
     """Per-member ``σ²(n_m)`` over an ``(M, ...)`` noise bank.
 
-    Each entry equals :func:`noise_variance` of the corresponding member
-    slice, so batched training sees exactly the per-member statistics the
-    sequential loop would compute.
+    Each entry is :func:`noise_variance` of the member's slice, up to
+    float64 rounding, and is computed from that slice alone, so a member's
+    value does not depend on the bank size.
     """
     noise = np.asarray(noise)
     if noise.ndim < 2 or noise.size == 0:
@@ -67,11 +56,13 @@ def noise_variance_members(noise: np.ndarray) -> np.ndarray:
             f"expected a non-empty (M, ...) noise bank, got shape {noise.shape}"
         )
     # Two-pass variance, hand-rolled: this runs every training step and
-    # np.var's dispatch overhead dominates on member-sized slices.
+    # np.var's dispatch overhead dominates on member-sized slices.  Each
+    # row is squared and summed on its own; an ``ij,ij->i`` einsum picks
+    # another kernel for one row than for several and rounds differently.
     flat = noise.reshape(noise.shape[0], -1)
     mean = flat.mean(axis=1, dtype=np.float64)
     centered = flat - mean[:, None]
-    return np.einsum("ij,ij->i", centered, centered) / flat.shape[1]
+    return np.square(centered, out=centered).sum(axis=1) / flat.shape[1]
 
 
 def in_vivo_privacy_members(power: float, noise: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ and not a function of the noise, its activations are precomputed once and
 the loop only evaluates the remote half — mathematically identical to
 running the full network (``∂L/∂n`` does not involve ``L(x, θ₁)``).
 
-The trainer freezes the network itself: for the length of a ``train`` or
-``train_many`` call every backbone parameter has ``requires_grad`` off, so
-the backward pass computes only the noise's gradient, and the backbone is
-in eval mode, so BatchNorm uses its running statistics and Dropout is the
+The trainer freezes the network itself: for the length of a training
+call every backbone parameter has ``requires_grad`` off, so the backward
+pass computes only the noise's gradient, and the backbone is in eval
+mode, so BatchNorm uses its running statistics and Dropout is the
 identity, as at deployment.  Afterwards each parameter gets its own flag
 back and the model its own training flag, also on error.
 
@@ -28,33 +28,44 @@ step.  Where the remote half starts with ``Flatten`` (and ``Dropout``,
 the identity in eval mode) and then a ``Linear`` — the paper's default
 cut of every backbone — each call computes ``pre = W a + b`` once for
 all training rows, and a step runs the rest of the remote half on
-``pre[rows] + W n``: the noise projection is one ``(1 × in)·(in × out)``
-product per member (so a member's projection does not depend on how
-many members train beside it) instead of pushing every row through
-``W``.  ``pre`` is computed per call, so an in-place weight update
-between calls reaches the next one.  Where the remote half starts with
-any other module (a ``Conv2d``), nothing is hoisted: ``pre`` is the
-activations, the projection is the identity and the step is the plain
-``R(a + n)``, bit for bit.  At ``Linear``-head cuts the two forms round
-differently and agree to float32 precision, not bitwise.  Accuracy
-probes stay on the plain remote forward
-(``SplitInferenceModel.accuracy_from_activations`` and its ``_multi``
-form), so ``final_accuracy`` does not depend on the hoist: an untrained
+``pre[rows] + W n`` instead of pushing every row through ``W``.  ``pre``
+is computed per call, so an in-place weight update between calls reaches
+the next one.  Where the remote half starts with any other module (a
+``Conv2d``), nothing is hoisted: ``pre`` is the activations, the
+projection is the identity and the step is the plain ``R(a + n)``, bit
+for bit.  At ``Linear``-head cuts the two forms round differently and
+agree to float32 precision, not bitwise.  Accuracy probes stay on the
+plain remote forward (``SplitInferenceModel.accuracy_from_activations_multi``),
+so ``final_accuracy`` does not depend on the hoist: an untrained
 backbone's near-tied logits could flip an argmax under merely
 float32-close logits.
 
-Two training entry points share that machinery:
+There is one training loop, :meth:`NoiseTrainer.train_many`, which
+trains all M members of a §2.5 noise collection at once; the paper's
+single tensor, :meth:`NoiseTrainer.train`, is that loop with one member,
+so the two share everything: the batch plan, a clone of the λ schedule
+per member, a copy of the caller's noise, the fused loss and the probes.
+The remote half is frozen and identical for every member, so each step
+runs the M members' mini-batches through ONE forward/backward.
+Per-member batch orders are drawn from the shared RNG in member order —
+the stream M calls of ``train`` consume — and the summed per-member loss
+hands each member's noise slice exactly its own gradient.
 
-* :meth:`NoiseTrainer.train` — one noise tensor, the paper's loop.
-* :meth:`NoiseTrainer.train_many` — all M members of a §2.5 noise
-  collection at once.  The remote half is frozen and identical for every
-  member, so the M independent mini-batches are stacked along the batch
-  axis and trained by ONE forward/backward per step.  Per-member batch
-  orders are drawn from the shared RNG in member order — exactly the
-  stream M sequential ``train`` calls would consume — and the summed
-  per-member loss hands each member's noise slice precisely its own
-  gradient, so batched results match sequential training (same seeds)
-  within floating-point tolerance at a fraction of the wall clock.
+A member's result does not depend on how many members train beside it,
+bit for bit, because nothing rounds rows of different members together.
+The noise projection is one ``(1 × in)·(in × out)`` product per member.
+From the remote half's first ``Linear`` on, the rows keep a member axis,
+``(M, rows, F)``, and every ``Linear`` runs one matmul per member
+(``F.linear`` takes leading axes): one ``(M·rows)``-row GEMM would round
+by its row count, as BLAS picks its kernel by shape.  Only the conv
+modules in front of that ``Linear`` (``Conv2d``-head cuts) see the rows
+folded to ``(M·rows, ...)``, and ``repro.nn`` runs a conv as one product
+per sample.  The loss and the privacy column reduce each member on its
+own.  So ``train(noise)`` equals member 0 of any bank that starts from
+``noise`` and draws the same batches, in its noise and in its loss,
+cross-entropy, privacy and λ columns.  The accuracy probes run the plain
+remote forward over every member's eval rows at once, whose logits do
+round by the bank size; only a near-tied argmax can show it.
 
 Intermediate held-out accuracy probes can run on a rotating eval subset
 (``eval_subset``) instead of the full eval set — probing only reads, so the
@@ -76,11 +87,7 @@ from repro.core.activation_cache import materialize_activations_cached
 from repro.core.loss import ShredderLoss
 from repro.core.noise_tensor import MultiNoiseTensor, NoiseTensor
 from repro.core.schedules import ConstantLambda, LambdaSchedule
-from repro.core.snr import (
-    in_vivo_privacy_from_power,
-    in_vivo_privacy_members,
-    signal_power,
-)
+from repro.core.snr import in_vivo_privacy_members, signal_power
 from repro.core.split import SplitInferenceModel
 from repro.errors import TrainingError
 from repro.nn import Adam, Dataset, Dropout, Flatten, Linear, Module, Sequential, Tensor
@@ -125,17 +132,15 @@ def _member_noisy_batch(gathered: np.ndarray, projected: Tensor) -> Tensor:
 
     Forward: broadcast-add each member's projected noise ``projected[m]``
     to its own ``(rows, ...)`` block of the ``(M, rows, ...)`` rows
-    gathered from ``pre`` and flatten to ``(M*rows, ...)``.  Backward: the
-    adjoint of the broadcast — sum the incoming gradient over each
-    member's rows — lands on ``projected``.  One tape node instead of a
-    reshape/add/reshape chain; this runs once per training step.
+    gathered from ``pre``.  Backward: the adjoint of the broadcast — sum
+    the incoming gradient over each member's rows — lands on
+    ``projected``.  One tape node instead of a broadcast/add chain; this
+    runs once per training step.
     """
-    m, rows = gathered.shape[:2]
-    shape = projected.shape[1:]
-    out = (gathered + projected.data[:, None]).reshape(m * rows, *shape)
+    out = gathered + projected.data[:, None]
 
     def backward(grad: np.ndarray) -> None:
-        projected.accumulate_grad(grad.reshape(m, rows, *shape).sum(axis=1))
+        projected.accumulate_grad(grad.sum(axis=1))
 
     return Tensor._make(out, (projected,), backward)
 
@@ -161,34 +166,48 @@ def _member_projection(noise: Tensor, weight: np.ndarray) -> Tensor:
 class _HoistedRemote:
     """The remote half as one call's training steps run it.
 
-    The head is the remote half's leading ``Flatten``/``Dropout`` modules
-    through its first ``Linear``, or nothing when another module comes
-    first.  ``pre`` is the head applied once to ``activations``, bias
-    included; a step adds each member's noise, projected by the head's
-    weight, to its rows of ``pre`` and runs the rest of the remote half.
-    Valid only while the backbone is frozen and in eval mode, where
-    ``Dropout`` is the identity.
+    The remote half splits at its first ``Linear``.  Where only
+    ``Flatten``/``Dropout`` modules come before it, the head through that
+    ``Linear`` is hoisted: ``pre`` is the head applied once to
+    ``activations``, bias included, and a step adds each member's noise,
+    projected by the head's weight, to its rows of ``pre``.  Otherwise
+    ``pre`` is the activations, a step adds each member's noise to its
+    rows, and the modules in front of the ``Linear`` (``folded``) run on
+    the rows folded to ``(M·rows, ...)``.  The rest of the remote half
+    runs on ``(M, rows, F)`` rows, so each member's rows go through every
+    ``Linear`` as a matmul of their own.  Valid only while the backbone is
+    frozen and in eval mode, where ``Dropout`` is the identity.
     """
 
     def __init__(self, remote: Sequential, activations: np.ndarray) -> None:
+        layers = remote.layers()
+        first = next(
+            (index for index, module in enumerate(layers) if isinstance(module, Linear)),
+            len(layers),
+        )
         self.linear: Linear | None = None
-        split_at = 0
-        for index, module in enumerate(remote):
-            if isinstance(module, Linear):
-                self.linear, split_at = module, index + 1
-                break
-            if not isinstance(module, (Flatten, Dropout)):
-                break
-        self.pre = remote.slice(0, split_at)(Tensor(activations)).data
-        self.rest = remote.slice(split_at, len(remote))
+        self.folded = Sequential()
+        self.pre = activations
+        if first < len(layers) and all(
+            isinstance(module, (Flatten, Dropout)) for module in layers[:first]
+        ):
+            self.linear, first = layers[first], first + 1
+            self.pre = remote.slice(0, first)(Tensor(activations)).data
+        else:
+            self.folded = remote.slice(0, first)
+        self.rest = remote.slice(first, len(remote))
 
     def __call__(self, indices: np.ndarray, noise: Tensor) -> Tensor:
-        """Logits of the ``(M, rows)`` training rows ``indices``, member
-        ``m``'s rows under the noise ``noise[m]``."""
-        projected = noise
+        """``(M, rows, classes)`` logits of the ``(M, rows)`` training rows
+        ``indices``, member ``m``'s rows under the noise ``noise[m]``."""
         if self.linear is not None:
-            projected = _member_projection(noise, self.linear.weight.data)
-        return self.rest(_member_noisy_batch(self.pre[indices], projected))
+            noise = _member_projection(noise, self.linear.weight.data)
+        noisy = _member_noisy_batch(self.pre[indices], noise)
+        if len(self.folded):
+            m, rows = indices.shape
+            folded = self.folded(noisy.reshape(m * rows, *noisy.shape[2:]))
+            noisy = folded.reshape(m, rows, *folded.shape[1:])
+        return self.rest(noisy)
 
 
 @contextmanager
@@ -327,21 +346,10 @@ class NoiseTrainer:
             )
         return self._eval_plan.indices()
 
-    def _probe_accuracy(self, noise_data: np.ndarray, final: bool) -> float:
-        """One accuracy probe for a single noise tensor."""
-        indices = self._probe_indices(final)
-        if indices is None:
-            return self.split.accuracy_from_activations(
-                self.eval_activations, self.eval_labels, noise_data
-            )
-        return self.split.accuracy_from_activations(
-            self.eval_activations[indices], self.eval_labels[indices], noise_data
-        )
-
-    def _probe_accuracy_multi(
+    def _probe_accuracies(
         self, bank_data: np.ndarray, batch_size: int, final: bool
     ) -> np.ndarray:
-        """One per-member accuracy probe for a noise bank."""
+        """One accuracy probe per member of a noise bank."""
         indices = self._probe_indices(final)
         if indices is None:
             activations, labels = self.eval_activations, self.eval_labels
@@ -394,80 +402,36 @@ class NoiseTrainer:
             )
 
     # ------------------------------------------------------------------
-    # Single-tensor training (paper §2.4)
+    # Training (paper §2.4, and §2.5 for M members in one loop)
     # ------------------------------------------------------------------
     def train(self, noise: NoiseTensor, iterations: int) -> NoiseTrainingResult:
-        """Run ``iterations`` Adam steps on ``noise`` and measure curves."""
-        if iterations <= 0:
-            raise TrainingError(f"iterations must be positive, got {iterations}")
-        self._check_noise_shape(noise.per_sample.shape)
-        optimizer = Adam([noise], lr=self.lr)
-        history = NoiseTrainingHistory()
-        n = len(self.train_labels)
-        plan = self._batch_plan(iterations)
-        with _frozen_eval(self.split.model):
-            remote = _HoistedRemote(self.split.remote, self.train_activations)
-            for step, batch in enumerate(plan):
-                privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
-                lambda_now = self.schedule.coefficient(step, privacy)
-                loss_fn = self.loss.with_lambda(lambda_now)
+        """Run ``iterations`` Adam steps on a copy of ``noise`` and measure
+        curves: :meth:`train_many` with one member."""
+        return self.train_many([noise], iterations)[0]
 
-                logits = remote(batch[None], noise)
-                total, parts = loss_fn(logits, self.train_labels[batch], noise)
-                if not np.isfinite(parts.total):
-                    raise TrainingError(
-                        f"noise training diverged at iteration {step} "
-                        f"(loss={parts.total})"
-                    )
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step()
-
-                history.iterations.append(step)
-                history.losses.append(parts.total)
-                history.cross_entropies.append(parts.cross_entropy)
-                history.in_vivo_privacies.append(privacy)
-                history.lambdas.append(lambda_now)
-                if step % self.eval_every == 0 or step == iterations - 1:
-                    accuracy = self._probe_accuracy(
-                        noise.data, final=step == iterations - 1
-                    )
-                    history.accuracies.append(accuracy)
-                    history.accuracy_iterations.append(step)
-
-        final_privacy = in_vivo_privacy_from_power(self.signal_power, noise.data)
-        return NoiseTrainingResult(
-            noise=noise.data.copy(),
-            history=history,
-            final_in_vivo_privacy=final_privacy,
-            final_accuracy=history.accuracies[-1],
-            signal_power=self.signal_power,
-            epochs=iterations * self.batch_size / n,
-        )
-
-    # ------------------------------------------------------------------
-    # Batched multi-member training (paper §2.5, one loop for M members)
-    # ------------------------------------------------------------------
     def train_many(
         self,
         noises: Sequence[NoiseTensor] | MultiNoiseTensor,
         iterations: int,
     ) -> list[NoiseTrainingResult]:
-        """Train M noise members simultaneously in one batched loop.
+        """Train M noise members simultaneously in one loop.
 
-        Every step stacks the members' mini-batches into one ``(M*B, ...)``
-        batch of ``pre`` rows (the activations through the hoisted head,
-        see the module docstring), adds each member's projected noise to
-        its own rows, runs the rest of the remote half forward and
+        Every step gathers each member's mini-batch of ``pre`` rows (the
+        activations through the hoisted head, see the module docstring)
+        into an ``(M, B, ...)`` batch, adds each member's projected noise
+        to its own rows, runs the rest of the remote half forward and
         backward once, and applies one Adam step to the ``(M, ...)`` noise
-        bank.  The summed per-member loss (see :meth:`ShredderLoss.many`)
-        makes each slice's gradient — and hence Adam's elementwise update —
-        identical to what M sequential :meth:`train` calls would produce
-        from the same initialisations, while amortising all per-op
-        overhead M-fold.
+        bank.  The summed per-member loss (see
+        :meth:`ShredderLoss.many_arrays`) gives each slice exactly its own
+        gradient, and no row of one member is rounded together with
+        another's, so member ``m`` ends bit for bit as :meth:`train` would
+        leave it from the same initialisation and batch stream, while all
+        per-op overhead is paid once for M members.
 
         Per-member λ schedules are independent clones of ``self.schedule``,
-        so decay-on-target members trigger individually.
+        so decay-on-target members trigger individually.  A list of
+        members is copied into a new bank; a ready-made bank is trained in
+        place.
 
         Args:
             noises: Per-member initialisations, or a ready-made bank.
@@ -489,7 +453,7 @@ class NoiseTrainer:
         n = len(self.train_labels)
         batch = self.batch_size
         schedules = [self.schedule.clone() for _ in range(m)]
-        # Member-major draws replicate the RNG stream of sequential runs;
+        # Member-major draws replicate the RNG stream of one-member runs;
         # (iterations, M, rows) so each step is a single 2-D gather.
         plan_matrix = np.stack(
             [self._batch_plan(iterations) for _ in range(m)], axis=1
@@ -506,36 +470,20 @@ class NoiseTrainer:
         reg_sign = 1.0
         eval_steps: list[int] = []
         eval_rows: list[np.ndarray] = []
-        # Constant-λ schedules (the default) do not consume the per-step
-        # privacy, so the history variances can be computed in one
-        # vectorised pass over per-step bank snapshots after the loop.
-        # Snapshots cost (iterations × bank) memory, so large geometries
-        # fall back to the per-step computation.
-        constant_lambda = all(
-            isinstance(schedule, ConstantLambda) for schedule in schedules
-        ) and iterations * bank.data.size <= 32_000_000
-        if constant_lambda:
-            fixed_lambdas = [schedule.value for schedule in schedules]
-            lambda_col[:] = fixed_lambdas
-            bank_snapshots = np.empty((iterations, *bank.data.shape), dtype=np.float32)
         with _frozen_eval(self.split.model):
             remote = _HoistedRemote(self.split.remote, self.train_activations)
             for step in range(iterations):
-                if constant_lambda:
-                    bank_snapshots[step] = bank.data
-                    lambdas = fixed_lambdas
-                else:
-                    privacies = in_vivo_privacy_members(self.signal_power, bank.data)
-                    privacy_col[step] = privacies
-                    lambdas = [
-                        schedules[i].coefficient(step, privacies[i]) for i in range(m)
-                    ]
-                    lambda_col[step] = lambdas
+                privacies = in_vivo_privacy_members(self.signal_power, bank.data)
+                lambdas = [
+                    schedule.coefficient(step, privacy)
+                    for schedule, privacy in zip(schedules, privacies)
+                ]
+                privacy_col[step] = privacies
+                lambda_col[step] = lambdas
                 indices = plan_matrix[step]
                 logits = remote(indices, bank)
-                targets = self.train_labels[indices].reshape(-1)
                 total, cross_entropies, reg_terms, reg_sign = self.loss.many_arrays(
-                    logits, targets, bank, lambdas
+                    logits, self.train_labels[indices], bank, lambdas
                 )
                 if not math.isfinite(float(total.data)):
                     raise TrainingError(
@@ -554,28 +502,13 @@ class NoiseTrainer:
                     # on wide activations.
                     eval_steps.append(step)
                     eval_rows.append(
-                        self._probe_accuracy_multi(
+                        self._probe_accuracies(
                             bank.data,
                             batch_size=min(4096, 1024 * m),
                             final=step == iterations - 1,
                         )
                     )
 
-        if constant_lambda:
-            # Two-pass variance over every (step, member) snapshot,
-            # chunked so the float64 centering temporary stays small.
-            flat = bank_snapshots.reshape(iterations * m, -1)
-            variances = np.empty(len(flat))
-            rows_per_chunk = max(1, 4_000_000 // max(1, flat.shape[1]))
-            for start in range(0, len(flat), rows_per_chunk):
-                stop = min(start + rows_per_chunk, len(flat))
-                block = flat[start:stop]
-                means = block.mean(axis=1, dtype=np.float64)
-                centered = block - means[:, None]
-                variances[start:stop] = (
-                    np.einsum("ij,ij->i", centered, centered) / flat.shape[1]
-                )
-            privacy_col[:] = (variances / self.signal_power).reshape(iterations, m)
         totals_col = ce_col + reg_sign * lambda_col * reg_col
         accuracy_matrix = np.stack(eval_rows)
         steps = list(range(iterations))

@@ -26,6 +26,7 @@ from repro.edge.costs import (
     BYTES_PER_ELEMENT,
     BatchedCutCost,
     CutCost,
+    batched_cut_cost,
     batched_cut_costs,
     cut_costs,
 )
@@ -200,22 +201,28 @@ def predict_window_latency(
             f"per-sample service seconds must be >= 0, got "
             f"{service_seconds_per_sample}"
         )
+    batched = batched_cut_cost(model, cut, window, bytes_per_element)
+    fill_wait = (window - 1) / arrival_rate_rps
+    wire = window_wire_seconds(batched, channel, n_classes)
+    compute = window * service_seconds_per_sample
+    return fill_wait + wire + compute, fill_wait, wire, compute
+
+
+def window_wire_seconds(
+    cost: BatchedCutCost, channel: Channel | None = None, n_classes: int = 10
+) -> float:
+    """Wire seconds of one full window of ``cost.batch_size`` requests: one
+    uplink frame of the stacked activations and one downlink frame of
+    their logits (the wire term of :func:`predict_window_latency`)."""
+    window = cost.batch_size
     channel = channel or Channel()
-    batched = next(
-        cost
-        for cost in batched_cut_costs(model, window, bytes_per_element)
-        if cost.cut == cut
-    )
-    uplink_bytes = batched.wire_bytes * window  # whole frame, header included
+    uplink_bytes = cost.wire_bytes * window  # whole frame, header included
     downlink_bytes = window * n_classes * BYTES_PER_ELEMENT + batch_frame_overhead(
         window, ndim=2
     )
-    fill_wait = (window - 1) / arrival_rate_rps
-    wire = channel.transfer_seconds(int(uplink_bytes)) + channel.transfer_seconds(
+    return channel.transfer_seconds(int(uplink_bytes)) + channel.transfer_seconds(
         int(downlink_bytes)
     )
-    compute = window * service_seconds_per_sample
-    return fill_wait + wire + compute, fill_wait, wire, compute
 
 
 def plan_batch_window(
@@ -282,11 +289,7 @@ def plan_batch_window(
 
     feasible = best is not None
     window, latency = best if best is not None else (1, components(1))
-    batched = next(
-        cost
-        for cost in batched_cut_costs(model, window, bytes_per_element)
-        if cost.cut == cut
-    )
+    batched = batched_cut_cost(model, cut, window, bytes_per_element)
     return WindowPlan(
         cut=cut,
         window=window,

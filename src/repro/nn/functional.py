@@ -89,18 +89,22 @@ def _conv2d_grad_w(
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias``.
+    """Affine map ``x @ weight.T + bias`` over the last axis of ``x``.
 
     Fused into one tape node (the composed transpose/matmul/add chain costs
     three nodes per call, which dominates small-layer forward passes).
+    Leading axes beyond the row axis run as one matmul per ``(N, in)``
+    slice, so a slice's output and input gradient are bitwise those of a
+    2-D call on it alone; one GEMM over all rows would round by the row
+    count.
 
     Args:
-        x: ``(N, in_features)`` input.
+        x: ``(..., N, in_features)`` input.
         weight: ``(out_features, in_features)`` weight matrix.
         bias: Optional ``(out_features,)`` bias.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"linear expects (N, in_features) input, got {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"linear expects (..., N, in_features) input, got {x.shape}")
     out_data = x.data @ weight.data.T
     if bias is not None:
         out_data += bias.data
@@ -110,10 +114,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x.accumulate_grad(grad @ weight.data)
+        rows = grad.reshape(-1, grad.shape[-1])
         if weight.requires_grad:
-            weight.accumulate_grad(grad.T @ x.data)
+            weight.accumulate_grad(rows.T @ x.data.reshape(-1, x.shape[-1]))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(grad.sum(axis=0))
+            bias.accumulate_grad(rows.sum(axis=0))
 
     return Tensor._make(out_data, parents, backward)
 

@@ -105,12 +105,12 @@ import numpy as np
 
 from repro.core.sampler import NoiseCollection, NoiseStream
 from repro.edge.channel import Channel
-from repro.edge.costs import cut_cost
+from repro.edge.costs import batched_cut_cost
 from repro.edge.device import CloudServer, EdgeDevice, SessionReport
 from repro.edge.planner import (
     BYTES_PER_ELEMENT,
     plan_batch_window,
-    predict_window_latency,
+    window_wire_seconds,
 )
 from repro.edge.protocol import (
     BatchActivationMessage,
@@ -256,6 +256,13 @@ class DeploymentSpec:
             np.zeros(channels, np.float32) if self.mean is None else self.mean,
             np.ones(channels, np.float32) if self.std is None else self.std,
         )
+
+    def wire_bytes_per_element(self) -> float:
+        """Uplink bytes per activation element: the quantised payload
+        width, or float32's."""
+        if self.quantization is None:
+            return BYTES_PER_ELEMENT
+        return float(self.quantization.bytes_per_element)
 
 
 @dataclass
@@ -506,13 +513,6 @@ class ControlPlane:
             "as arguments and a calibrated quantization",
         )
         channel = spec.channel or self._channel_prototype
-        # Quantised uplinks shrink the wire working set; the planner
-        # prices the window off the actual payload width.
-        wire_bytes_per_element = (
-            float(spec.quantization.bytes_per_element)
-            if spec.quantization is not None
-            else BYTES_PER_ELEMENT
-        )
         batch_window = spec.batch_window
         if batch_window is None:
             if spec.target_slo_seconds is None or spec.arrival_rate_rps is None:
@@ -527,11 +527,11 @@ class ControlPlane:
                 arrival_rate_rps=spec.arrival_rate_rps,
                 service_seconds_per_sample=spec.service_seconds_per_sample,
                 channel=channel,
-                bytes_per_element=wire_bytes_per_element,
+                bytes_per_element=spec.wire_bytes_per_element(),
             ).window
         mean, std = spec.normalisation(model.input_shape[0])
         spec = replace(spec, mean=mean, std=std, channel=channel)
-        device, remote, activation_shape = self._split(
+        device, remote, activation_shape, edge_kilomacs, wire_seconds = self._split(
             model, cut, spec, batch_window
         )
         queue = RequestQueue(clock=self._clock, image_shape=model.input_shape)
@@ -556,18 +556,6 @@ class ControlPlane:
                 shed_unmeetable=spec.shed_unmeetable,
                 clock=self._clock,
             )
-        # One full window's wire time on this deployment's link — the
-        # feedforward term admission shedding and the autoscaler use
-        # before the service-time EWMA has warmed up.
-        window_wire_seconds = predict_window_latency(
-            model,
-            cut,
-            batch_window,
-            arrival_rate_rps=1.0,
-            service_seconds_per_sample=0.0,
-            channel=channel,
-            bytes_per_element=wire_bytes_per_element,
-        )[2]
         deployment = Deployment(
             name=name,
             model=model,
@@ -579,7 +567,7 @@ class ControlPlane:
             batcher=batcher,
             metrics=ServingMetrics(),
             batch_window=batch_window,
-            edge_kilomacs=cut_cost(model, cut).kilomacs,
+            edge_kilomacs=edge_kilomacs,
             activation_shape=activation_shape,
             admission=admission,
             shuffler=(
@@ -587,7 +575,7 @@ class ControlPlane:
                 if spec.shuffle
                 else None
             ),
-            window_wire_seconds=window_wire_seconds,
+            window_wire_seconds=wire_seconds,
         )
         # The registry entry is added only once every worker is equipped
         # — a mid-warm failure (e.g. kernel_backend="native" without a
@@ -604,9 +592,16 @@ class ControlPlane:
         cut: str,
         spec: DeploymentSpec,
         batch_window: int,
-    ) -> tuple[EdgeDevice, object, tuple[int, ...]]:
-        """The edge device, remote half and warm activation shape of a
-        resolved spec (registration and :meth:`swap` both build here)."""
+    ) -> tuple[EdgeDevice, object, tuple[int, ...], float, float]:
+        """The edge device, remote half, warm activation shape, per-sample
+        edge kMACs and one full window's wire seconds of a resolved spec
+        (registration and :meth:`swap` both build here).
+
+        Both figures come from one pricing of the cut.  The wire time on
+        the deployment's link is the feedforward term admission shedding
+        and the autoscaler use before the service-time EWMA has warmed
+        up; quantised uplinks shrink it to the actual payload width.
+        """
         local, remote = model.split(cut)
         device = EdgeDevice(
             local, spec.mean, spec.std, spec.noise, spec.rng, spec.quantization,
@@ -617,7 +612,13 @@ class ControlPlane:
         # deadline-aware closing ships: a lowered program's one binding
         # runs every batch up to the size it was built for.
         activation_shape = device.warm((batch_window, *model.input_shape))
-        return device, remote, activation_shape
+        cost = batched_cut_cost(
+            model, cut, batch_window, spec.wire_bytes_per_element()
+        )
+        return (
+            device, remote, activation_shape, cost.kilomacs,
+            window_wire_seconds(cost, spec.channel),
+        )
 
     def _equip_all(self, deployment: Deployment) -> None:
         """Equip every worker for ``deployment``; on failure each worker
@@ -1083,7 +1084,10 @@ class ControlPlane:
         )
         model = model if model is not None else deployment.model
         cut = cut if cut is not None else deployment.cut
-        swapped = ("model", "cut", "spec", "device", "remote", "activation_shape")
+        swapped = (
+            "model", "cut", "spec", "device", "remote", "activation_shape",
+            "edge_kilomacs", "window_wire_seconds",
+        )
         parts = (model, cut, spec) + self._split(
             model, cut, spec, deployment.batch_window
         )
@@ -1097,7 +1101,6 @@ class ControlPlane:
                 setattr(deployment, attribute, value)
             raise
         deployment.queue.image_shape = tuple(model.input_shape)
-        deployment.edge_kilomacs = cut_cost(model, cut).kilomacs
         return delivered
 
     def unregister(

@@ -2,7 +2,9 @@
 
 ``_HoistedRemote`` computes ``pre = W a + b`` once per call and steps on
 ``pre[rows] + W n``; the plain step (:func:`tests.oracles.plain_step_reference`)
-pushes every noisy row ``a + n`` through the whole remote half.
+pushes each member's noisy rows ``a + n`` through the whole remote half
+on their own.  A member's step, and so its whole training run, does not
+depend on how many members train beside it.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ def test_step_matches_plain_step(backbones, name, cut, members):
     indices = rng.integers(0, 20, size=(members, 6))
     noise = rng.laplace(size=(members, *shape)).astype(np.float32)
     classes = split.model.num_classes
-    seed_grad = rng.standard_normal((members * 6, classes)).astype(np.float32)
+    seed_grad = rng.standard_normal((members, 6, classes)).astype(np.float32)
 
-    # One member is a NoiseTensor, the shape ``train`` steps on.
-    hoisted = NoiseTensor(noise.copy()) if members == 1 else MultiNoiseTensor(noise.copy())
+    hoisted = MultiNoiseTensor(noise.copy())
     logits = _HoistedRemote(split.remote, activations)(indices, hoisted)
     logits.backward(seed_grad)
     plain = MultiNoiseTensor(noise.copy())
@@ -131,10 +132,41 @@ def test_member_projection_does_not_depend_on_bank_size(backbones, name, cut):
     rows = hoisted(indices, noise)
     seed_grad = rng.standard_normal(rows.shape).astype(np.float32)
     rows.backward(seed_grad)
-    rows = rows.data.reshape(16, 6, -1)
+    rows = rows.data
     for member in range(16):
-        alone = NoiseTensor(bank[member : member + 1].copy())
+        alone = MultiNoiseTensor(bank[member : member + 1].copy())
         ours = hoisted(indices[member : member + 1], alone)
-        ours.backward(seed_grad.reshape(16, 6, -1)[member])
-        np.testing.assert_array_equal(ours.data, rows[member])
+        ours.backward(seed_grad[member : member + 1])
+        np.testing.assert_array_equal(ours.data[0], rows[member])
         np.testing.assert_array_equal(alone.grad, noise.grad[member : member + 1])
+
+
+@pytest.mark.parametrize("name, cut", CUTS)
+def test_train_many_member_does_not_depend_on_bank_size(backbones, name, cut):
+    """Member 0 of a 5-member ``train_many`` equals ``train`` (a one-member
+    run) from the same noise and batch stream, in its noise and in every
+    history column, bit for bit."""
+    model = backbones[name]
+    rng = np.random.default_rng(9)
+    images = rng.standard_normal((40, *model.input_shape)).astype(np.float32)
+    labels = rng.integers(0, 10, size=40)
+    split = SplitInferenceModel(model, cut)
+    bank = rng.laplace(size=(5, *split.activation_shape)).astype(np.float32)
+
+    def trainer():
+        return NoiseTrainer(
+            split,
+            TensorDataset(images[:24], labels[:24]),
+            TensorDataset(images[24:], labels[24:]),
+            loss=ShredderLoss(1e-2),
+            batch_size=8,
+            eval_every=3,
+            rng=np.random.default_rng(3),
+        )
+
+    alone = trainer().train(NoiseTensor(bank[:1]), 7)
+    beside = trainer().train_many(MultiNoiseTensor(bank), 7)[0]
+    np.testing.assert_array_equal(beside.noise, alone.noise)
+    for column, values in vars(alone.history).items():
+        assert getattr(beside.history, column) == values, column
+    assert beside.final_in_vivo_privacy == alone.final_in_vivo_privacy

@@ -93,9 +93,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ShredderLoss(0.1, variant="l2")
 
-    def test_with_lambda_copies(self):
-        loss = ShredderLoss(0.1, variant="l1")
-        other = loss.with_lambda(0.05)
-        assert other.lambda_coeff == 0.05
-        assert other.variant == "l1"
-        assert loss.lambda_coeff == 0.1

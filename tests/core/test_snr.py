@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     in_vivo_privacy,
-    in_vivo_privacy_from_power,
     noise_variance,
     signal_power,
     snr,
@@ -53,17 +52,6 @@ class TestSNR:
         assert in_vivo_privacy(activations, noise) == pytest.approx(
             1.0 / snr(activations, noise)
         )
-
-    def test_from_power_matches(self, rng):
-        activations = rng.standard_normal((8, 4))
-        noise = rng.laplace(0, 1, size=(8, 4))
-        assert in_vivo_privacy_from_power(
-            signal_power(activations), noise
-        ) == pytest.approx(in_vivo_privacy(activations, noise))
-
-    def test_from_power_validates(self, rng):
-        with pytest.raises(EstimatorError):
-            in_vivo_privacy_from_power(0.0, rng.laplace(0, 1, size=8))
 
     @given(st.floats(min_value=0.2, max_value=8.0))
     @settings(max_examples=20, deadline=None)

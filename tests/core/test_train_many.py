@@ -15,7 +15,6 @@ from repro.core import (
     ShredderLoss,
     ShredderPipeline,
     SplitInferenceModel,
-    in_vivo_privacy_from_power,
     in_vivo_privacy_members,
     noise_variance,
     noise_variance_members,
@@ -24,6 +23,7 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.nn import Tensor
 from repro.nn import functional as F
 from tests.helpers import mixed_flag_trainer, requires_grad_flags
+from tests.oracles import collect_reference, train_reference
 
 
 def make_trainer(bundle, **kwargs):
@@ -95,7 +95,7 @@ class TestPerMemberReductions:
         per_member = in_vivo_privacy_members(2.5, bank)
         for i in range(3):
             assert per_member[i] == pytest.approx(
-                in_vivo_privacy_from_power(2.5, bank[i][None]), rel=1e-12
+                noise_variance(bank[i]) / 2.5, rel=1e-12
             )
 
     @pytest.mark.parametrize("variant", ["l1", "inverse_variance"])
@@ -107,9 +107,11 @@ class TestPerMemberReductions:
         lambdas = [1e-2, 5e-3, 0.0]
 
         bank = MultiNoiseTensor(bank_data.copy())
-        logits = Tensor(logits_data.copy(), requires_grad=True)
+        logits = Tensor(logits_data.reshape(m, b, classes).copy(), requires_grad=True)
         loss = ShredderLoss(1e-2, variant=variant)
-        total, parts = loss.many(logits, targets, bank, lambdas)
+        total, cross_entropies, privacy, sign = loss.many_arrays(
+            logits, targets.reshape(m, b), bank, lambdas
+        )
         total.backward()
 
         for i in range(m):
@@ -117,32 +119,40 @@ class TestPerMemberReductions:
             single_logits = Tensor(
                 logits_data[i * b : (i + 1) * b].copy(), requires_grad=True
             )
-            single_total, single_parts = loss.with_lambda(lambdas[i])(
+            single_total, single_parts = ShredderLoss(lambdas[i], variant)(
                 single_logits, targets[i * b : (i + 1) * b], single_noise
             )
             single_total.backward()
-            assert parts[i].cross_entropy == pytest.approx(
+            assert cross_entropies[i] == pytest.approx(
                 single_parts.cross_entropy, rel=1e-6
             )
-            assert parts[i].privacy_term == pytest.approx(
-                single_parts.privacy_term, rel=1e-5
-            )
-            assert parts[i].total == pytest.approx(single_parts.total, rel=1e-5)
+            assert privacy[i] == pytest.approx(single_parts.privacy_term, rel=1e-5)
+            member_total = cross_entropies[i] + sign * lambdas[i] * privacy[i]
+            assert member_total == pytest.approx(single_parts.total, rel=1e-5)
             np.testing.assert_allclose(
                 bank.grad[i], single_noise.grad[0], rtol=1e-5, atol=1e-7
             )
             np.testing.assert_allclose(
-                logits.grad[i * b : (i + 1) * b],
-                single_logits.grad,
-                rtol=1e-5,
-                atol=1e-8,
+                logits.grad[i], single_logits.grad, rtol=1e-5, atol=1e-8
             )
 
     def test_loss_many_lambda_count_mismatch(self, rng):
         bank = MultiNoiseTensor(np.zeros((2, 2, 2), dtype=np.float32))
+        logits = Tensor(
+            rng.normal(size=(2, 2, 3)).astype(np.float32), requires_grad=True
+        )
+        with pytest.raises(ConfigurationError):
+            ShredderLoss(1e-3).many_arrays(
+                logits, np.zeros((2, 2), dtype=int), bank, [1e-3]
+            )
+
+    def test_many_arrays_rejects_member_flattened_logits(self, rng):
+        bank = MultiNoiseTensor(np.zeros((2, 2, 2), dtype=np.float32))
         logits = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
         with pytest.raises(ConfigurationError):
-            ShredderLoss(1e-3).many(logits, np.zeros(4, dtype=int), bank, [1e-3])
+            ShredderLoss(1e-3).many_arrays(
+                logits, np.zeros(4, dtype=int), bank, [1e-3, 1e-3]
+            )
 
     def test_many_arrays_cross_entropy_matches_scalar(self, rng):
         # many_arrays' fused group-mean CE against the reference scalar
@@ -152,7 +162,10 @@ class TestPerMemberReductions:
         targets = rng.integers(0, 5, size=m * b)
         bank = MultiNoiseTensor(np.zeros((m, 2, 2), dtype=np.float32))
         _, ce, _, _ = ShredderLoss(0.0).many_arrays(
-            Tensor(logits_data, requires_grad=True), targets, bank, [0.0] * m
+            Tensor(logits_data.reshape(m, b, 5), requires_grad=True),
+            targets.reshape(m, b),
+            bank,
+            [0.0] * m,
         )
         for g in range(m):
             single = F.cross_entropy(
@@ -166,7 +179,7 @@ class TestTrainManyParity:
         m, iterations = 3, 40
         seq_trainer = make_trainer(lenet_bundle, rng=np.random.default_rng(42))
         sequential = [
-            seq_trainer.train(noise, iterations)
+            train_reference(seq_trainer, noise, iterations)
             for noise in fresh_noises(seq_trainer, m, scale=1.5)
         ]
         bat_trainer = make_trainer(lenet_bundle, rng=np.random.default_rng(42))
@@ -301,15 +314,35 @@ class TestPipelineCollectBatched:
         seq_pipe = ShredderPipeline(
             lenet_bundle, lambda_coeff=1e-3, init_scale=1.0, config=config
         )
-        sequential = seq_pipe.collect(3, iterations=40, batched=False)
+        sequential = collect_reference(seq_pipe, 3, iterations=40)
         bat_pipe = ShredderPipeline(
             lenet_bundle, lambda_coeff=1e-3, init_scale=1.0, config=config
         )
-        batched = bat_pipe.collect(3, iterations=40, batched=True)
+        batched = bat_pipe.collect(3, iterations=40)
         assert len(batched) == len(sequential) == 3
         for seq, bat in zip(sequential.samples, batched.samples):
             np.testing.assert_allclose(bat.tensor, seq.tensor, atol=1e-5)
             assert bat.in_vivo_privacy == pytest.approx(seq.in_vivo_privacy, rel=1e-4)
+
+    def test_members_equal_train_noise_exactly(self, lenet_bundle):
+        # Member i of a collection is train_noise(seed_tag=i) on a pipeline
+        # whose batch RNG has served members 0..i-1 first, bit for bit.
+        def make_pipe():
+            return ShredderPipeline(
+                lenet_bundle,
+                lambda_coeff=5e-2,
+                init_scale=0.5,
+                schedule=DecayOnTarget(base=5e-2, target=0.3, decay=0.5),
+                config=Config(scale=TINY),
+            )
+
+        collection = make_pipe().collect(3, iterations=30)
+        alone = make_pipe()
+        for index, sample in enumerate(collection.samples):
+            result = alone.train_noise(30, seed_tag=index)
+            np.testing.assert_array_equal(sample.tensor, result.noise[0])
+            assert sample.in_vivo_privacy == result.final_in_vivo_privacy
+            assert sample.accuracy == result.final_accuracy
 
     def test_members_differ(self, pipeline):
         collection = pipeline.collect(3, iterations=20)
@@ -332,12 +365,12 @@ class TestPipelineCollectBatched:
                 config=config,
             )
 
-        sequential = make_pipe().collect(2, iterations=30, batched=False)
-        batched = make_pipe().collect(2, iterations=30, batched=True)
+        sequential = collect_reference(make_pipe(), 2, iterations=30)
+        batched = make_pipe().collect(2, iterations=30)
         for seq, bat in zip(sequential.samples, batched.samples):
             np.testing.assert_allclose(bat.tensor, seq.tensor, atol=1e-5)
 
-    def test_sequential_collect_restores_shared_schedule(self, lenet_bundle):
+    def test_collect_leaves_shared_schedule_untouched(self, lenet_bundle):
         schedule = DecayOnTarget(base=5e-2, target=0.3, decay=0.5)
         pipe = ShredderPipeline(
             lenet_bundle,
@@ -346,10 +379,11 @@ class TestPipelineCollectBatched:
             schedule=schedule,
             config=Config(scale=TINY),
         )
-        pipe.collect(2, iterations=10, batched=False)
+        pipe.collect(2, iterations=10)
         assert pipe.trainer.schedule is schedule
+        assert schedule.reached_at_step is None
 
-    def test_single_member_uses_sequential_path(self, pipeline):
+    def test_single_member_collection(self, pipeline):
         collection = pipeline.collect(1, iterations=15)
         assert len(collection) == 1
 

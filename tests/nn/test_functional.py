@@ -47,6 +47,48 @@ class TestIm2col:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+class TestLinear:
+    def test_leading_axes_match_per_slice_calls(self, rng):
+        # (M, rows, in) input: each slice's output and input gradient are
+        # bitwise a 2-D call on that slice alone; one GEMM over all M·rows
+        # rows rounds differently at this shape.
+        x_data = rng.standard_normal((5, 8, 64)).astype(np.float32)
+        w_data = rng.standard_normal((32, 64)).astype(np.float32)
+        b_data = rng.standard_normal(32).astype(np.float32)
+        grad = rng.standard_normal((5, 8, 32)).astype(np.float32)
+        x = Tensor(x_data.copy(), requires_grad=True)
+        weight = Tensor(w_data.copy(), requires_grad=True)
+        bias = Tensor(b_data.copy(), requires_grad=True)
+        out = F.linear(x, weight, bias)
+        out.backward(grad)
+        assert out.shape == (5, 8, 32)
+        for m in range(5):
+            piece = Tensor(x_data[m].copy(), requires_grad=True)
+            alone = F.linear(piece, Tensor(w_data), Tensor(b_data))
+            alone.backward(grad[m])
+            np.testing.assert_array_equal(out.data[m], alone.data)
+            np.testing.assert_array_equal(x.grad[m], piece.grad)
+
+    def test_leading_axes_parameter_gradients_match_flattened_call(self, rng):
+        x_data = rng.standard_normal((3, 6, 20)).astype(np.float32)
+        grad = rng.standard_normal((3, 6, 7)).astype(np.float32)
+        w_data = rng.standard_normal((7, 20)).astype(np.float32)
+        b_data = rng.standard_normal(7).astype(np.float32)
+        grads = []
+        for shape in ((3, 6, 20), (18, 20)):
+            weight = Tensor(w_data.copy(), requires_grad=True)
+            bias = Tensor(b_data.copy(), requires_grad=True)
+            out = F.linear(Tensor(x_data.reshape(shape)), weight, bias)
+            out.backward(grad.reshape(*shape[:-1], 7))
+            grads.append((weight.grad, bias.grad))
+        for stacked, flat in zip(*grads):
+            np.testing.assert_array_equal(stacked, flat)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            F.linear(Tensor(np.zeros(4, np.float32)), Tensor(np.zeros((2, 4), np.float32)))
+
+
 class TestConv2d:
     def test_matches_scipy_correlate(self, rng):
         x = rng.standard_normal((1, 1, 8, 8))

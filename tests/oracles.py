@@ -2,13 +2,15 @@
 
 Each oracle is the straightforward form of a computation the library
 runs faster: the per-point KSG and Kozachenko-Leonenko loops, the
-per-observation attack loops, the PCA fitted by an economy SVD, and the
-plain noise-training step, which pushes every noisy row through the
-whole remote half.
+per-observation attack loops, the PCA fitted by an economy SVD, the
+plain noise-training step, which pushes each member's noisy rows through
+the whole remote half on their own, and the one-tensor noise-training
+loop with its member-at-a-time collection.
 Parity tests compare the library with them, and
-``benchmarks/bench_hotpaths.py`` times the estimator oracles as its
-"before" side.  This module imports only numpy, scipy and ``repro`` so
-that the benchmark can run where pytest is not installed.
+``benchmarks/bench_hotpaths.py`` times the estimator oracles and the
+member-at-a-time collection as its "before" side.  This module imports
+only numpy, scipy and ``repro`` so that the benchmark can run where
+pytest is not installed.
 """
 
 from __future__ import annotations
@@ -19,9 +21,17 @@ from scipy.special import digamma
 
 from repro.attacks.reconstruction import NearestNeighbourInverter, _flatten
 from repro.attacks.reidentification import ReidentificationAttack
-from repro.core.noise_tensor import MultiNoiseTensor
-from repro.errors import EstimatorError
-from repro.nn import Sequential, Tensor
+from repro.core import NoiseCollection, ShredderLoss, ShredderPipeline, noise_variance
+from repro.core.noise_tensor import MultiNoiseTensor, NoiseTensor
+from repro.core.trainer import (
+    NoiseTrainer,
+    NoiseTrainingHistory,
+    NoiseTrainingResult,
+    _frozen_eval,
+    _HoistedRemote,
+)
+from repro.errors import EstimatorError, TrainingError
+from repro.nn import Adam, Sequential, Tensor, stack
 from repro.privacy.entropy import _LN2, _validate_samples, unit_ball_log_volume
 from repro.privacy.mutual_information import _RADIUS_TOL, _jittered, _paired
 from repro.privacy.reduction import PCAReducer
@@ -162,40 +172,106 @@ class SVDPCAReducer(PCAReducer):
         return self
 
 
-def member_noisy_batch_reference(
-    activations: np.ndarray, bank: MultiNoiseTensor
-) -> Tensor:
-    """Member-stacked noisy activations as one fused tape node.
-
-    Forward: broadcast-add each member's noise slice to its own
-    ``(rows, ...)`` block of the ``(M, rows, ...)`` gathered activations
-    and flatten to ``(M*rows, ...)``.  Backward: the adjoint of the
-    broadcast — sum the incoming gradient over each member's rows — lands
-    directly on the bank.  One tape node instead of a reshape/add/reshape
-    chain; this runs once per training step.
-    """
-    m, rows = activations.shape[:2]
-    shape = bank.activation_shape
-    out = (activations + bank.data[:, None]).reshape(m * rows, *shape)
-
-    def backward(grad: np.ndarray) -> None:
-        bank.accumulate_grad(grad.reshape(m, rows, *shape).sum(axis=1))
-
-    return Tensor._make(out, (bank,), backward)
-
-
 def plain_step_reference(
     remote: Sequential,
     activations: np.ndarray,
     indices: np.ndarray,
     bank: MultiNoiseTensor,
 ) -> Tensor:
-    """Logits of one noise-training step without the hoisted head.
+    """``(M, rows, classes)`` logits of one noise-training step without the
+    hoisted head.
 
     Row ``m`` of the ``(M, rows)`` matrix ``indices`` picks member ``m``'s
-    rows of ``activations``; they get ``bank[m]`` added, and every row runs
-    through the whole ``remote`` half, as ``NoiseTrainer.train_many``
-    stepped before the remote half's first ``Linear`` was hoisted out of
-    the step.
+    rows of ``activations``; they get ``bank[m]`` added and run through the
+    whole ``remote`` half on their own, as a one-member step would run
+    them before the remote half's first ``Linear`` was hoisted out of the
+    step.
     """
-    return remote(member_noisy_batch_reference(activations[indices], bank))
+    return stack([
+        remote(Tensor(activations[rows]) + bank[member : member + 1])
+        for member, rows in enumerate(indices)
+    ])
+
+
+def train_reference(
+    trainer: NoiseTrainer, noise: NoiseTensor, iterations: int
+) -> NoiseTrainingResult:
+    """The one-tensor loop ``NoiseTrainer.train`` ran before it became a
+    one-member ``train_many``.
+
+    Each step reads the privacy with ``noise_variance``, asks the
+    trainer's own schedule (not a clone) for λ, and takes the tape loss
+    ``ShredderLoss.__call__``; ``noise`` is trained in place and each
+    accuracy probe runs the single-noise ``accuracy_from_activations``.
+    """
+    if iterations <= 0:
+        raise TrainingError(f"iterations must be positive, got {iterations}")
+    trainer._check_noise_shape(noise.per_sample.shape)
+    optimizer = Adam([noise], lr=trainer.lr)
+    history = NoiseTrainingHistory()
+    n = len(trainer.train_labels)
+    plan = trainer._batch_plan(iterations)
+    with _frozen_eval(trainer.split.model):
+        remote = _HoistedRemote(trainer.split.remote, trainer.train_activations)
+        for step, batch in enumerate(plan):
+            privacy = noise_variance(noise.data) / trainer.signal_power
+            lambda_now = trainer.schedule.coefficient(step, privacy)
+            loss_fn = ShredderLoss(lambda_now, trainer.loss.variant)
+
+            logits = remote(batch[None], noise).reshape(len(batch), -1)
+            total, parts = loss_fn(logits, trainer.train_labels[batch], noise)
+            if not np.isfinite(parts.total):
+                raise TrainingError(
+                    f"noise training diverged at iteration {step} "
+                    f"(loss={parts.total})"
+                )
+            optimizer.zero_grad()
+            total.backward()
+            optimizer.step()
+
+            history.iterations.append(step)
+            history.losses.append(parts.total)
+            history.cross_entropies.append(parts.cross_entropy)
+            history.in_vivo_privacies.append(privacy)
+            history.lambdas.append(lambda_now)
+            if step % trainer.eval_every == 0 or step == iterations - 1:
+                probe = trainer._probe_indices(final=step == iterations - 1)
+                rows = slice(None) if probe is None else probe
+                accuracy = trainer.split.accuracy_from_activations(
+                    trainer.eval_activations[rows], trainer.eval_labels[rows], noise.data
+                )
+                history.accuracies.append(accuracy)
+                history.accuracy_iterations.append(step)
+
+    final_privacy = noise_variance(noise.data) / trainer.signal_power
+    return NoiseTrainingResult(
+        noise=noise.data.copy(),
+        history=history,
+        final_in_vivo_privacy=final_privacy,
+        final_accuracy=history.accuracies[-1],
+        signal_power=trainer.signal_power,
+        epochs=iterations * trainer.batch_size / n,
+    )
+
+
+def collect_reference(
+    pipeline: ShredderPipeline, n_members: int, iterations: int
+) -> NoiseCollection:
+    """Member-at-a-time ``ShredderPipeline.collect``: :func:`train_reference`
+    once per member, member ``i`` from ``pipeline.new_noise(seed_tag=i)``
+    and under its own clone of the trainer's schedule."""
+    trainer = pipeline.trainer
+    collection = NoiseCollection(pipeline.split.activation_shape)
+    shared_schedule = trainer.schedule
+    try:
+        for index in range(n_members):
+            trainer.schedule = shared_schedule.clone()
+            result = train_reference(
+                trainer, pipeline.new_noise(seed_tag=index), iterations
+            )
+            collection.add(
+                result.noise, result.final_accuracy, result.final_in_vivo_privacy
+            )
+    finally:
+        trainer.schedule = shared_schedule
+    return collection

@@ -42,7 +42,13 @@ import pytest
 
 from repro.config import TINY, Config
 from repro.core import NoiseCollection, ShredderPipeline, SplitInferenceModel
-from repro.edge import Channel, InferenceSession, plan_batch_window
+from repro.edge import (
+    Channel,
+    InferenceSession,
+    cut_cost,
+    plan_batch_window,
+    predict_window_latency,
+)
 from repro.errors import (
     ConfigurationError,
     DeploymentDrainError,
@@ -320,6 +326,49 @@ class TestWarmBindings:
                         plane.submit(images[index : index + 1], deployment=deployment)
                 plane.drain()
             assert [dict(executor._programs) for executor in executors] == bindings
+
+
+class TestCutPricing:
+    """A deployment's edge kMACs and one window's wire time come from one
+    pricing of its cut, at registration and again at a swap."""
+
+    @staticmethod
+    def _expected(model, cut, link):
+        wire = predict_window_latency(
+            model, cut, 8, arrival_rate_rps=1.0, service_seconds_per_sample=0.0,
+            channel=link,
+        )[2]
+        return cut_cost(model, cut).kilomacs, wire
+
+    def test_registration_runs_one_dry_run(self, bundle, monkeypatch):
+        from repro.edge import costs
+
+        dry_runs = []
+        profile_network = costs.profile_network
+
+        def counted(model):
+            dry_runs.append(model)
+            return profile_network(model)
+
+        monkeypatch.setattr(costs, "profile_network", counted)
+        link = Channel(bandwidth_mbps=1.0)
+        with ControlPlane(workers=1, channel=link) as plane:
+            for cut in bundle.model.cut_names():
+                dry_runs.clear()
+                deployment = plane.register(cut, bundle.model, cut, batch_window=8)
+                assert len(dry_runs) == 1
+                priced = (deployment.edge_kilomacs, deployment.window_wire_seconds)
+                assert priced == self._expected(bundle.model, cut, link)
+
+    def test_swap_reprices_the_wire_time(self, bundle):
+        link = Channel(bandwidth_mbps=1.0)
+        first, *_, last = bundle.model.cut_names()
+        with ControlPlane(workers=1, channel=link) as plane:
+            swapped = plane.register("swapped", bundle.model, last, batch_window=8)
+            plane.swap("swapped", cut=first)
+            priced = (swapped.edge_kilomacs, swapped.window_wire_seconds)
+            assert priced == self._expected(bundle.model, first, link)
+            assert priced != self._expected(bundle.model, last, link)
 
 
 class TestMultiDeploymentParity:
